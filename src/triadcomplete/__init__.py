@@ -13,17 +13,14 @@ from .completion import (
     CompletionReport,
     CompletionStep,
     FeasibleInterval,
-    complete_consistent_chordal,
     complete_consistent_pc_plus,
     complete_mt_preserving,
-    complete_one_entry_consistent,
     feasible_interval,
     join_blocks,
     select_value,
 )
 from .fileio import format_matrix, load_matrix, parse_matrix, save_matrix
 from .graphs import (
-    ChordalOrdering,
     SpecGraph,
     chordal_ordering,
     common_specified_neighbors,
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockJoin",
-    "ChordalOrdering",
     "CompleteReciprocalMatrix",
     "CompletionReport",
     "CompletionStep",
@@ -79,10 +75,8 @@ __all__ = [
     "TriadSets",
     "chordal_ordering",
     "common_specified_neighbors",
-    "complete_consistent_chordal",
     "complete_consistent_pc_plus",
     "complete_mt_preserving",
-    "complete_one_entry_consistent",
     "connected_components",
     "errors",
     "feasible_interval",

@@ -16,8 +16,8 @@ import math
 import sys
 
 from .completion import (
+    SELECTIONS,
     CompletionReport,
-    complete_consistent_chordal,
     complete_consistent_pc_plus,
     complete_mt_preserving,
 )
@@ -31,7 +31,7 @@ from .fileio import load_matrix, format_matrix, save_matrix
 from .graphs import SpecGraph, connected_components, is_chordal
 from .matrices import PartialReciprocalMatrix, Tolerances
 from .measures import is_pc_plus, is_pcm, koczkodaj_index, max_triad, mt, specified_triads
-from .reduction import EDGE_RULES, STOP_TARGET, reduce
+from .reduction import EDGE_RULES, reduce
 
 
 def _fmt(x: float) -> str:
@@ -237,21 +237,31 @@ def cmd_complete(args) -> int:
         join_u, join_v = (int(c) for c in args.join_cols.split(","))
     except ValueError:
         raise MatrixFileError("--join-cols expects two comma-separated one-based indices")
+    if min(join_u, join_v) < 1:
+        raise MatrixFileError(f"--join-cols {args.join_cols}: indices start at 1")
     cls = _classify(m, tol)
+    # Blocks are merged left to right, so u indexes the first block at the
+    # first join and v indexes every later block.
+    sizes = [len(comp["vertices"]) for comp in cls["components"]]
+    if len(sizes) > 1 and (join_u > sizes[0] or join_v > min(sizes[1:])):
+        raise MatrixFileError(
+            f"--join-cols {args.join_cols}: out of range for blocks of sizes {sizes}"
+        )
+    join = {"join_scale": args.join_k, "join_u": join_u - 1, "join_v": join_v - 1}
     mode = args.mode
     if mode == "auto":
         mode = "consistent" if cls["consistent_completion_exists"] else "mt-preserving"
     joins: list = []
     if mode == "consistent":
+        # At mt = 1 every feasible interval collapses to the consistent
+        # value.  A chordal PCM goes to the mt-preserving fill rather than to
+        # tree weights: near the tolerance edge tree weights can let mt grow,
+        # or fail PC+ outright.
         if cls["pcm"] and cls["all_components_chordal"]:
-            result = complete_consistent_chordal(
-                m, tol, join_scale=args.join_k, join_u=join_u - 1, join_v=join_v - 1
-            )
+            result = complete_mt_preserving(m, selection="minimax", tol=tol, **join).result
             engine = "consistent-chordal"
         elif cls["pc_plus"]:
-            result = complete_consistent_pc_plus(
-                m, tol, join_scale=args.join_k, join_u=join_u - 1, join_v=join_v - 1
-            )
+            result = complete_consistent_pc_plus(m, tol, **join)
             engine = "consistent-pc-plus"
         else:
             raise NoConsistentCompletionError(
@@ -259,14 +269,7 @@ def cmd_complete(args) -> int:
             )
         steps_doc = _filled_entries_doc(m, result)
     else:
-        completion = complete_mt_preserving(
-            m,
-            selection=args.selection,
-            tol=tol,
-            join_scale=args.join_k,
-            join_u=join_u - 1,
-            join_v=join_v - 1,
-        )
+        completion = complete_mt_preserving(m, selection=args.selection, tol=tol, **join)
         result = completion.result
         engine = f"mt-preserving/{args.selection}"
         steps_doc = _completion_steps_doc(completion)
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     complete.add_argument(
         "--selection",
-        choices=("minimax", "midpoint", "lo", "hi"),
+        choices=SELECTIONS,
         default="minimax",
         help="value picked inside each feasible interval (mt-preserving mode)",
     )
@@ -419,16 +422,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CompletionError, MatrixTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,13 @@
 
 Three regimes are covered:
 
-* consistent completion when the data allows it, either entry-by-entry
-  along a chordal ordering (requires every component chordal and all
-  specified triads consistent) or via spanning-tree weights (requires all
-  specified cycle products equal to 1, any graph);
 * completion that provably does not increase the maximum triad product,
   for chordal components, by confining each filled entry to its feasible
-  interval ``[s_max / mt, mt * s_min]``;
+  interval ``[s_max / mt, mt * s_min]``; when all specified triads are
+  consistent (mt = 1) every interval collapses to the one consistent
+  value, so this is also the consistent completion of a chordal PCM;
+* consistent completion via spanning-tree weights when every specified
+  cycle product equals 1, on any graph;
 * joining disjoint diagonal blocks with a scaled rank-one off-diagonal
   block, which keeps the measure at the maximum of the blocks.
 """
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComponentNotChordalError,
-    NeighborDisagreementError,
-    NoCommonNeighborError,
-    NotPCMError,
-    NotPCPlusError,
-)
+from .errors import ComponentNotChordalError, NotPCPlusError
 from .graphs import Edge, SpecGraph, chordal_ordering, connected_components, is_chordal
 from .matrices import (
     DEFAULT_TOL,
@@ -34,7 +28,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import is_pc_plus, is_pcm, mt, tree_weights, triad_sets_for_entry
+from .measures import is_pc_plus, mt, tree_weights, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -126,26 +120,6 @@ def select_value(interval: FeasibleInterval, selection: str) -> float:
     return interval.lo if selection == "lo" else interval.hi
 
 
-def complete_one_entry_consistent(
-    m: PartialReciprocalMatrix, i: int, k: int, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """The unique value for (i, k) that keeps the data consistent.
-
-    Requires at least one common specified neighbor j; the value is
-    a[i, j] * a[j, k] for the smallest such j, and all neighbors must agree
-    on it within ``tol.cons``.
-    """
-    i, k = (i, k) if i < k else (k, i)
-    ts = triad_sets_for_entry(m, i, k)
-    if not ts.s:
-        raise NoCommonNeighborError(i, k)
-    x = ts.s[0][1]
-    for _, s in ts.s[1:]:
-        if abs(s / x - 1.0) > tol.cons:
-            raise NeighborDisagreementError(i, k, [s for _, s in ts.s])
-    return x
-
-
 def _fill(entries: np.ndarray, mask: np.ndarray, i: int, k: int, value: float) -> None:
     entries[i, k] = value
     entries[k, i] = 1.0 / value
@@ -159,16 +133,6 @@ def _check_components_chordal(g: SpecGraph) -> list[tuple[int, ...]]:
         if not ok:
             raise ComponentNotChordalError(comp, tuple(comp[v] for v in witness))
     return comps
-
-
-def _component_orderings(
-    g: SpecGraph, comps, lowest_first: bool
-) -> list[tuple[tuple[int, ...], list[Edge]]]:
-    out = []
-    for comp in comps:
-        ordering = chordal_ordering(g.induced(comp), lowest_first=lowest_first)
-        out.append((comp, [(comp[a], comp[b]) for a, b in ordering]))
-    return out
 
 
 def _join_components(
@@ -187,6 +151,8 @@ def _join_components(
     vertex.  Every mixed triad product then collapses onto a product from a
     single block, so the measure stays at the maximum over the blocks.
     """
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"join scale must be finite and positive, got {scale!r}")
     joins: list[BlockJoin] = []
     merged = list(comps[0])
     for comp in comps[1:]:
@@ -201,35 +167,6 @@ def _join_components(
         joins.append(BlockJoin(tuple(merged), tuple(comp), r, s, scale))
         merged = sorted(merged + list(comp))
     return joins
-
-
-def complete_consistent_chordal(
-    m: PartialReciprocalMatrix,
-    tol: Tolerances = DEFAULT_TOL,
-    lowest_first: bool = False,
-    join_scale: float = 1.0,
-    join_u: int = 0,
-    join_v: int = 0,
-) -> CompleteReciprocalMatrix:
-    """Consistent completion along chordal orderings, one entry at a time.
-
-    Requires all specified triads consistent and every component chordal.
-    The completion is unique per connected component (it does not depend on
-    the ordering); across components there is a free scale per join, unit
-    by default.
-    """
-    if not is_pcm(m, tol):
-        raise NotPCMError(f"specified triads are inconsistent (mt = {mt(m)!r})")
-    g = SpecGraph.from_matrix(m)
-    comps = _check_components_chordal(g)
-    entries = np.array(m.entries)
-    mask = np.array(m.mask)
-    for comp, edges in _component_orderings(g, comps, lowest_first):
-        for i, k in edges:
-            current = PartialReciprocalMatrix(entries, mask)
-            _fill(entries, mask, i, k, complete_one_entry_consistent(current, i, k, tol))
-    _join_components(entries, mask, comps, join_scale, join_u, join_v)
-    return PartialReciprocalMatrix(entries, mask).to_complete()
 
 
 def complete_consistent_pc_plus(
@@ -276,8 +213,8 @@ def join_blocks(
     The result's measure equals the larger of the blocks' measures, and the
     result is consistent whenever both blocks are.
     """
-    if not k > 0.0:
-        raise ValueError(f"scale k must be positive, got {k!r}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"scale k must be finite and positive, got {k!r}")
     if not 0 <= u_col < a.n:
         raise IndexError(f"u_col {u_col} out of range for a {a.n}x{a.n} block")
     if not 0 <= v_col < b.n:
@@ -296,7 +233,6 @@ def complete_mt_preserving(
     m: PartialReciprocalMatrix,
     selection: str = "minimax",
     tol: Tolerances = DEFAULT_TOL,
-    lowest_first: bool = False,
     join_scale: float = 1.0,
     join_u: int = 0,
     join_v: int = 0,
@@ -316,26 +252,28 @@ def complete_mt_preserving(
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     steps: list[CompletionStep] = []
-    for _, edges in _component_orderings(g, comps, lowest_first):
-        for i, k in edges:
+    for comp in comps:
+        for a, b in chordal_ordering(g.induced(comp)):
+            i, k = comp[a], comp[b]
             current = PartialReciprocalMatrix(entries, mask)
             # Chord-forcing sanity check: common neighbors of a chordal-step
             # edge must be pairwise adjacent, which is what bounds the
             # spread of the constraining products.
             neighbors = [j for j in range(m.n) if mask[i, j] and mask[j, k] and j not in (i, k)]
-            assert all(
+            if not all(
                 mask[j1, j2] for a_, j1 in enumerate(neighbors) for j2 in neighbors[a_ + 1 :]
-            ), f"common neighbors of {(i, k)} are not pairwise adjacent"
+            ):
+                raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
             interval = feasible_interval(current, i, k, tol)
-            assert interval.lo <= interval.hi * (1.0 + tol.cmp), (
-                f"empty feasible interval at {(i, k)}: {interval}"
-            )
+            if not interval.lo <= interval.hi * (1.0 + tol.cmp):
+                raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
             value = select_value(interval, selection)
             _fill(entries, mask, i, k, value)
             after = mt(PartialReciprocalMatrix(entries, mask))
-            assert after <= interval.mt_context * (1.0 + tol.cmp), (
-                f"measure increased at {(i, k)}: {interval.mt_context} -> {after}"
-            )
+            if not after <= interval.mt_context * (1.0 + tol.cmp):
+                raise AssertionError(
+                    f"measure increased at {(i, k)}: {interval.mt_context} -> {after}"
+                )
             steps.append(CompletionStep((i, k), interval, value, interval.mt_context, after))
     joins = _join_components(entries, mask, comps, join_scale, join_u, join_v)
     result = PartialReciprocalMatrix(entries, mask).to_complete()

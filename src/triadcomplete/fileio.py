@@ -8,6 +8,7 @@ cells must come in symmetric pairs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,12 @@ def _parse_cell(token: str, line: int, col: int) -> float | None:
     if token == UNSPECIFIED:
         return None
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
+        value = float(Fraction(token)) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixFileError(f"cannot parse cell {token!r}", line, col) from exc
+    if not math.isfinite(value):
+        raise MatrixFileError(f"cell {token!r} is not a finite number", line, col)
+    return value
 
 
 def parse_matrix(

@@ -53,9 +53,6 @@ class SpecGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return _canon(i, j) in self.edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(j if i == v else i for i, j in self.edges if v in (i, j)))
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
         for i, j in self.edges:
@@ -82,23 +79,6 @@ class SpecGraph:
             (local[i], local[j]) for i, j in self.edges if i in local and j in local
         }
         return SpecGraph(len(verts), frozenset(edges))
-
-
-@dataclass(frozen=True)
-class ChordalOrdering:
-    """Missing edges ordered so each prefix addition keeps the graph chordal."""
-
-    edges: tuple[Edge, ...]
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def from_matrix(m: PartialReciprocalMatrix) -> SpecGraph:
-    return SpecGraph.from_matrix(m)
 
 
 def _mcs_order(g: SpecGraph, adj: dict[int, set[int]]) -> list[int]:
@@ -132,25 +112,22 @@ def _is_perfect_elimination(adj: dict[int, set[int]], elim: list[int]) -> bool:
     return True
 
 
-def _shortest_path(adj, start: int, goal: int, blocked: set[int]) -> list[int] | None:
-    """BFS path from start to goal avoiding ``blocked``; endpoints allowed."""
-    if start == goal:
-        return [start]
+def bfs_parents(adj, start: int, blocked=frozenset()) -> dict[int, int]:
+    """Breadth-first search from ``start``: each reached vertex -> its parent.
+
+    The dict is in visit order and maps ``start`` to itself.  Neighbors are
+    visited in ascending order and vertices in ``blocked`` are never entered,
+    so the search, and every tree or path read off it, is deterministic.
+    """
     parent = {start: start}
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for u in sorted(adj[v]):
-            if u in parent or u in blocked:
-                continue
-            parent[u] = v
-            if u == goal:
-                path = [u]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.append(u)
-    return None
+            if u not in parent and u not in blocked:
+                parent[u] = v
+                queue.append(u)
+    return parent
 
 
 def _chordless_cycle(g: SpecGraph, adj: dict[int, set[int]]) -> tuple[int, ...]:
@@ -165,10 +142,12 @@ def _chordless_cycle(g: SpecGraph, adj: dict[int, set[int]]) -> tuple[int, ...]:
         for u, w in combinations(nb, 2):
             if w in adj[u]:
                 continue
-            blocked = {v} | (set(nb) - {u, w})
-            path = _shortest_path(adj, u, w, blocked)
-            if path is not None:
-                return (v, *path)
+            parent = bfs_parents(adj, u, blocked={v} | (set(nb) - {u, w}))
+            if w in parent:
+                path = [w]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                return (v, *path[::-1])
     raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
@@ -184,22 +163,13 @@ def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
 def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
     adj = g.adjacency()
-    seen = [False] * g.n
+    seen: set[int] = set()
     comps = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in sorted(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        comps.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = bfs_parents(adj, start)
+            seen.update(comp)
+            comps.append(tuple(sorted(comp)))
     return comps
 
 
@@ -208,22 +178,11 @@ def spanning_tree(g: SpecGraph) -> SpecGraph:
     comps = connected_components(g)
     if len(comps) != 1:
         raise NotConnectedError(f"graph has {len(comps)} components")
-    adj = g.adjacency()
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    edges = set()
-    while queue:
-        v = queue.popleft()
-        for u in sorted(adj[v]):
-            if not seen[u]:
-                seen[u] = True
-                edges.add(_canon(v, u))
-                queue.append(u)
-    return SpecGraph(g.n, frozenset(edges))
+    parent = bfs_parents(g.adjacency(), 0)
+    return SpecGraph(g.n, frozenset(_canon(p, v) for v, p in parent.items() if v != p))
 
 
-def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> ChordalOrdering:
+def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ...]:
     """Greedy ordering of all non-edges keeping every prefix graph chordal.
 
     Candidates are scanned highest pair first (the convention that matches
@@ -251,7 +210,7 @@ def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> ChordalOrderin
                 break
         else:
             raise AssertionError("no chordality-preserving edge found")
-    return ChordalOrdering(tuple(ordering))
+    return tuple(ordering)
 
 
 def common_specified_neighbors(g: SpecGraph, i: int, k: int) -> tuple[int, ...]:

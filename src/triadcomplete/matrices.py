@@ -8,6 +8,7 @@ masked out, so they poison any arithmetic that touches them by accident.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class Tolerances:
     cmp: float = 1e-9
 
     def __post_init__(self) -> None:
-        if min(self.rec, self.cons, self.cmp) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0.0 < t < math.inf for t in (self.rec, self.cons, self.cmp)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()

@@ -8,7 +8,6 @@ to 1 when no triad is fully specified).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import isfinite
@@ -16,7 +15,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import EntrySpecifiedError
-from .graphs import Edge, SpecGraph, common_specified_neighbors, connected_components
+from .graphs import Edge, SpecGraph, bfs_parents, common_specified_neighbors, connected_components
 from .matrices import DEFAULT_TOL, PartialReciprocalMatrix, Tolerances
 
 
@@ -97,16 +96,11 @@ def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
     w[j] = w[i] / a[i, j], so w[i] / w[j] reproduces every tree entry.
     """
     comp = sorted(component)
-    root = comp[0]
-    allowed = set(comp)
-    weights = {root: 1.0}
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for j in range(m.n):
-            if j in allowed and j not in weights and j != i and m.mask[i, j]:
-                weights[j] = weights[i] / float(m.entries[i, j])
-                queue.append(j)
+    adj = {v: np.flatnonzero(m.mask[v]).tolist() for v in comp}
+    outside = set(range(m.n)).difference(comp)
+    weights = {}
+    for j, i in bfs_parents(adj, comp[0], blocked=outside).items():
+        weights[j] = 1.0 if i == j else weights[i] / float(m.entries[i, j])
     return weights
 
 
@@ -137,14 +131,12 @@ def is_pc_plus(
 class TriadSets:
     """Triad bookkeeping around one unspecified entry (i, k).
 
-    ``triads`` are the fully specified triads (none can pass through the
-    entry itself).  ``s`` holds (j, a[i,j] * a[j,k]) for every common
+    ``s`` holds (j, a[i,j] * a[j,k]) for every common
     specified neighbor j; these are exactly the triad products through
     (i, k) once divided by the candidate value x.
     """
 
     entry: Edge
-    triads: tuple[TriadProduct, ...]
     s: tuple[tuple[int, float], ...]
 
     @property
@@ -179,7 +171,7 @@ def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSet
         (j, float(m.entries[i, j] * m.entries[j, k]))
         for j in common_specified_neighbors(g, i, k)
     )
-    return TriadSets(entry=(i, k), triads=tuple(specified_triads(m)), s=s)
+    return TriadSets(entry=(i, k), s=s)
 
 
 def max_triad(

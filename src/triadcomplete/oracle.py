@@ -1,8 +1,12 @@
-"""Brute-force reference implementations, used by the test suite.
+"""Reference implementations, used by the test suite.
 
-Everything here recomputes from first principles and deliberately shares
-no enumeration code with the production modules, so agreement between the
-two is meaningful evidence.
+The brute-force measures and intervals recompute from first principles
+and deliberately share no enumeration code with the production modules,
+so agreement between the two is meaningful evidence.  The consistent
+chordal engine fills one entry at a time with the value its common
+neighbors force; the product path gets the same completion from the
+mt-preserving engine (every feasible interval collapses at mt = 1), and
+the tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,8 +16,22 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import EntrySpecifiedError, TooLargeError
-from .matrices import PartialReciprocalMatrix
+from .completion import _check_components_chordal, _fill, _join_components
+from .errors import (
+    EntrySpecifiedError,
+    NeighborDisagreementError,
+    NoCommonNeighborError,
+    NotPCMError,
+    TooLargeError,
+)
+from .graphs import SpecGraph, chordal_ordering
+from .matrices import (
+    DEFAULT_TOL,
+    CompleteReciprocalMatrix,
+    PartialReciprocalMatrix,
+    Tolerances,
+)
+from .measures import is_pcm, mt, triad_sets_for_entry
 
 MAX_CYCLE_N = 8
 
@@ -117,3 +135,53 @@ def grid_interval(
     if feasible.size == 0:
         return EmpiricalInterval(None, None, 0, grid)
     return EmpiricalInterval(float(feasible.min()), float(feasible.max()), int(feasible.size), grid)
+
+
+def complete_one_entry_consistent(
+    m: PartialReciprocalMatrix, i: int, k: int, tol: Tolerances = DEFAULT_TOL
+) -> float:
+    """The unique value for (i, k) that keeps the data consistent.
+
+    Requires at least one common specified neighbor j; the value is
+    a[i, j] * a[j, k] for the smallest such j, and all neighbors must agree
+    on it within ``tol.cons``.
+    """
+    i, k = (i, k) if i < k else (k, i)
+    ts = triad_sets_for_entry(m, i, k)
+    if not ts.s:
+        raise NoCommonNeighborError(i, k)
+    x = ts.s[0][1]
+    for _, s in ts.s[1:]:
+        if abs(s / x - 1.0) > tol.cons:
+            raise NeighborDisagreementError(i, k, [s for _, s in ts.s])
+    return x
+
+
+def complete_consistent_chordal(
+    m: PartialReciprocalMatrix,
+    tol: Tolerances = DEFAULT_TOL,
+    lowest_first: bool = False,
+    join_scale: float = 1.0,
+    join_u: int = 0,
+    join_v: int = 0,
+) -> CompleteReciprocalMatrix:
+    """Consistent completion along chordal orderings, one entry at a time.
+
+    Requires all specified triads consistent and every component chordal.
+    The completion is unique per connected component (it does not depend on
+    the ordering); across components there is a free scale per join, unit
+    by default.
+    """
+    if not is_pcm(m, tol):
+        raise NotPCMError(f"specified triads are inconsistent (mt = {mt(m)!r})")
+    g = SpecGraph.from_matrix(m)
+    comps = _check_components_chordal(g)
+    entries = np.array(m.entries)
+    mask = np.array(m.mask)
+    for comp in comps:
+        for a, b in chordal_ordering(g.induced(comp), lowest_first=lowest_first):
+            i, k = comp[a], comp[b]
+            current = PartialReciprocalMatrix(entries, mask)
+            _fill(entries, mask, i, k, complete_one_entry_consistent(current, i, k, tol))
+    _join_components(entries, mask, comps, join_scale, join_u, join_v)
+    return PartialReciprocalMatrix(entries, mask).to_complete()

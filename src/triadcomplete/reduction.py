@@ -59,7 +59,8 @@ def worst_triad(
     if m.n < 3:
         raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
     triad, tie = max_triad(m, tol)
-    assert triad is not None  # complete with n >= 3 always has triads
+    if triad is None:
+        raise AssertionError("a complete matrix with n >= 3 has no triads")
     return triad, tie
 
 
@@ -117,7 +118,7 @@ def reduce(
     repairable entry) stops the loop with the tie reported, so entry
     changes are never wasted.
     """
-    if target_mt < 1.0:
+    if not target_mt >= 1.0:
         raise ValueError(f"target_mt must be >= 1, got {target_mt!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")

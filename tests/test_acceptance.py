@@ -15,7 +15,6 @@ import cases
 from triadcomplete import (
     SpecGraph,
     chordal_ordering,
-    complete_consistent_chordal,
     complete_consistent_pc_plus,
     complete_mt_preserving,
     feasible_interval,
@@ -29,7 +28,13 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import ComponentNotChordalError, NotPCPlusError
-from triadcomplete.oracle import GridSpec, brute_cycle_products, brute_mt, grid_interval
+from triadcomplete.oracle import (
+    GridSpec,
+    brute_cycle_products,
+    brute_mt,
+    complete_consistent_chordal,
+    grid_interval,
+)
 
 SQRT6 = cases.SQRT6
 
@@ -47,7 +52,7 @@ def chordal_instances(seed, count, grid_points=10_000):
     while len(out) < count:
         n = int(rng.integers(4, 9))
         prm = cases.random_chordal_prm(rng, n, min_missing=1)
-        i, k = chordal_ordering(SpecGraph.from_matrix(prm)).edges[0]
+        i, k = chordal_ordering(SpecGraph.from_matrix(prm))[0]
         fi = feasible_interval(prm, i, k)
         step = (100.0 * fi.hi / fi.lo) ** (1.0 / (grid_points - 1))
         if fi.hi / fi.lo < step**2:
@@ -174,6 +179,7 @@ def test_criterion_07_delete_and_recover_uniqueness():
             complete_consistent_chordal(partial),
             complete_consistent_chordal(partial, lowest_first=True),
             complete_consistent_pc_plus(partial),
+            complete_mt_preserving(partial).result,
         ]
         for r in recovered:
             assert np.max(np.abs(r.entries / full.entries - 1.0)) <= 1e-8

@@ -190,6 +190,45 @@ class TestComplete:
         # block's first column; the (u-vertex, v-vertex) cross entry is k.
         assert float(m.entries[1, 2]) == pytest.approx(2.5, rel=1e-12)
 
+    def test_bad_join_flags_exit_two(self, write, capsys, tmp_path):
+        blocks = write("blocks.csv", "1,2,?,?\n1/2,1,?,?\n?,?,1,5\n?,?,1/5,1\n")
+        connected = write("five.csv", FIVE_TEXT)
+        out = tmp_path / "done.csv"
+        for path, flag in [
+            (blocks, "--join-k=-1"),
+            (blocks, "--join-k=nan"),
+            (blocks, "--join-k=inf"),
+            (blocks, "--join-k=0"),
+            (blocks, "--join-cols=9,1"),
+            (blocks, "--join-cols=1,3"),
+            (blocks, "--join-cols=0,1"),
+            (connected, "--join-cols=0,1"),
+        ]:
+            assert main(["complete", path, flag, "--out", str(out)]) == 2, flag
+            err = capsys.readouterr().err
+            assert "error" in err and "Traceback" not in err
+            assert "--join-cols" in err or not flag.startswith("--join-cols")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("n, d", [(8, 3e-10), (40, 9e-10)])
+    def test_chordal_pcm_at_tolerance_edge_keeps_mt(self, write, capsys, n, d):
+        # a[i,i+1] = 2 and a[i,i+2] = 4 / (1 + d) on even i, 4 on odd i: a
+        # chordal PCM whose triads reach mt = 1 + d, just inside tol.cons.
+        cells = {}
+        for i in range(n - 1):
+            cells[i, i + 1] = 2.0
+        for i in range(n - 2):
+            cells[i, i + 2] = 4.0 / (1.0 + d) if i % 2 == 0 else 4.0
+        rows = [["1" if i == j else "?" for j in range(n)] for i in range(n)]
+        for (i, j), v in cells.items():
+            rows[i][j], rows[j][i] = repr(v), repr(1.0 / v)
+        path = write("ladder.csv", "\n".join(",".join(r) for r in rows) + "\n")
+        code, doc = run_json(["complete", path, "--mode", "consistent"], capsys)
+        assert code == 0
+        comp = doc["completion"]
+        assert comp["engine"] == "consistent-chordal"
+        assert comp["mt_after"] <= comp["mt_before"] * (1.0 + 1e-12)
+
     def test_deterministic_output(self, write, capsys):
         path = write("five.csv", FIVE_TEXT)
         main(["complete", path, "--trace"])
@@ -249,6 +288,17 @@ class TestUsage:
         assert main(["check", path]) == 2
         capsys.readouterr()
         assert main(["check", path, "--tol-rec", "1e-6"]) == 0
+        ok = write("ok.csv", "1,2,4\n1/2,1,2\n1/4,1/2,1\n")
+        for flag in ("--tol-rec", "--tol-cons", "--tol-cmp"):
+            for value in ("nan", "inf", "0"):
+                assert main(["check", ok, flag, value]) == 2, (flag, value)
+                assert "tolerances" in capsys.readouterr().err
+
+    def test_bad_reduce_target_exits_two(self, write, capsys):
+        path = write("block.csv", BLOCK_TEXT)
+        for value in ("nan", "0.5"):
+            assert main(["reduce", path, "--target-mt", value]) == 2
+            assert "target_mt" in capsys.readouterr().err
 
     def test_module_entry_point(self, write):
         path = write("block.csv", BLOCK_TEXT)

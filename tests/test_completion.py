@@ -8,10 +8,8 @@ import cases
 from triadcomplete import (
     SpecGraph,
     chordal_ordering,
-    complete_consistent_chordal,
     complete_consistent_pc_plus,
     complete_mt_preserving,
-    complete_one_entry_consistent,
     feasible_interval,
     is_consistent,
     join_blocks,
@@ -29,6 +27,7 @@ from triadcomplete.errors import (
     NotPCMError,
     NotPCPlusError,
 )
+from triadcomplete.oracle import complete_consistent_chordal, complete_one_entry_consistent
 
 
 def rel_diff(a, b):
@@ -181,8 +180,9 @@ class TestJoinBlocks:
             join_blocks(a, a, 5, 0)
         with pytest.raises(IndexError):
             join_blocks(a, a, 0, -1)
-        with pytest.raises(ValueError):
-            join_blocks(a, a, 0, 0, k=0.0)
+        for k in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                join_blocks(a, a, 0, 0, k=k)
 
 
 class TestFeasibleInterval:
@@ -210,7 +210,7 @@ class TestFeasibleInterval:
         for _ in range(20):
             n = int(rng.integers(4, 8))
             prm = cases.random_chordal_prm(rng, n, min_missing=1)
-            i, k = chordal_ordering(SpecGraph.from_matrix(prm)).edges[0]
+            i, k = chordal_ordering(SpecGraph.from_matrix(prm))[0]
             fi = feasible_interval(prm, i, k)
             base = mt(prm)
             for x in (fi.lo, fi.hi, fi.minimax):

@@ -39,9 +39,10 @@ class TestParse:
         assert exc.value.line == 2
 
     def test_bad_cell_reports_position(self):
-        with pytest.raises(MatrixFileError) as exc:
-            parse_matrix("1,abc\n1,1\n")
-        assert exc.value.line == 1 and exc.value.col == 2
+        for text, col in (("1,abc\n1,1\n", 2), ("1,2,nan\n1/2,1,3\nnan,1/3,1\n", 3)):
+            with pytest.raises(MatrixFileError) as exc:
+                parse_matrix(text)
+            assert exc.value.line == 1 and exc.value.col == col
 
     def test_asymmetric_hole_rejected(self):
         with pytest.raises(MatrixFileError):

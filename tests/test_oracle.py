@@ -95,7 +95,7 @@ class TestGridInterval:
     def test_brackets_formula_on_random_instances(self, rng):
         for _ in range(30):
             prm = cases.random_chordal_prm(rng, int(rng.integers(4, 8)), min_missing=1)
-            i, k = chordal_ordering(SpecGraph.from_matrix(prm)).edges[0]
+            i, k = chordal_ordering(SpecGraph.from_matrix(prm))[0]
             fi = feasible_interval(prm, i, k)
             grid = GridSpec(fi.lo / 10, fi.hi * 10, 4001)
             if fi.hi / fi.lo < grid.step_factor**2:
