@@ -33,19 +33,18 @@ from .matrices import (
     CompleteReciprocalMatrix,
     PartialReciprocalMatrix,
     Tolerances,
-    is_consistent,
-    rank_one_vector,
     validate,
 )
 from .measures import (
     TriadProduct,
     TriadSets,
+    is_consistent,
     is_pc_plus,
     is_pcm,
     koczkodaj_index,
     max_triad,
     mt,
-    specified_triads,
+    rank_one_vector,
     tree_weights,
     triad_sets_for_entry,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "save_matrix",
     "select_value",
     "spanning_tree",
-    "specified_triads",
     "tree_weights",
     "triad_sets_for_entry",
     "validate",

@@ -30,7 +30,7 @@ from .errors import (
 from .fileio import load_matrix, format_matrix, save_matrix
 from .graphs import SpecGraph, connected_components, is_chordal
 from .matrices import PartialReciprocalMatrix, Tolerances
-from .measures import is_pc_plus, is_pcm, koczkodaj_index, max_triad, mt, specified_triads
+from .measures import TriadScan, is_pc_plus, mt, triad_scan
 from .reduction import EDGE_RULES, reduce
 
 
@@ -62,7 +62,7 @@ def _interval_doc(interval) -> dict:
     }
 
 
-def _classify(m: PartialReciprocalMatrix, tol: Tolerances) -> dict:
+def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> dict:
     g = SpecGraph.from_matrix(m)
     comps = connected_components(g)
     per_component = []
@@ -77,32 +77,26 @@ def _classify(m: PartialReciprocalMatrix, tol: Tolerances) -> dict:
                 "witness_cycle": _one_based(comp[v] for v in witness) if witness else None,
             }
         )
-    pcm = is_pcm(m, tol)
     pc_plus, witness_edge = is_pc_plus(m, tol)
     return {
         "n": m.n,
         "unspecified_pairs": [_one_based(e) for e in m.missing_pairs()],
         "components": per_component,
         "all_components_chordal": all_chordal,
-        "pcm": pcm,
+        "pcm": scan.pcm,
         "pc_plus": pc_plus,
         "pc_plus_witness_edge": _one_based(witness_edge) if witness_edge else None,
-        "consistent_completion_exists": (pcm and all_chordal) or pc_plus,
+        "consistent_completion_exists": (scan.pcm and all_chordal) or pc_plus,
     }
 
 
-def _measures_doc(m: PartialReciprocalMatrix, tol: Tolerances) -> dict:
-    triad, _ = max_triad(m, tol)
-    doc = {
-        "mt": mt(m),
-        "koczkodaj": koczkodaj_index(m),
-        "specified_triads": len(specified_triads(m)),
-        "max_triad": None,
-    }
-    if triad is not None:
-        indices, value = triad.worst_orientation()
-        doc["max_triad"] = {"indices": _one_based(indices), "value": value}
-    return doc
+def _measures_doc(scan: TriadScan) -> dict:
+    worst = None
+    if scan.worst is not None:
+        indices, value = scan.worst.worst_orientation()
+        worst = {"indices": _one_based(indices), "value": value}
+    return {"mt": scan.mt, "koczkodaj": scan.koczkodaj, "specified_triads": scan.count,
+            "max_triad": worst}
 
 
 def _tol_from_args(args) -> Tolerances:
@@ -179,12 +173,13 @@ def _print_human(report: dict) -> None:
 def cmd_check(args) -> int:
     tol = _tol_from_args(args)
     m, _ = load_matrix(args.path, tol)
-    cls = _classify(m, tol)
+    scan = triad_scan(m, tol)
+    cls = _classify(m, tol, scan)
     report = {
         "command": "check",
         "input": args.path,
         "classification": cls,
-        "measures": _measures_doc(m, tol),
+        "measures": _measures_doc(scan),
     }
     _emit(report, args)
     return 0 if cls["consistent_completion_exists"] else 1
@@ -196,7 +191,7 @@ def cmd_measure(args) -> int:
     report = {
         "command": "measure",
         "input": args.path,
-        "measures": _measures_doc(m, tol),
+        "measures": _measures_doc(triad_scan(m, tol)),
         "matrix": [row[:] for row in tokens],
     }
     report["matrix_written"] = True  # matrix came from the input; don't echo it
@@ -239,7 +234,8 @@ def cmd_complete(args) -> int:
         raise MatrixFileError("--join-cols expects two comma-separated one-based indices")
     if min(join_u, join_v) < 1:
         raise MatrixFileError(f"--join-cols {args.join_cols}: indices start at 1")
-    cls = _classify(m, tol)
+    scan = triad_scan(m, tol)
+    cls = _classify(m, tol, scan)
     # Blocks are merged left to right, so u indexes the first block at the
     # first join and v indexes every later block.
     sizes = [len(comp["vertices"]) for comp in cls["components"]]
@@ -292,7 +288,7 @@ def cmd_complete(args) -> int:
             "engine": engine,
             "steps": steps_doc,
             "joins": joins,
-            "mt_before": mt(m),
+            "mt_before": scan.mt,
             "mt_after": mt(result),
         },
         "matrix": _matrix_rows(result, tokens),

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import ComponentNotChordalError, NotPCPlusError
+from .errors import ComponentNotChordalError, MatrixError, NotPCPlusError
 from .graphs import Edge, SpecGraph, chordal_ordering, connected_components, is_chordal
 from .matrices import (
     DEFAULT_TOL,
@@ -28,7 +29,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import is_pc_plus, mt, tree_weights, triad_sets_for_entry
+from .measures import TriadSets, is_pc_plus, mt, tree_weights, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -58,6 +59,13 @@ class FeasibleInterval:
         if self.unconstrained:
             return 1.0
         return self.mt_context * math.sqrt(self.lo / self.hi)
+
+    @classmethod
+    def from_triad_sets(cls, ts: TriadSets, context: float) -> FeasibleInterval:
+        """Interval for ``ts.entry`` against the measure ``context``."""
+        if ts.is_unconstrained:
+            return cls(0.0, math.inf, 1.0, context)
+        return cls(ts.s_max / context, context * ts.s_min, math.sqrt(ts.s_max * ts.s_min), context)
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,7 @@ def feasible_interval(
     is the only missing one); non-emptiness is then guaranteed because any
     two constraining products differ by at most mt**2.
     """
-    ts = triad_sets_for_entry(m, i, k)
-    context = mt(m)
-    if ts.is_unconstrained:
-        return FeasibleInterval(0.0, math.inf, 1.0, context)
-    return FeasibleInterval(
-        lo=ts.s_max / context,
-        hi=context * ts.s_min,
-        minimax=math.sqrt(ts.s_max * ts.s_min),
-        mt_context=context,
-    )
+    return FeasibleInterval.from_triad_sets(triad_sets_for_entry(m, i, k), mt(m))
 
 
 def select_value(interval: FeasibleInterval, selection: str) -> float:
@@ -121,6 +120,8 @@ def select_value(interval: FeasibleInterval, selection: str) -> float:
 
 
 def _fill(entries: np.ndarray, mask: np.ndarray, i: int, k: int, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise MatrixError(f"entry ({i + 1}, {k + 1}): filled value {value!r} is out of range")
     entries[i, k] = value
     entries[k, i] = 1.0 / value
     mask[i, k] = mask[k, i] = True
@@ -192,10 +193,9 @@ def complete_consistent_pc_plus(
     comps = connected_components(g)
     for comp in comps:
         w = tree_weights(m, comp)
-        for i in comp:
-            for j in comp:
-                if j > i and not mask[i, j]:
-                    _fill(entries, mask, i, j, w[i] / w[j])
+        for i, j in combinations(comp, 2):
+            if not mask[i, j]:
+                _fill(entries, mask, i, j, w[i] / w[j])
     _join_components(entries, mask, comps, join_scale, join_u, join_v)
     return PartialReciprocalMatrix(entries, mask).to_complete()
 
@@ -241,9 +241,10 @@ def complete_mt_preserving(
 
     Requires every component chordal.  Entries are filled along a chordal
     ordering; each step draws its value from the feasible interval computed
-    against the evolving partial matrix's current measure, so the measure
-    is preserved step by step.  Disconnected components are joined with a
-    rank-one block (defaults: first columns, unit scale).
+    against the evolving partial matrix's current measure (the previous
+    step's after-fill check), so the measure is preserved step by step.
+    Disconnected components are joined with a rank-one block (defaults:
+    first columns, unit scale).
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
@@ -252,29 +253,27 @@ def complete_mt_preserving(
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     steps: list[CompletionStep] = []
+    current, context = m, mt(m)
     for comp in comps:
         for a, b in chordal_ordering(g.induced(comp)):
             i, k = comp[a], comp[b]
-            current = PartialReciprocalMatrix(entries, mask)
-            # Chord-forcing sanity check: common neighbors of a chordal-step
-            # edge must be pairwise adjacent, which is what bounds the
-            # spread of the constraining products.
-            neighbors = [j for j in range(m.n) if mask[i, j] and mask[j, k] and j not in (i, k)]
-            if not all(
-                mask[j1, j2] for a_, j1 in enumerate(neighbors) for j2 in neighbors[a_ + 1 :]
-            ):
+            ts = triad_sets_for_entry(current, i, k)
+            # Chord-forcing check: common neighbors of a chordal-step edge are
+            # pairwise adjacent, which bounds the spread of the products.
+            neighbors = [j for j, _ in ts.s]
+            if not mask[np.ix_(neighbors, neighbors)].all():
                 raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
-            interval = feasible_interval(current, i, k, tol)
+            interval = FeasibleInterval.from_triad_sets(ts, context)
             if not interval.lo <= interval.hi * (1.0 + tol.cmp):
                 raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
             value = select_value(interval, selection)
             _fill(entries, mask, i, k, value)
-            after = mt(PartialReciprocalMatrix(entries, mask))
-            if not after <= interval.mt_context * (1.0 + tol.cmp):
-                raise AssertionError(
-                    f"measure increased at {(i, k)}: {interval.mt_context} -> {after}"
-                )
-            steps.append(CompletionStep((i, k), interval, value, interval.mt_context, after))
+            current = PartialReciprocalMatrix(entries, mask)
+            after = mt(current)
+            if not after <= context * (1.0 + tol.cmp):
+                raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
+            steps.append(CompletionStep((i, k), interval, value, context, after))
+            context = after
     joins = _join_components(entries, mask, comps, join_scale, join_u, join_v)
     result = PartialReciprocalMatrix(entries, mask).to_complete()
     return CompletionReport(tuple(steps), tuple(joins), result)

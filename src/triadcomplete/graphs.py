@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import NotChordalError, NotConnectedError
 from .matrices import PartialReciprocalMatrix
 
@@ -42,13 +44,8 @@ class SpecGraph:
 
     @classmethod
     def from_matrix(cls, m: PartialReciprocalMatrix) -> SpecGraph:
-        edges = {
-            (i, j)
-            for i in range(m.n)
-            for j in range(i + 1, m.n)
-            if m.mask[i, j]
-        }
-        return cls(m.n, frozenset(edges))
+        i, j = np.nonzero(np.triu(m.mask, 1))
+        return cls(m.n, frozenset(zip(i.tolist(), j.tolist())))
 
     def has_edge(self, i: int, j: int) -> bool:
         return _canon(i, j) in self.edges
@@ -64,12 +61,7 @@ class SpecGraph:
         return SpecGraph(self.n, self.edges | {_canon(i, j)})
 
     def non_edges(self) -> list[Edge]:
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if (i, j) not in self.edges
-        ]
+        return [e for e in combinations(range(self.n), 2) if e not in self.edges]
 
     def induced(self, vertices) -> SpecGraph:
         """Subgraph on ``vertices``, relabeled to 0..len-1 in sorted order."""

@@ -18,7 +18,6 @@ from .errors import (
     MatrixError,
     NonPositiveEntryError,
     NonSquareError,
-    NotConsistentError,
     ReciprocityViolationError,
 )
 
@@ -88,8 +87,7 @@ class PartialReciprocalMatrix:
         """New matrix with (i, j) set to ``value`` and (j, i) to its reciprocal."""
         if i == j:
             raise MatrixError("cannot set a diagonal entry")
-        if not (value > 0.0 and np.isfinite(value)):
-            raise NonPositiveEntryError(i, j, value)
+        _check_positive(i, j, value)
         entries = np.array(self.entries)
         mask = np.array(self.mask)
         entries[i, j] = value
@@ -125,21 +123,15 @@ class CompleteReciprocalMatrix(PartialReciprocalMatrix):
 
 
 def _as_float_grid(raw) -> np.ndarray:
-    if isinstance(raw, np.ndarray):
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise NonSquareError(raw.shape)
-        return raw.astype(float)
-    rows = [list(r) for r in raw]
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise NonSquareError((n, len(r)))
-    grid = np.full((n, n), np.nan)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v is not None:
-                grid[i, j] = float(v)
-    return grid
+    if not isinstance(raw, np.ndarray):
+        rows = [list(r) for r in raw]
+        for r in rows:
+            if len(r) != len(rows):
+                raise NonSquareError((len(rows), len(r)))
+        raw = np.array(rows, dtype=float).reshape(len(rows), len(rows))  # None -> NaN
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise NonSquareError(raw.shape)
+    return raw.astype(float)
 
 
 def _check_positive(i: int, j: int, value: float) -> None:
@@ -187,23 +179,3 @@ def validate(raw, tol: Tolerances = DEFAULT_TOL) -> PartialReciprocalMatrix:
             entries[j, i] = 1.0 / value
             mask[i, j] = mask[j, i] = True
     return PartialReciprocalMatrix(entries, mask)
-
-
-def is_consistent(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff a[i,j] * a[j,k] == a[i,k] within ``tol.cons`` for all triples."""
-    e = m.entries
-    worst = 0.0
-    for j in range(m.n):
-        ratio = np.outer(e[:, j], e[j, :]) / e
-        worst = max(worst, float(np.abs(ratio - 1.0).max()))
-    return worst <= tol.cons
-
-
-def rank_one_vector(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Positive vector w with m == outer(w, 1/w), normalized so w[0] == 1.
-
-    Only defined for consistent matrices; this is simply the first column.
-    """
-    if not is_consistent(m, tol):
-        raise NotConsistentError("matrix is not consistent; no rank-one vector exists")
-    return np.array(m.entries[:, 0] / m.entries[0, 0])

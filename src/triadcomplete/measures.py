@@ -1,22 +1,23 @@
-"""Triad enumeration and inconsistency measures.
+"""Triad scan and inconsistency measures.
 
 The central measure is the maximum 3-cycle product over fully specified
 triads, written ``mt`` here.  It is 1 exactly when every specified triad
 is consistent, and it applies unchanged to partial matrices (defaulting
-to 1 when no triad is fully specified).
+to 1 when no triad is fully specified).  Every triad product is formed
+in :func:`triad_scan`, which the other measures read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from math import isfinite
 
 import numpy as np
 
-from .errors import EntrySpecifiedError
-from .graphs import Edge, SpecGraph, bfs_parents, common_specified_neighbors, connected_components
-from .matrices import DEFAULT_TOL, PartialReciprocalMatrix, Tolerances
+from .errors import EntrySpecifiedError, MatrixError, NotConsistentError
+from .graphs import Edge, SpecGraph, bfs_parents, connected_components
+from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class TriadProduct:
     def __post_init__(self) -> None:
         if not (self.i < self.j < self.k):
             raise ValueError("triad indices must be ascending")
-        if not (self.value > 0.0 and isfinite(self.value)):
+        if not (self.value > 0.0 and math.isfinite(self.value)):
             raise ValueError(f"triad product must be positive, got {self.value!r}")
 
     @property
@@ -54,29 +55,66 @@ class TriadProduct:
         return (self.k, self.j, self.i), 1.0 / self.value
 
 
-def specified_triads(m: PartialReciprocalMatrix) -> list[TriadProduct]:
-    """All triangles whose three entries are specified, one per index triple."""
-    e, mask = m.entries, m.mask
-    out = []
-    for i, j, k in combinations(range(m.n), 3):
-        if mask[i, j] and mask[j, k] and mask[i, k]:
-            out.append(TriadProduct(i, j, k, float(e[i, j] * e[j, k] * e[k, i])))
-    return out
+@dataclass(frozen=True)
+class TriadScan:
+    """What :func:`triad_scan` finds; ``count`` is the number of fully specified triads."""
+
+    mt: float
+    pcm: bool
+    worst: TriadProduct | None
+    tie: bool
+    count: int
+
+    @property
+    def koczkodaj(self) -> float:
+        """1 - 1/mt; see :func:`koczkodaj_index`."""
+        return 1.0 - 1.0 / self.mt
+
+
+def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> TriadScan:
+    """Form every 3-cycle product once, looping over the middle index j.
+
+    ``prods[i, k] = a[i,j] * a[j,k] * a[k,i]``; NaN entries poison exactly
+    the incomplete triads.  Block i < j < k holds each triad's ``value``;
+    only the largest ``max_value`` per row (i, j) is kept.  Closeness to
+    the peak grows with the value, so the first close row holds the worst
+    triad, and a second close row or triad, or its reciprocal, is a tie.
+    A product (or its reciprocal) that overflows raises :class:`MatrixError`
+    naming the triad, one-based.
+    """
+    e, n = m.entries, m.n
+    e_t = np.ascontiguousarray(e.T)
+    prods, row_peak = np.empty((n, n)), np.zeros((n, n))
+    best, peak, count = 1.0, 0.0, 0
+    with np.errstate(over="ignore", divide="ignore"):
+        for j in range(n):
+            np.multiply(e[:, j, None], e[j], out=prods)
+            prods *= e_t
+            best = max(best, float(np.fmax.reduce(prods, axis=None)))
+            v = prods[:j, j + 1 :]
+            count += v.size - int(np.count_nonzero(np.isnan(v)))
+            low = np.fmin.reduce(v, axis=1, initial=math.inf)
+            top = np.fmax(np.fmax.reduce(v, axis=1, initial=0.0), 1.0 / low, out=row_peak[:j, j])
+            peak = max(peak, float(top.max(initial=0.0)))
+            if best == math.inf or peak == math.inf:
+                i, k = np.argwhere(np.isinf(prods) | np.isinf(1.0 / prods))[0]
+                a, b, c = sorted((int(i) + 1, j + 1, int(k) + 1))
+                raise MatrixError(f"triad ({a}, {b}, {c}): 3-cycle product overflows")
+    if peak == 0.0:
+        return TriadScan(best, best <= 1.0 + tol.cons, None, False, 0)
+    rows = np.argwhere((row_peak > 0.0) & (np.abs(row_peak / peak - 1.0) <= tol.cmp))
+    i, j = (int(x) for x in rows[0])
+    vals = e[i, j] * e[j, j + 1 :] * e[j + 1 :, i]
+    hits = np.flatnonzero(np.abs(np.fmax(vals, 1.0 / vals) / peak - 1.0) <= tol.cmp)
+    worst = TriadProduct(i, j, j + 1 + int(hits[0]), float(vals[hits[0]]))
+    low = min(worst.value, worst.reciprocal)
+    tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp
+    return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, count)
 
 
 def mt(m: PartialReciprocalMatrix) -> float:
-    """Maximum oriented 3-cycle product over fully specified triads; >= 1.
-
-    Returns 1.0 when no triad is fully specified.  Vectorized over the
-    middle index: NaN entries poison exactly the incomplete triads, which
-    nanmax then ignores.
-    """
-    e = m.entries
-    best = 1.0
-    for j in range(m.n):
-        prods = np.outer(e[:, j], e[j, :]) * e.T
-        best = max(best, float(np.nanmax(prods)))
-    return best
+    """Maximum oriented 3-cycle product over fully specified triads; 1.0 if there are none."""
+    return triad_scan(m).mt
 
 
 def is_pcm(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -86,7 +124,19 @@ def is_pcm(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     forces all of them to 1; testing ``mt`` is equivalent to checking every
     fully specified principal submatrix for consistency.
     """
-    return mt(m) <= 1.0 + tol.cons
+    return triad_scan(m, tol).pcm
+
+
+def is_consistent(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """a[i,j] * a[j,k] == a[i,k] within ``tol.cons`` for all triples (is_pcm, as m is complete)."""
+    return is_pcm(m, tol)
+
+
+def rank_one_vector(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Positive w with m == outer(w, 1/w) and w[0] == 1: a consistent matrix's first column."""
+    if not is_consistent(m, tol):
+        raise NotConsistentError("matrix is not consistent; no rank-one vector exists")
+    return np.array(m.entries[:, 0] / m.entries[0, 0])
 
 
 def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
@@ -118,12 +168,9 @@ def is_pc_plus(
     g = SpecGraph.from_matrix(m)
     for comp in connected_components(g):
         w = tree_weights(m, comp)
-        for i in comp:
-            for j in comp:
-                if j <= i or not m.mask[i, j]:
-                    continue
-                if abs(float(m.entries[i, j]) * w[j] / w[i] - 1.0) > tol.cons:
-                    return False, (i, j)
+        for i, j in combinations(comp, 2):
+            if m.mask[i, j] and abs(float(m.entries[i, j]) * w[j] / w[i] - 1.0) > tol.cons:
+                return False, (i, j)
     return True, None
 
 
@@ -166,12 +213,10 @@ def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSet
     i, k = (i, k) if i < k else (k, i)
     if m.mask[i, k]:
         raise EntrySpecifiedError(i, k)
-    g = SpecGraph.from_matrix(m)
-    s = tuple(
-        (j, float(m.entries[i, j] * m.entries[j, k]))
-        for j in common_specified_neighbors(g, i, k)
-    )
-    return TriadSets(entry=(i, k), s=s)
+    js = np.flatnonzero(m.mask[i] & m.mask[k])
+    with np.errstate(over="ignore"):
+        s = m.entries[i, js] * m.entries[js, k]
+    return TriadSets(entry=(i, k), s=tuple(zip(js.tolist(), s.tolist())))
 
 
 def max_triad(
@@ -183,21 +228,10 @@ def max_triad(
     set when two or more oriented products lie within ``tol.cmp`` of the
     maximum (a consistent matrix always ties: both orientations equal 1).
     """
-    triads = specified_triads(m)
-    if not triads:
-        return None, False
-    peak = max(t.max_value for t in triads)
-    hits = 0
-    for t in triads:
-        hits += abs(t.value / peak - 1.0) <= tol.cmp
-        hits += abs(t.reciprocal / peak - 1.0) <= tol.cmp
-    best = min(
-        (t for t in triads if abs(t.max_value / peak - 1.0) <= tol.cmp),
-        key=lambda t: (t.i, t.j, t.k),
-    )
-    return best, hits >= 2
+    scan = triad_scan(m, tol)
+    return scan.worst, scan.tie
 
 
 def koczkodaj_index(m: PartialReciprocalMatrix) -> float:
     """Triad-based index 1 - 1/mt, in [0, 1); 0 exactly for (partially) consistent data."""
-    return 1.0 - 1.0 / mt(m)
+    return triad_scan(m).koczkodaj

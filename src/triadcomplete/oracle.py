@@ -1,12 +1,12 @@
 """Reference implementations, used by the test suite.
 
-The brute-force measures and intervals recompute from first principles
-and deliberately share no enumeration code with the production modules,
-so agreement between the two is meaningful evidence.  The consistent
-chordal engine fills one entry at a time with the value its common
-neighbors force; the product path gets the same completion from the
-mt-preserving engine (every feasible interval collapses at mt = 1), and
-the tests compare the two.
+The brute-force measures, triad enumeration and intervals recompute from
+first principles and deliberately share no enumeration code with the
+production modules, so agreement between the two is meaningful
+evidence.  The consistent chordal engine fills one entry at a time with
+the value its common neighbors force; the product path gets the same
+completion from the mt-preserving engine (every feasible interval
+collapses at mt = 1), and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import is_pcm, mt, triad_sets_for_entry
+from .measures import TriadProduct, is_pcm, mt, triad_sets_for_entry
 
 MAX_CYCLE_N = 8
 
@@ -59,15 +59,19 @@ class GridSpec:
         return (self.hi / self.lo) ** (1.0 / (self.points - 1))
 
 
-def brute_mt(m: PartialReciprocalMatrix) -> float:
-    """Maximum oriented triad product by a direct triple loop."""
+def specified_triads(m: PartialReciprocalMatrix) -> list[TriadProduct]:
+    """All triangles whose three entries are specified, one per index triple."""
     e, mask = m.entries, m.mask
-    best = 1.0
+    out = []
     for i, j, k in combinations(range(m.n), 3):
         if mask[i, j] and mask[j, k] and mask[i, k]:
-            p = float(e[i, j]) * float(e[j, k]) * float(e[k, i])
-            best = max(best, p, 1.0 / p)
-    return best
+            out.append(TriadProduct(i, j, k, float(e[i, j] * e[j, k] * e[k, i])))
+    return out
+
+
+def brute_mt(m: PartialReciprocalMatrix) -> float:
+    """Maximum oriented triad product by a direct triple loop."""
+    return max([1.0] + [t.max_value for t in specified_triads(m)])
 
 
 def brute_cycle_products(m: PartialReciprocalMatrix) -> list[tuple[tuple[int, ...], float]]:

@@ -15,7 +15,7 @@ from .completion import FeasibleInterval, feasible_interval
 from .errors import MatrixTooSmallError
 from .graphs import Edge
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
-from .measures import TriadProduct, max_triad, mt
+from .measures import TriadProduct, TriadScan, triad_scan
 
 EDGE_RULES = ("best", "paper")
 
@@ -48,6 +48,12 @@ class ReductionTrace:
         return self.steps[-1].mt_after if self.steps else self.mt_initial
 
 
+def _worst_scan(m: CompleteReciprocalMatrix, tol: Tolerances) -> TriadScan:
+    if m.n < 3:
+        raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
+    return triad_scan(m, tol)
+
+
 def worst_triad(
     m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[TriadProduct, bool]:
@@ -56,12 +62,8 @@ def worst_triad(
     The flag is set when another oriented product lies within ``tol.cmp``
     of the maximum; ties break to the lexicographically smallest triple.
     """
-    if m.n < 3:
-        raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
-    triad, tie = max_triad(m, tol)
-    if triad is None:
-        raise AssertionError("a complete matrix with n >= 3 has no triads")
-    return triad, tie
+    scan = _worst_scan(m, tol)
+    return scan.worst, scan.tie
 
 
 def reduce_step(
@@ -76,32 +78,37 @@ def reduce_step(
     lexicographically smallest edge).  ``edge_rule="paper"`` re-solves only
     the (min, max) entry of the triad.
     """
+    return _reduce_step(m, _worst_scan(m, tol), tol, edge_rule)[:2]
+
+
+def _reduce_step(
+    m: CompleteReciprocalMatrix, scan: TriadScan, tol: Tolerances, edge_rule: str
+) -> tuple[CompleteReciprocalMatrix, ReductionStep, TriadScan]:
+    """:func:`reduce_step` on a matrix already scanned; also returns the result's scan."""
     if edge_rule not in EDGE_RULES:
         raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
-    triad, tie = worst_triad(m, tol)
-    i, j, k = triad.i, triad.j, triad.k
+    i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
     edges = [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]
-    mt_before = mt(m)
-    best: tuple[float, Edge, CompleteReciprocalMatrix, FeasibleInterval, float] | None = None
+    best = None
     for edge in edges:
         masked = m.without_entry(*edge)
         interval = feasible_interval(masked, *edge, tol)
         value = interval.minimax if not interval.unconstrained else 1.0
         candidate = masked.with_entry(*edge, value).to_complete()
-        key = (mt(candidate), edge)
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], edge, candidate, interval, value)
-    mt_after, edge, candidate, interval, value = best
+        after = triad_scan(candidate, tol)
+        if best is None or (after.mt, edge) < (best[0].mt, best[1]):
+            best = (after, edge, candidate, interval, value)
+    after, edge, candidate, interval, value = best
     step = ReductionStep(
         edge=edge,
         old_value=float(m.entries[edge]),
         new_value=value,
         interval=interval,
-        mt_before=mt_before,
-        mt_after=mt_after,
-        tie=tie,
+        mt_before=scan.mt,
+        mt_after=after.mt,
+        tie=scan.tie,
     )
-    return candidate, step
+    return candidate, step, after
 
 
 def reduce(
@@ -122,21 +129,19 @@ def reduce(
         raise ValueError(f"target_mt must be >= 1, got {target_mt!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
-    current = m
-    mt_current = mt(current)
-    mt_initial = mt_current
+    current, scan = m, triad_scan(m, tol)
+    mt_initial = scan.mt
     steps: list[ReductionStep] = []
     while True:
-        if mt_current <= target_mt * (1.0 + tol.cmp):
+        if scan.mt <= target_mt * (1.0 + tol.cmp):
             reason = STOP_TARGET
             break
         if len(steps) >= max_steps:
             reason = STOP_MAX_STEPS
             break
-        candidate, step = reduce_step(current, tol, edge_rule)
-        if step.mt_after < mt_current * (1.0 - tol.cmp):
-            current = candidate
-            mt_current = step.mt_after
+        candidate, step, after = _reduce_step(current, scan, tol, edge_rule)
+        if step.mt_after < scan.mt * (1.0 - tol.cmp):
+            current, scan = candidate, after
             steps.append(step)
             continue
         reason = STOP_TIE if step.tie else STOP_NO_DECREASE

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,11 @@ BLOCK_TEXT = """\
 1/2,1,1/3
 3,3,1
 """
+
+# Valid cells whose triad products (and the value filled into the gap)
+# overflow double precision.
+HUGE_TEXT = "1,1e200,1e-200\n1e-200,1,1e200\n1e200,1e-200,1\n"
+HUGE_PARTIAL_TEXT = "1,1e200,?\n1e-200,1,1e200\n?,1e-200,1\n"
 
 
 @pytest.fixture
@@ -299,6 +305,27 @@ class TestUsage:
         for value in ("nan", "0.5"):
             assert main(["reduce", path, "--target-mt", value]) == 2
             assert "target_mt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text, located",
+        [
+            (["check"], HUGE_TEXT, "triad (1, 2, 3)"),
+            (["measure"], HUGE_TEXT, "triad (1, 2, 3)"),
+            (["reduce"], HUGE_TEXT, "triad (1, 2, 3)"),
+            (["complete"], HUGE_PARTIAL_TEXT, "entry (1, 3)"),
+            (["complete", "--mode", "mt-preserving"], HUGE_PARTIAL_TEXT, "entry (1, 3)"),
+        ],
+        ids=["check", "measure", "reduce", "complete-auto", "complete-mt-preserving"],
+    )
+    def test_overflow_exits_two(self, write, capsys, argv, text, located):
+        path = write("huge.csv", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([argv[0], path, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert located in err and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
 
     def test_module_entry_point(self, write):
         path = write("block.csv", BLOCK_TEXT)

@@ -15,7 +15,6 @@ from triadcomplete import (
     join_blocks,
     mt,
     oracle,
-    specified_triads,
     triad_sets_for_entry,
     validate,
 )
@@ -27,7 +26,11 @@ from triadcomplete.errors import (
     NotPCMError,
     NotPCPlusError,
 )
-from triadcomplete.oracle import complete_consistent_chordal, complete_one_entry_consistent
+from triadcomplete.oracle import (
+    complete_consistent_chordal,
+    complete_one_entry_consistent,
+    specified_triads,
+)
 
 
 def rel_diff(a, b):

@@ -8,18 +8,22 @@ from hypothesis import strategies as st
 
 import cases
 from triadcomplete import (
+    DEFAULT_TOL,
+    PartialReciprocalMatrix,
+    Tolerances,
     is_pc_plus,
     is_pcm,
     koczkodaj_index,
     max_triad,
     mt,
     oracle,
-    specified_triads,
     tree_weights,
     triad_sets_for_entry,
     validate,
 )
-from triadcomplete.errors import EntrySpecifiedError
+from triadcomplete.errors import EntrySpecifiedError, MatrixError
+from triadcomplete.measures import triad_scan
+from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
     st.floats(0.2, 5.0, allow_nan=False), min_size=3, max_size=6
@@ -217,3 +221,71 @@ class TestMaxTriadAndKoczkodaj:
     def test_koczkodaj_zero_iff_pcm(self, w):
         m = cases.consistent_matrix(w)
         assert koczkodaj_index(m) == pytest.approx(0.0, abs=1e-9)
+
+
+def enumerated_worst(m, tol=DEFAULT_TOL):
+    """Worst triad, tie flag and count from the reference enumeration."""
+    triads = specified_triads(m)
+    if not triads:
+        return None, False, 0
+    peak = max(t.max_value for t in triads)
+    close = [v for t in triads for v in (t.value, t.reciprocal) if abs(v / peak - 1.0) <= tol.cmp]
+    worst = min(
+        (t for t in triads if abs(t.max_value / peak - 1.0) <= tol.cmp),
+        key=lambda t: (t.i, t.j, t.k),
+    )
+    return worst, len(close) >= 2, len(triads)
+
+
+def grid_prm(rng, n):
+    """Random partial PRM on the values 1/2, 1, 2, 4, so many products tie exactly."""
+    raw = np.full((n, n), np.nan)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                raw[i, j] = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+    return validate(raw)
+
+
+class TestTriadScan:
+    def assert_agrees(self, m, tol=DEFAULT_TOL):
+        scan = triad_scan(m, tol)
+        worst, tie, count = enumerated_worst(m, tol)
+        assert scan.count == count
+        assert scan.tie == tie
+        if worst is None:
+            assert scan.worst is None
+        else:
+            assert (scan.worst.i, scan.worst.j, scan.worst.k) == (worst.i, worst.j, worst.k)
+            assert scan.worst.value.hex() == worst.value.hex()
+        assert scan.mt == pytest.approx(oracle.brute_mt(m), rel=1e-12)
+
+    def test_random_partial_matrices(self, rng):
+        for n in range(1, 10):
+            for _ in range(12):
+                self.assert_agrees(cases.random_prm(rng, n, p=float(rng.uniform(0.2, 1.0))))
+                self.assert_agrees(grid_prm(rng, n))
+                self.assert_agrees(grid_prm(rng, n), Tolerances(cmp=0.6))
+
+    def test_consistent_matrices_tie_everywhere(self, rng):
+        for n in range(3, 10):
+            m = cases.consistent_matrix(cases.random_weights(rng, n))
+            self.assert_agrees(m)
+            assert triad_scan(m).tie
+
+    def test_complete_perturbed_matrices(self, rng):
+        for n in range(3, 10):
+            for _ in range(4):
+                self.assert_agrees(cases.perturbed_consistent(rng, n)[0])
+
+    def test_overflowing_product_names_the_triad(self):
+        huge = validate([[1, 1e200, 1e-200], [None, 1, 1e200], [None, None, 1]])
+        with pytest.raises(MatrixError, match=r"triad \(1, 2, 3\)"):
+            triad_scan(huge)
+        # A product that underflows to 0 has an infinite reciprocal; built
+        # directly, so no other rotation of the triad overflows first.
+        entries = np.ones((4, 4))
+        entries[1, 2] = entries[2, 3] = 1e-200
+        tiny = PartialReciprocalMatrix(entries, np.ones((4, 4), dtype=bool))
+        with pytest.raises(MatrixError, match=r"triad \(2, 3, 4\)"):
+            triad_scan(tiny)

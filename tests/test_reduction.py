@@ -9,11 +9,11 @@ from triadcomplete import (
     oracle,
     reduce,
     reduce_step,
-    specified_triads,
     validate,
     worst_triad,
 )
 from triadcomplete.errors import MatrixTooSmallError
+from triadcomplete.oracle import specified_triads
 from triadcomplete.reduction import (
     STOP_MAX_STEPS,
     STOP_TARGET,
