@@ -29,7 +29,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadSets, is_pc_plus, mt, tree_weights, triad_sets_for_entry
+from .measures import TriadSets, is_pc_plus, mt, tree_weights, triad_scan, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -51,7 +51,7 @@ class FeasibleInterval:
 
     @property
     def unconstrained(self) -> bool:
-        return self.lo == 0.0
+        return self.lo == 0.0 and self.hi == math.inf
 
     @property
     def minimax_value(self) -> float:
@@ -65,7 +65,7 @@ class FeasibleInterval:
         """Interval for ``ts.entry`` against the measure ``context``."""
         if ts.is_unconstrained:
             return cls(0.0, math.inf, 1.0, context)
-        return cls(ts.s_max / context, context * ts.s_min, math.sqrt(ts.s_max * ts.s_min), context)
+        return cls(ts.s_max / context, context * ts.s_min, ts.minimax, context)
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,11 @@ def complete_mt_preserving(
     """Complete so the maximum triad product does not increase.
 
     Requires every component chordal.  Entries are filled along a chordal
-    ordering; each step draws its value from the feasible interval computed
-    against the evolving partial matrix's current measure (the previous
-    step's after-fill check), so the measure is preserved step by step.
-    Disconnected components are joined with a rank-one block (defaults:
-    first columns, unit scale).
+    ordering; each step draws its value from the feasible interval against
+    the current measure, which each after-fill check takes as the maximum of
+    the previous one and a scan of the clique of the entry and its common
+    neighbors, where every new triad lies.  Disconnected components are
+    joined with a rank-one block (defaults: first columns, unit scale).
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
@@ -258,8 +258,7 @@ def complete_mt_preserving(
         for a, b in chordal_ordering(g.induced(comp)):
             i, k = comp[a], comp[b]
             ts = triad_sets_for_entry(current, i, k)
-            # Chord-forcing check: common neighbors of a chordal-step edge are
-            # pairwise adjacent, which bounds the spread of the products.
+            # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
             neighbors = [j for j, _ in ts.s]
             if not mask[np.ix_(neighbors, neighbors)].all():
                 raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
@@ -269,7 +268,7 @@ def complete_mt_preserving(
             value = select_value(interval, selection)
             _fill(entries, mask, i, k, value)
             current = PartialReciprocalMatrix(entries, mask)
-            after = mt(current)
+            after = max(context, triad_scan(current, tol, sorted([i, k, *neighbors])).mt)
             if not after <= context * (1.0 + tol.cmp):
                 raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
             steps.append(CompletionStep((i, k), interval, value, context, after))

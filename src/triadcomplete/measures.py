@@ -71,7 +71,7 @@ class TriadScan:
         return 1.0 - 1.0 / self.mt
 
 
-def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> TriadScan:
+def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL, within=None) -> TriadScan:
     """Form every 3-cycle product once, looping over the middle index j.
 
     ``prods[i, k] = a[i,j] * a[j,k] * a[k,i]``; NaN entries poison exactly
@@ -80,9 +80,11 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> Tri
     the peak grows with the value, so the first close row holds the worst
     triad, and a second close row or triad, or its reciprocal, is a tie.
     A product (or its reciprocal) that overflows raises :class:`MatrixError`
-    naming the triad, one-based.
+    naming the triad, one-based.  ``within`` (ascending indices) limits the
+    scan to the triads inside it, still named by their indices in ``m``.
     """
-    e, n = m.entries, m.n
+    at = range(m.n) if within is None else list(within)
+    e, n = (m.entries if within is None else m.entries[np.ix_(at, at)]), len(at)
     e_t = np.ascontiguousarray(e.T)
     prods, row_peak = np.empty((n, n)), np.zeros((n, n))
     best, peak, count = 1.0, 0.0, 0
@@ -98,7 +100,7 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> Tri
             peak = max(peak, float(top.max(initial=0.0)))
             if best == math.inf or peak == math.inf:
                 i, k = np.argwhere(np.isinf(prods) | np.isinf(1.0 / prods))[0]
-                a, b, c = sorted((int(i) + 1, j + 1, int(k) + 1))
+                a, b, c = sorted(at[x] + 1 for x in (i, j, k))
                 raise MatrixError(f"triad ({a}, {b}, {c}): 3-cycle product overflows")
     if peak == 0.0:
         return TriadScan(best, best <= 1.0 + tol.cons, None, False, 0)
@@ -106,7 +108,7 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> Tri
     i, j = (int(x) for x in rows[0])
     vals = e[i, j] * e[j, j + 1 :] * e[j + 1 :, i]
     hits = np.flatnonzero(np.abs(np.fmax(vals, 1.0 / vals) / peak - 1.0) <= tol.cmp)
-    worst = TriadProduct(i, j, j + 1 + int(hits[0]), float(vals[hits[0]]))
+    worst = TriadProduct(at[i], at[j], at[j + 1 + int(hits[0])], float(vals[hits[0]]))
     low = min(worst.value, worst.reciprocal)
     tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp
     return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, count)
@@ -143,7 +145,8 @@ def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
     """BFS spanning-tree weights for one component of the specification graph.
 
     The root (smallest vertex) gets weight 1 and each tree edge i -> j sets
-    w[j] = w[i] / a[i, j], so w[i] / w[j] reproduces every tree entry.
+    w[j] = w[i] / a[i, j], so w[i] / w[j] reproduces every tree entry.  A
+    weight out of (0, inf) raises :class:`MatrixError` naming (root, j).
     """
     comp = sorted(component)
     adj = {v: np.flatnonzero(m.mask[v]).tolist() for v in comp}
@@ -151,6 +154,8 @@ def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
     weights = {}
     for j, i in bfs_parents(adj, comp[0], blocked=outside).items():
         weights[j] = 1.0 if i == j else weights[i] / float(m.entries[i, j])
+        if not 0.0 < weights[j] < math.inf:
+            raise MatrixError(f"entry ({comp[0] + 1}, {j + 1}): implied value is out of range")
     return weights
 
 
@@ -197,6 +202,10 @@ class TriadSets:
     @property
     def s_max(self) -> float | None:
         return max(v for _, v in self.s) if self.s else None
+
+    @property
+    def minimax(self) -> float:
+        return math.sqrt(self.s_max * self.s_min) if self.s else 1.0
 
     def c0_products(self, x: float) -> list[tuple[tuple[int, int, int], float]]:
         """Oriented 3-cycle products through the entry once it is set to x."""

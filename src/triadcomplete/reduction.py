@@ -15,7 +15,7 @@ from .completion import FeasibleInterval, feasible_interval
 from .errors import MatrixTooSmallError
 from .graphs import Edge
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
-from .measures import TriadProduct, TriadScan, triad_scan
+from .measures import TriadProduct, TriadScan, triad_scan, triad_sets_for_entry
 
 EDGE_RULES = ("best", "paper")
 
@@ -92,18 +92,17 @@ def _reduce_step(
     best = None
     for edge in edges:
         masked = m.without_entry(*edge)
-        interval = feasible_interval(masked, *edge, tol)
-        value = interval.minimax if not interval.unconstrained else 1.0
+        value = triad_sets_for_entry(masked, *edge).minimax
         candidate = masked.with_entry(*edge, value).to_complete()
         after = triad_scan(candidate, tol)
         if best is None or (after.mt, edge) < (best[0].mt, best[1]):
-            best = (after, edge, candidate, interval, value)
-    after, edge, candidate, interval, value = best
+            best = (after, edge, candidate, value)
+    after, edge, candidate, value = best
     step = ReductionStep(
         edge=edge,
         old_value=float(m.entries[edge]),
         new_value=value,
-        interval=interval,
+        interval=feasible_interval(m.without_entry(*edge), *edge, tol),
         mt_before=scan.mt,
         mt_after=after.mt,
         tie=scan.tie,

@@ -41,6 +41,12 @@ BLOCK_TEXT = """\
 # overflow double precision.
 HUGE_TEXT = "1,1e200,1e-200\n1e-200,1,1e200\n1e200,1e-200,1\n"
 HUGE_PARTIAL_TEXT = "1,1e200,?\n1e-200,1,1e200\n?,1e-200,1\n"
+# A tree (edges 1-4, 4-2, 2-3) whose spanning-tree weights underflow to 0.
+HUGE_TREE_TEXT = "1,?,?,1e200\n?,1,1e200,1e-200\n?,1e-200,1,?\n1e-200,1e200,?,1\n"
+# The 'hi' fill of (1, 4) overflows only inside triad (2, 3, 4).
+HUGE_CLIQUE_TEXT = (
+    "1,1e150,1e-100,?\n1e-150,1,1e-100,?\n1e100,1e100,1,1e200\n?,?,1e-200,1\n"
+)
 
 
 @pytest.fixture
@@ -314,8 +320,26 @@ class TestUsage:
             (["reduce"], HUGE_TEXT, "triad (1, 2, 3)"),
             (["complete"], HUGE_PARTIAL_TEXT, "entry (1, 3)"),
             (["complete", "--mode", "mt-preserving"], HUGE_PARTIAL_TEXT, "entry (1, 3)"),
+            (["check"], HUGE_PARTIAL_TEXT, "entry (1, 3)"),
+            (["check"], HUGE_TREE_TEXT, "entry (1, 2)"),
+            (["complete"], HUGE_TREE_TEXT, "entry (1, 2)"),
+            (
+                ["complete", "--mode", "mt-preserving", "--selection", "hi"],
+                HUGE_CLIQUE_TEXT,
+                "triad (2, 3, 4)",
+            ),
         ],
-        ids=["check", "measure", "reduce", "complete-auto", "complete-mt-preserving"],
+        ids=[
+            "check",
+            "measure",
+            "reduce",
+            "complete-auto",
+            "complete-mt-preserving",
+            "check-tree-path",
+            "check-tree",
+            "complete-tree",
+            "complete-hi-clique",
+        ],
     )
     def test_overflow_exits_two(self, write, capsys, argv, text, located):
         path = write("huge.csv", text)

@@ -18,9 +18,11 @@ from triadcomplete import (
     triad_sets_for_entry,
     validate,
 )
+from triadcomplete.completion import SELECTIONS
 from triadcomplete.errors import (
     ComponentNotChordalError,
     EntrySpecifiedError,
+    MatrixError,
     NeighborDisagreementError,
     NoCommonNeighborError,
     NotPCMError,
@@ -209,6 +211,14 @@ class TestFeasibleInterval:
         with pytest.raises(EntrySpecifiedError):
             feasible_interval(cases.five_partial(), 2, 3)
 
+    def test_underflowing_products_still_constrain(self):
+        # a[1,2] * a[2,3] underflows to 0: entry (1, 3) has a common neighbor,
+        # so it is not filled with 1.0 as if nothing constrained it.
+        m = validate([[1, 1e-200, None], [1e200, 1, 1e-200], [None, 1e200, 1]])
+        assert not feasible_interval(m, 0, 2).unconstrained
+        with pytest.raises(MatrixError, match=r"entry \(1, 3\)"):
+            complete_mt_preserving(m)
+
     def test_endpoints_exact_outside_increases(self, rng):
         for _ in range(20):
             n = int(rng.integers(4, 8))
@@ -277,6 +287,21 @@ class TestCompleteMtPreserving:
                 assert mt(report.result) == pytest.approx(base, rel=1e-9)
                 for step in report.steps:
                     assert step.mt_after <= step.mt_before * (1 + 1e-9)
+
+    def test_after_fill_check_equals_full_rescan(self, rng):
+        # Each step's measure comes from a scan of the filled entry's clique;
+        # replaying the fills, a full rescan must give the same bits.
+        prms = [
+            cases.random_chordal_prm(rng, int(rng.integers(4, 11)), min_missing=1)
+            for _ in range(12)
+        ]
+        prms += [cases.random_two_component_chordal_prm(rng) for _ in range(3)]
+        for prm in prms:
+            for selection in SELECTIONS:
+                current = prm
+                for step in complete_mt_preserving(prm, selection=selection).steps:
+                    current = current.with_entry(*step.edge, step.value)
+                    assert mt(current) == step.mt_after
 
     def test_disconnected_components_joined(self, rng):
         prm = cases.random_two_component_chordal_prm(rng)

@@ -39,6 +39,17 @@ def brute_is_chordal(g):
     return True
 
 
+def reference_ordering(g, lowest_first=False):
+    """The greedy scan with a full chordality test of every candidate."""
+    ordering = []
+    while g.non_edges():
+        candidates = sorted(g.non_edges(), reverse=not lowest_first)
+        e = next(e for e in candidates if is_chordal(g.add_edge(*e))[0])
+        ordering.append(e)
+        g = g.add_edge(*e)
+    return tuple(ordering)
+
+
 def random_graph(rng, n, p):
     edges = {
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
@@ -149,6 +160,14 @@ class TestChordalOrdering:
                 current = current.add_edge(*e)
                 assert brute_is_chordal(current)
             assert current.non_edges() == []
+
+    def test_equals_full_chordality_test_per_candidate(self, rng):
+        # The single-edge separator criterion must accept exactly the edge a
+        # full chordality test accepts, so the greedy order is unchanged.
+        for _ in range(30):
+            g = cases.random_connected_chordal_graph(rng, int(rng.integers(4, 13)))
+            for lowest_first in (False, True):
+                assert chordal_ordering(g, lowest_first) == reference_ordering(g, lowest_first)
 
     def test_chord_forcing_at_each_step(self, rng):
         # Common neighbors of a chordality-preserving new edge must be
