@@ -11,9 +11,9 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .completion import (
     SELECTIONS,
@@ -27,7 +27,7 @@ from .errors import (
     MatrixTooSmallError,
     NoConsistentCompletionError,
 )
-from .fileio import load_matrix, format_matrix, save_matrix
+from .fileio import load_matrix, format_matrix
 from .graphs import SpecGraph, connected_components, is_chordal
 from .matrices import PartialReciprocalMatrix, Tolerances
 from .measures import TriadScan, is_pc_plus, mt, triad_scan
@@ -42,14 +42,36 @@ def _one_based(indices) -> list[int]:
     return [int(v) + 1 for v in indices]
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        return None if math.isinf(value) or math.isnan(value) else value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` with non-finite floats written as null.
+
+    ``pad`` is the newline and indent that precede this value's closing
+    bracket; its items sit one level (two spaces) deeper.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return repr(value)
+    if kind is float:
+        return repr(value) if math.isfinite(value) else "null"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_json_string(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, float):  # numpy floats
+        return _json(float(value))
+    raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
 def _interval_doc(interval) -> dict:
@@ -80,7 +102,7 @@ def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> d
     pc_plus, witness_edge = is_pc_plus(m, tol)
     return {
         "n": m.n,
-        "unspecified_pairs": [_one_based(e) for e in m.missing_pairs()],
+        "unspecified_pairs": [[i + 1, j + 1] for i, j in m.missing_pairs()],
         "components": per_component,
         "all_components_chordal": all_chordal,
         "pcm": scan.pcm,
@@ -105,7 +127,7 @@ def _tol_from_args(args) -> Tolerances:
 
 def _emit(report: dict, args) -> None:
     if args.trace:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(_json(report))
         return
     _print_human(report)
 
@@ -192,9 +214,9 @@ def cmd_measure(args) -> int:
         "command": "measure",
         "input": args.path,
         "measures": _measures_doc(triad_scan(m, tol)),
-        "matrix": [row[:] for row in tokens],
+        "matrix": tokens,
+        "matrix_written": True,  # matrix came from the input; don't echo it
     }
-    report["matrix_written"] = True  # matrix came from the input; don't echo it
     _emit(report, args)
     return 0
 
@@ -213,12 +235,9 @@ def _completion_steps_doc(report: CompletionReport) -> list[dict]:
 
 
 def _filled_entries_doc(before: PartialReciprocalMatrix, after) -> list[dict]:
+    values = after.entries.tolist()
     return [
-        {
-            "edge": _one_based((i, j)),
-            "interval": None,
-            "value": float(after.entries[i, j]),
-        }
+        {"edge": [i + 1, j + 1], "interval": None, "value": values[i][j]}
         for (i, j) in before.missing_pairs()
     ]
 
@@ -291,11 +310,8 @@ def cmd_complete(args) -> int:
             "mt_before": scan.mt,
             "mt_after": mt(result),
         },
-        "matrix": _matrix_rows(result, tokens),
     }
-    if args.out:
-        save_matrix(args.out, result, tokens)
-        report["matrix_written"] = True
+    _add_matrix(report, result, tokens, args.out)
     _emit(report, args)
     return 0
 
@@ -332,18 +348,21 @@ def cmd_reduce(args) -> int:
             "mt_initial": trace.mt_initial,
             "mt_final": trace.mt_final,
         },
-        "matrix": _matrix_rows(trace.result, tokens),
     }
-    if args.out:
-        save_matrix(args.out, trace.result, tokens)
-        report["matrix_written"] = True
+    _add_matrix(report, trace.result, tokens, args.out)
     _emit(report, args)
     reached = trace.mt_final <= args.target_mt * (1.0 + tol.cmp)
     return 0 if reached else 1
 
 
-def _matrix_rows(m: PartialReciprocalMatrix, tokens) -> list[list[str]]:
-    return [row.split(",") for row in format_matrix(m, tokens).splitlines()]
+def _add_matrix(report: dict, m: PartialReciprocalMatrix, tokens, out: str | None) -> None:
+    """Format ``m`` once: the report's rows and the ``--out`` file share the text."""
+    text = format_matrix(m, tokens)
+    report["matrix"] = [row.split(",") for row in text.splitlines()]
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        report["matrix_written"] = True
 
 
 def _add_common(sp) -> None:

@@ -29,7 +29,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadSets, is_pc_plus, mt, tree_weights, triad_scan, triad_sets_for_entry
+from .measures import TriadSets, mt, tree_violation, tree_weights, triad_scan, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -184,15 +184,16 @@ def complete_consistent_pc_plus(
     specified entries; across components there is a free scale per join,
     unit by default.
     """
-    ok, witness = is_pc_plus(m, tol)
-    if not ok:
-        raise NotPCPlusError(witness)
+    comps = connected_components(SpecGraph.from_matrix(m))
+    weights = []
+    for comp in comps:
+        weights.append(tree_weights(m, comp))
+        witness = tree_violation(m, comp, weights[-1], tol)
+        if witness is not None:
+            raise NotPCPlusError(witness)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
-    g = SpecGraph.from_matrix(m)
-    comps = connected_components(g)
-    for comp in comps:
-        w = tree_weights(m, comp)
+    for comp, w in zip(comps, weights):
         for i, j in combinations(comp, 2):
             if not mask[i, j]:
                 _fill(entries, mask, i, j, w[i] / w[j])

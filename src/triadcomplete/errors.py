@@ -34,6 +34,12 @@ class ReciprocityViolationError(MatrixError):
         self.i, self.j, self.product = i, j, product
 
 
+class ReciprocalOverflowError(MatrixError):
+    def __init__(self, i: int, j: int, value: float) -> None:
+        super().__init__(f"entry ({i}, {j}) = {value!r} has a reciprocal out of double range")
+        self.i, self.j, self.value = i, j, value
+
+
 class NotConsistentError(MatrixError):
     """The matrix is not consistent where consistency is required."""
 

@@ -9,6 +9,7 @@ cells must come in symmetric pairs.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,15 +18,32 @@ from .errors import MatrixError, MatrixFileError
 from .matrices import DEFAULT_TOL, PartialReciprocalMatrix, Tolerances, validate
 
 UNSPECIFIED = "?"
+_RATIO = re.compile("[0-9]+/[0-9]+")
 
 
-def _parse_cell(token: str, line: int, col: int) -> float | None:
+def _token_value(token: str) -> float:
+    """The value of a specified cell, bit for bit ``float(Fraction(token))``.
+
+    A plain ``p/q`` skips ``Fraction``: its ``__float__`` is the correctly
+    rounded int division ``p / q``, which gcd reduction does not change.
+    """
+    if "/" not in token:
+        return float(token)
+    if _RATIO.fullmatch(token):
+        p, q = token.split("/")
+        return int(p) / int(q)
+    return float(Fraction(token))
+
+
+def _parse_cell(token: str, line: int, col: int) -> float:
     if token == UNSPECIFIED:
-        return None
+        return math.nan
     try:
-        value = float(Fraction(token)) if "/" in token else float(token)
+        value = _token_value(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixFileError(f"cannot parse cell {token!r}", line, col) from exc
+    except OverflowError:  # an int ratio beyond double range
+        value = math.inf
     if not math.isfinite(value):
         raise MatrixFileError(f"cell {token!r} is not a finite number", line, col)
     return value
@@ -53,19 +71,20 @@ def parse_matrix(
     for row, lineno in zip(tokens, line_numbers):
         if len(row) != n:
             raise MatrixFileError(f"expected {n} cells, found {len(row)}", lineno)
-    values = [
-        [_parse_cell(tok, line_numbers[i], j + 1) for j, tok in enumerate(row)]
-        for i, row in enumerate(tokens)
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (values[i][j] is None) != (values[j][i] is None):
-                raise MatrixFileError(
-                    f"unspecified cells must be symmetric, but only one of"
-                    f" ({i + 1}, {j + 1}) / ({j + 1}, {i + 1}) is '?'",
-                    line_numbers[i],
-                    j + 1,
-                )
+    values = np.array(
+        [[_parse_cell(tok, line_numbers[i], j + 1) for j, tok in enumerate(row)]
+         for i, row in enumerate(tokens)]
+    )
+    unspecified = np.isnan(values)
+    lone = np.argwhere(np.triu(unspecified != unspecified.T, 1))  # row-major order
+    if len(lone):
+        i, j = lone[0].tolist()
+        raise MatrixFileError(
+            f"unspecified cells must be symmetric, but only one of"
+            f" ({i + 1}, {j + 1}) / ({j + 1}, {i + 1}) is '?'",
+            line_numbers[i],
+            j + 1,
+        )
     try:
         prm = validate(values, tol)
     except MatrixError as exc:
@@ -73,14 +92,6 @@ def parse_matrix(
         col = exc.j + 1 if hasattr(exc, "j") else None
         raise MatrixFileError(str(exc), line, col) from exc
     return prm, tokens
-
-
-def _format_value(value: float, token: str | None) -> str:
-    if token is not None and token != UNSPECIFIED:
-        parsed = float(Fraction(token)) if "/" in token else float(token)
-        if parsed == value:
-            return token
-    return repr(float(value))
 
 
 def format_matrix(
@@ -91,18 +102,13 @@ def format_matrix(
     When ``source_tokens`` is given, cells whose value is unchanged keep
     their original spelling (fractions in particular).
     """
+    source = source_tokens or []
     lines = []
-    for i in range(m.n):
-        cells = []
-        for j in range(m.n):
-            if not m.mask[i, j]:
-                cells.append(UNSPECIFIED)
-                continue
-            token = None
-            if source_tokens is not None and i < len(source_tokens):
-                row = source_tokens[i]
-                token = row[j] if j < len(row) else None
-            cells.append(_format_value(float(m.entries[i, j]), token))
+    for i, (values, specified) in enumerate(zip(m.entries.tolist(), m.mask.tolist())):
+        cells = [repr(v) if known else UNSPECIFIED for v, known in zip(values, specified)]
+        for j, token in enumerate(source[i][: m.n] if i < len(source) else ()):
+            if token != UNSPECIFIED and specified[j] and _token_value(token) == values[j]:
+                cells[j] = token
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

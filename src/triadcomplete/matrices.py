@@ -18,6 +18,7 @@ from .errors import (
     MatrixError,
     NonPositiveEntryError,
     NonSquareError,
+    ReciprocalOverflowError,
     ReciprocityViolationError,
 )
 
@@ -80,8 +81,8 @@ class PartialReciprocalMatrix:
 
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unspecified positions (i, j) with i < j."""
-        n = self.n
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if not self.mask[i, j]]
+        rows, cols = np.nonzero(np.triu(~self.mask, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def with_entry(self, i: int, j: int, value: float) -> PartialReciprocalMatrix:
         """New matrix with (i, j) set to ``value`` and (j, i) to its reciprocal."""
@@ -148,34 +149,47 @@ def validate(raw, tol: Tolerances = DEFAULT_TOL) -> PartialReciprocalMatrix:
     given, the mate is filled with its reciprocal; when both are given they
     must multiply to 1 within ``tol.rec``.  The stored pair is always
     ``(a, 1/a)`` with ``a`` the upper-triangle value, so reciprocity is
-    exact by construction afterwards.
+    exact by construction afterwards; a pair whose ``1/a`` leaves double
+    range raises :class:`ReciprocalOverflowError`.
     """
     grid = _as_float_grid(raw)
     n = grid.shape[0]
     if n == 0:
         raise MatrixError("matrix must have at least one row")
+    bad = np.abs(np.diagonal(grid) - 1.0) > tol.rec  # NaN (unspecified) compares False
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DiagonalNotOneError(i, grid[i, i])
+    rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
+    a, b = grid[rows, cols], grid[cols, rows]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = np.where(np.isnan(a), 1.0 / b, a)
+        mirror = 1.0 / value
+        product = a * b
+    # The first bad pair raises, for the first check it fails in this order:
+    # a and b positive and finite, a * b near 1, 1/value within double range.
+    checks = (
+        (a <= 0.0) | (a == np.inf),
+        (b <= 0.0) | (b == np.inf),
+        np.abs(product - 1.0) > tol.rec,
+        (mirror == 0.0) | (mirror == np.inf),
+    )
+    bad = np.logical_or.reduce(checks)
+    if bad.any():
+        p = int(np.argmax(bad))
+        i, j = int(rows[p]), int(cols[p])
+        if checks[0][p]:
+            raise NonPositiveEntryError(i, j, grid[i, j])
+        if checks[1][p]:
+            raise NonPositiveEntryError(j, i, grid[j, i])
+        if checks[2][p]:
+            raise ReciprocityViolationError(i, j, product[p])
+        if np.isnan(a[p]):
+            i, j = j, i
+        raise ReciprocalOverflowError(i, j, grid[i, j])
     entries = np.full((n, n), np.nan)
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        v = grid[i, i]
-        if not np.isnan(v) and (not np.isfinite(v) or abs(v - 1.0) > tol.rec):
-            raise DiagonalNotOneError(i, v)
-        entries[i, i] = 1.0
-        mask[i, i] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = grid[i, j], grid[j, i]
-            has_a, has_b = not np.isnan(a), not np.isnan(b)
-            if not (has_a or has_b):
-                continue
-            if has_a:
-                _check_positive(i, j, a)
-            if has_b:
-                _check_positive(j, i, b)
-            if has_a and has_b and abs(a * b - 1.0) > tol.rec:
-                raise ReciprocityViolationError(i, j, a * b)
-            value = a if has_a else 1.0 / b
-            entries[i, j] = value
-            entries[j, i] = 1.0 / value
-            mask[i, j] = mask[j, i] = True
-    return PartialReciprocalMatrix(entries, mask)
+    keep = ~np.isnan(value)
+    entries[rows[keep], cols[keep]] = value[keep]
+    entries[cols[keep], rows[keep]] = mirror[keep]
+    np.fill_diagonal(entries, 1.0)
+    return PartialReciprocalMatrix(entries, ~np.isnan(entries))

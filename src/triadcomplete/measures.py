@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -170,13 +169,20 @@ def is_pc_plus(
     that edge as a witness (the tree path between its endpoints plus the
     edge itself closes a violating cycle).
     """
-    g = SpecGraph.from_matrix(m)
-    for comp in connected_components(g):
-        w = tree_weights(m, comp)
-        for i, j in combinations(comp, 2):
-            if m.mask[i, j] and abs(float(m.entries[i, j]) * w[j] / w[i] - 1.0) > tol.cons:
-                return False, (i, j)
+    for comp in connected_components(SpecGraph.from_matrix(m)):
+        edge = tree_violation(m, comp, tree_weights(m, comp), tol)
+        if edge is not None:
+            return False, edge
     return True, None
+
+
+def tree_violation(m: PartialReciprocalMatrix, comp, w, tol: Tolerances) -> Edge | None:
+    """First specified (i, j) of ``comp``, in ``combinations`` order, off w[i] / w[j]."""
+    wv = np.array([w[v] for v in comp])
+    with np.errstate(over="ignore"):
+        ratio = m.entries[np.ix_(comp, comp)] * wv / wv[:, None]  # unspecified: NaN
+    off = np.argwhere(np.triu(np.abs(ratio - 1.0) > tol.cons, 1))
+    return (comp[off[0, 0]], comp[off[0, 1]]) if len(off) else None
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cases
-from triadcomplete.cli import main
+from triadcomplete import cli, completion, fileio, measures
+from triadcomplete.cli import _json, main
 from triadcomplete.fileio import parse_matrix
 
 FIVE_TEXT = """\
@@ -328,6 +332,8 @@ class TestUsage:
                 HUGE_CLIQUE_TEXT,
                 "triad (2, 3, 4)",
             ),
+            (["check"], f"1,1{'0' * 400}/1\n1,1\n", "line 1, col 2"),
+            (["check"], "1,1e200\n1e200,1\n", "line 1, col 2"),
         ],
         ids=[
             "check",
@@ -339,6 +345,8 @@ class TestUsage:
             "check-tree",
             "complete-tree",
             "complete-hi-clique",
+            "check-huge-ratio",
+            "check-reciprocal-product",
         ],
     )
     def test_overflow_exits_two(self, write, capsys, argv, text, located):
@@ -364,3 +372,76 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "MT = 2" in proc.stdout
+
+
+def _sanitised(value):
+    """The report as ``json.dumps`` is given it: tuples as lists, non-finite as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _sanitised(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_sanitised(v) for v in value]
+    return value
+
+
+_texts = st.text() | st.sampled_from(["", "é", '"q"', "back\\slash", "\x00\x1f\n\t", "\u2028", "\U0001f600"])
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([0, 1, 0.0, -0.0, 1e-7, 1e22, math.inf, -math.inf, math.nan])
+    | _texts
+)
+_docs = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_texts, kids),
+    max_leaves=40,
+)
+
+
+class TestTraceEmitter:
+    @settings(max_examples=120)
+    @given(_docs)
+    def test_equals_json_dumps_indent_two(self, doc):
+        assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
+
+    def test_empty_containers_and_literals(self):
+        doc = {"a": [], "b": {}, "c": (), "d": [True, False, None, -0.0, math.nan]}
+        assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
+
+
+class TestWorkDoneOnce:
+    def counted(self, monkeypatch, module, name, namespaces):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for namespace in namespaces:
+            monkeypatch.setattr(namespace, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("argv", [["complete"], ["reduce"]])
+    def test_one_format_per_out_command(self, write, capsys, monkeypatch, tmp_path, argv):
+        path = write("m.csv", CYCLE_FIXED_TEXT if argv == ["complete"] else BLOCK_TEXT)
+        calls = self.counted(monkeypatch, fileio, "format_matrix", (fileio, cli))
+        out = tmp_path / "out.csv"
+        main([argv[0], path, "--trace", "--out", str(out)])
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert out.read_text() == "".join(",".join(row) + "\n" for row in doc["matrix"])
+
+    def test_tree_weights_twice_per_component(self, write, capsys, monkeypatch):
+        # Two components: the 4-cycle with consistent data, and a lone pair.
+        text = "1,2,?,10/3,?,?\n1/2,1,1/3,?,?,?\n?,3,1,5,?,?\n3/10,?,1/5,1,?,?\n" \
+            "?,?,?,?,1,7\n?,?,?,?,1/7,1\n"
+        calls = self.counted(monkeypatch, measures, "tree_weights", (measures, completion))
+        assert main(["complete", write("two.csv", text), "--trace"]) == 0
+        assert json.loads(capsys.readouterr().out)["completion"]["engine"] == "consistent-pc-plus"
+        assert len(calls) == 2 * 2

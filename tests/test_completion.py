@@ -12,6 +12,7 @@ from triadcomplete import (
     complete_mt_preserving,
     feasible_interval,
     is_consistent,
+    is_pc_plus,
     join_blocks,
     mt,
     oracle,
@@ -138,6 +139,18 @@ class TestCompleteConsistentPcPlus:
         with pytest.raises(NotPCPlusError) as exc:
             complete_consistent_pc_plus(validate(cases.CYCLE_PCM))
         assert exc.value.edge == (2, 3)
+
+    def test_witness_is_the_is_pc_plus_edge(self, rng):
+        # Components in order, edges in combinations order: the first
+        # violation found is the same edge whichever function looks.
+        for _ in range(30):
+            m = cases.random_prm(rng, int(rng.integers(3, 9)), p=0.4)
+            ok, witness = is_pc_plus(m)
+            if ok:
+                continue
+            with pytest.raises(NotPCPlusError) as exc:
+                complete_consistent_pc_plus(m)
+            assert exc.value.edge == witness
 
 
 class TestJoinBlocks:

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cases
 from triadcomplete import validate
 from triadcomplete.errors import MatrixFileError
-from triadcomplete.fileio import format_matrix, parse_matrix
+from triadcomplete.fileio import _token_value, format_matrix, parse_matrix
 
 FIVE_TEXT = """\
 # demo matrix, two unspecified comparisons
@@ -90,3 +94,23 @@ class TestFormat:
         once = format_matrix(m)
         twice = format_matrix(parse_matrix(once)[0])
         assert once == twice
+
+
+class TestTokenValue:
+    @settings(max_examples=300)
+    @given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(0, 3), st.integers(0, 3))
+    def test_ratio_is_fraction_float_bit_for_bit(self, p, q, zeros_p, zeros_q):
+        token = f"{'0' * zeros_p}{p}/{'0' * zeros_q}{q}"
+        assert _token_value(token).hex() == float(Fraction(token)).hex()
+
+    @pytest.mark.parametrize("token", ["7/-3", "7/0", "1_0/3", "+7/3", "7/3.0"])
+    def test_other_spellings_keep_value_or_message(self, token):
+        try:
+            want = float(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(MatrixFileError) as exc:
+                parse_matrix(f"1,{token}\n1,1\n")
+            assert str(exc.value) == f"line 1, col 2: cannot parse cell {token!r}"
+            return
+        m, _ = parse_matrix(f"1,{token}\n{1 / want!r},1\n")
+        assert m.entries[0, 1].hex() == want.hex()

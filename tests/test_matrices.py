@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
@@ -18,9 +20,42 @@ from triadcomplete.errors import (
     NonPositiveEntryError,
     NonSquareError,
     NotConsistentError,
+    ReciprocalOverflowError,
     ReciprocityViolationError,
 )
 
+def reference_validate(raw, tol=Tolerances()):
+    """``validate`` as a pair-by-pair loop; returns the entries or raises."""
+    grid = np.array(raw, dtype=float)
+    n = grid.shape[0]
+    entries = np.full((n, n), np.nan)
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            v = grid[i, i]
+            if not np.isnan(v) and (not np.isfinite(v) or abs(v - 1.0) > tol.rec):
+                raise DiagonalNotOneError(i, v)
+            entries[i, i] = 1.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = grid[i, j], grid[j, i]
+                has_a, has_b = not np.isnan(a), not np.isnan(b)
+                if not (has_a or has_b):
+                    continue
+                for r, c, v, has in ((i, j, a, has_a), (j, i, b, has_b)):
+                    if has and not (v > 0.0 and np.isfinite(v)):
+                        raise NonPositiveEntryError(r, c, v)
+                if has_a and has_b and abs(a * b - 1.0) > tol.rec:
+                    raise ReciprocityViolationError(i, j, a * b)
+                value = a if has_a else 1.0 / b
+                if not 0.0 < 1.0 / value < math.inf:
+                    raise ReciprocalOverflowError(*((i, j, a) if has_a else (j, i, b)))
+                entries[i, j], entries[j, i] = value, 1.0 / value
+    return entries
+
+
+CELLS = [math.nan, 1.0, 2.0, 0.5, 3.0, 1 / 3, 1.0 + 1e-12, 1e300, 1e-300, 0.0, -1.0,
+         math.inf, -math.inf, 5e-324, 1e-310, 1.7e308]
+DIAGONAL = [math.nan, 1.0, 1.0 + 1e-12, math.nan, 1.0, 1.0, 1.0 + 1e-8, math.inf]
 weight_vectors = st.lists(
     st.floats(0.2, 5.0, allow_nan=False), min_size=3, max_size=6
 ).map(np.array)
@@ -83,6 +118,41 @@ class TestValidate:
         m1 = validate([[1, None], [None, 1]])
         m2 = validate(np.array([[1, np.nan], [np.nan, 1]]))
         assert m1.missing_pairs() == m2.missing_pairs() == [(0, 1)]
+
+    def test_reciprocal_out_of_range(self):
+        # The stored pair would hold inf and 0: the named entry is subnormal.
+        for raw, where in (
+            ([[1, None], [5e-324, 1]], (1, 0)),
+            ([[1, 1e-310, 1], [None, 1, 1], [1, 1, 1]], (0, 1)),
+        ):
+            with pytest.raises(ReciprocalOverflowError) as exc:
+                validate(raw)
+            assert (exc.value.i, exc.value.j) == where
+
+    def test_first_bad_pair_in_row_major_order(self):
+        raw = [[1, 1, 1, -1], [None, 1, 2, 1], [None, 2, 1, 1], [None, None, None, 1]]
+        with pytest.raises(NonPositiveEntryError) as exc:
+            validate(raw)
+        assert (exc.value.i, exc.value.j) == (0, 3)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_equals_pair_by_pair_loop(self, data):
+        n = data.draw(st.integers(1, 5))
+        cell = st.sampled_from([math.nan, 1.0]) | st.sampled_from(CELLS)
+        raw = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            raw[i][i] = data.draw(st.sampled_from(DIAGONAL))
+        try:
+            want = reference_validate(raw)
+        except MatrixError as exc:
+            with pytest.raises(type(exc)) as got:
+                validate(raw)
+            assert str(got.value) == str(exc)
+            return
+        m = validate(raw)
+        assert np.array_equal(m.entries, want, equal_nan=True)
+        assert np.array_equal(m.mask, ~np.isnan(want))
 
     def test_arrays_are_immutable(self):
         m = validate([[1, 2], [0.5, 1]])

@@ -10,6 +10,7 @@ import cases
 from triadcomplete import (
     DEFAULT_TOL,
     PartialReciprocalMatrix,
+    SpecGraph,
     Tolerances,
     is_pc_plus,
     is_pcm,
@@ -19,6 +20,7 @@ from triadcomplete import (
     oracle,
     tree_weights,
     triad_sets_for_entry,
+    connected_components,
     validate,
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
@@ -141,6 +143,27 @@ class TestIsPcPlus:
             m = cases.random_prm(rng, n, p=float(rng.uniform(0.3, 0.9)))
             brute = all(abs(p - 1.0) <= 1e-9 for _, p in oracle.brute_cycle_products(m))
             assert is_pc_plus(m)[0] == brute
+
+    def test_witness_equals_pair_loop(self, rng):
+        # The per-pair loop the vectorised comparison replaced: components
+        # in order, then combinations order within each.
+        def reference(m, tol=DEFAULT_TOL):
+            for comp in connected_components(SpecGraph.from_matrix(m)):
+                w = tree_weights(m, comp)
+                for i, j in combinations(comp, 2):
+                    if m.mask[i, j] and abs(float(m.entries[i, j]) * w[j] / w[i] - 1.0) > tol.cons:
+                        return False, (i, j)
+            return True, None
+
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            m = cases.random_prm(rng, n, p=float(rng.uniform(0.3, 0.9)))
+            if rng.random() < 0.5:  # consistent data nudged around the tolerance
+                full = cases.consistent_matrix(cases.random_weights(rng, n)).entries
+                nudge = np.triu(1.0 + rng.choice([0.0, 5e-10, 2e-9], size=(n, n)), 1)
+                nudged = np.where(nudge > 0, full * nudge, np.nan)
+                m = validate(np.where(m.mask, nudged, np.nan))
+            assert is_pc_plus(m) == reference(m)
 
     def test_masked_consistent_matrix_always_pc_plus(self, rng):
         for _ in range(20):

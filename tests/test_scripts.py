@@ -1,6 +1,8 @@
 """The example scripts run end to end against the package in ``src/``."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +50,21 @@ def test_script_runs(argv, summary):
     assert proc.stderr == ""
     for line in summary:
         assert line in proc.stdout
+
+
+def test_cli_digest_is_stable():
+    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "scripts" / "cli_digest.py")
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    csvs = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "data").glob("*.csv"))
+    runs = [run_script("cli_digest.py", *csvs) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+    line = re.compile(r"exit=[012] stdout=[0-9a-f]{64} stderr=[0-9a-f]{64} out=([0-9a-f]{64}|-) (.+)")
+    matches = [line.fullmatch(text) for text in runs[0].stdout.splitlines()]
+    assert all(matches)
+    assert [m.group(2) for m in matches] == [
+        " ".join(argv) for csv in csvs for argv in cli_digest.commands(csv)
+    ]
+    assert runs[0].stdout == runs[1].stdout
