@@ -23,10 +23,8 @@ from .fileio import format_matrix, load_matrix, parse_matrix, save_matrix
 from .graphs import (
     SpecGraph,
     chordal_ordering,
-    common_specified_neighbors,
     connected_components,
     is_chordal,
-    spanning_tree,
 )
 from .matrices import (
     DEFAULT_TOL,
@@ -53,7 +51,6 @@ from .reduction import (
     ReductionTrace,
     reduce,
     reduce_step,
-    worst_triad,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +70,6 @@ __all__ = [
     "TriadProduct",
     "TriadSets",
     "chordal_ordering",
-    "common_specified_neighbors",
     "complete_consistent_pc_plus",
     "complete_mt_preserving",
     "connected_components",
@@ -96,9 +92,7 @@ __all__ = [
     "reduce_step",
     "save_matrix",
     "select_value",
-    "spanning_tree",
     "tree_weights",
     "triad_sets_for_entry",
     "validate",
-    "worst_triad",
 ]

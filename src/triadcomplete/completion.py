@@ -21,8 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ComponentNotChordalError, MatrixError, NotPCPlusError
-from .graphs import Edge, SpecGraph, chordal_ordering, connected_components, is_chordal
+from .errors import ComponentNotChordalError, MatrixError, NotChordalError, NotPCPlusError
+from .graphs import Edge, SpecGraph, chordal_ordering, connected_components
 from .matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
@@ -52,13 +52,6 @@ class FeasibleInterval:
     @property
     def unconstrained(self) -> bool:
         return self.lo == 0.0 and self.hi == math.inf
-
-    @property
-    def minimax_value(self) -> float:
-        """Largest new oriented triad product at the minimax point."""
-        if self.unconstrained:
-            return 1.0
-        return self.mt_context * math.sqrt(self.lo / self.hi)
 
     @classmethod
     def from_triad_sets(cls, ts: TriadSets, context: float) -> FeasibleInterval:
@@ -127,13 +120,24 @@ def _fill(entries: np.ndarray, mask: np.ndarray, i: int, k: int, value: float) -
     mask[i, k] = mask[k, i] = True
 
 
-def _check_components_chordal(g: SpecGraph) -> list[tuple[int, ...]]:
+def _chordal_orderings(
+    m: PartialReciprocalMatrix, lowest_first: bool = False
+) -> tuple[list[tuple[int, ...]], list[Edge]]:
+    """Components of m's graph and a chordal ordering of the entries missing inside them.
+
+    The ordering runs component by component, in matrix indices.  The first
+    component that is not chordal raises :class:`ComponentNotChordalError`.
+    """
+    g = SpecGraph.from_matrix(m)
     comps = connected_components(g)
+    ordering = []
     for comp in comps:
-        ok, witness = is_chordal(g.induced(comp))
-        if not ok:
-            raise ComponentNotChordalError(comp, tuple(comp[v] for v in witness))
-    return comps
+        try:
+            local = chordal_ordering(g.induced(comp), lowest_first)
+        except NotChordalError as exc:
+            raise ComponentNotChordalError(comp, [comp[v] for v in exc.cycle]) from None
+        ordering += [(comp[a], comp[b]) for a, b in local]
+    return comps, ordering
 
 
 def _join_components(
@@ -249,31 +253,28 @@ def complete_mt_preserving(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
-    g = SpecGraph.from_matrix(m)
-    comps = _check_components_chordal(g)
+    comps, ordering = _chordal_orderings(m)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     steps: list[CompletionStep] = []
     current, context = m, mt(m)
-    for comp in comps:
-        for a, b in chordal_ordering(g.induced(comp)):
-            i, k = comp[a], comp[b]
-            ts = triad_sets_for_entry(current, i, k)
-            # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-            neighbors = [j for j, _ in ts.s]
-            if not mask[np.ix_(neighbors, neighbors)].all():
-                raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
-            interval = FeasibleInterval.from_triad_sets(ts, context)
-            if not interval.lo <= interval.hi * (1.0 + tol.cmp):
-                raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
-            value = select_value(interval, selection)
-            _fill(entries, mask, i, k, value)
-            current = PartialReciprocalMatrix(entries, mask)
-            after = max(context, triad_scan(current, tol, sorted([i, k, *neighbors])).mt)
-            if not after <= context * (1.0 + tol.cmp):
-                raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
-            steps.append(CompletionStep((i, k), interval, value, context, after))
-            context = after
+    for i, k in ordering:
+        ts = triad_sets_for_entry(current, i, k)
+        # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
+        neighbors = [j for j, _ in ts.s]
+        if not mask[np.ix_(neighbors, neighbors)].all():
+            raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
+        interval = FeasibleInterval.from_triad_sets(ts, context)
+        if not interval.lo <= interval.hi * (1.0 + tol.cmp):
+            raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
+        value = select_value(interval, selection)
+        _fill(entries, mask, i, k, value)
+        current = PartialReciprocalMatrix(entries, mask)
+        after = max(context, triad_scan(current, tol, sorted([i, k, *neighbors])).mt)
+        if not after <= context * (1.0 + tol.cmp):
+            raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
+        steps.append(CompletionStep((i, k), interval, value, context, after))
+        context = after
     joins = _join_components(entries, mask, comps, join_scale, join_u, join_v)
     result = PartialReciprocalMatrix(entries, mask).to_complete()
     return CompletionReport(tuple(steps), tuple(joins), result)

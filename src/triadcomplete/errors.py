@@ -1,6 +1,10 @@
-"""Exception types raised across the package."""
+"""Package exceptions: messages are one-based with plain floats; attributes are zero-based."""
 
 from __future__ import annotations
+
+
+def _one_based(vertices, sep: str) -> str:
+    return sep.join(str(v + 1) for v in vertices)
 
 
 class MatrixError(ValueError):
@@ -15,28 +19,32 @@ class NonSquareError(MatrixError):
 
 class NonPositiveEntryError(MatrixError):
     def __init__(self, i: int, j: int, value: float) -> None:
-        super().__init__(f"entry ({i}, {j}) must be positive and finite, got {value!r}")
+        super().__init__(
+            f"entry ({i + 1}, {j + 1}) must be positive and finite, got {float(value)!r}"
+        )
         self.i, self.j, self.value = i, j, value
 
 
 class DiagonalNotOneError(MatrixError):
     def __init__(self, i: int, value: float) -> None:
-        super().__init__(f"diagonal entry ({i}, {i}) must equal 1, got {value!r}")
+        super().__init__(f"diagonal entry ({i + 1}, {i + 1}) must equal 1, got {float(value)!r}")
         self.i, self.value = i, value
 
 
 class ReciprocityViolationError(MatrixError):
     def __init__(self, i: int, j: int, product: float) -> None:
         super().__init__(
-            f"entries ({i}, {j}) and ({j}, {i}) are not mutual reciprocals;"
-            f" their product is {product!r}"
+            f"entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) are not mutual reciprocals;"
+            f" their product is {float(product)!r}"
         )
         self.i, self.j, self.product = i, j, product
 
 
 class ReciprocalOverflowError(MatrixError):
     def __init__(self, i: int, j: int, value: float) -> None:
-        super().__init__(f"entry ({i}, {j}) = {value!r} has a reciprocal out of double range")
+        super().__init__(
+            f"entry ({i + 1}, {j + 1}) = {float(value)!r} has a reciprocal out of double range"
+        )
         self.i, self.j, self.value = i, j, value
 
 
@@ -46,7 +54,7 @@ class NotConsistentError(MatrixError):
 
 class EntrySpecifiedError(MatrixError):
     def __init__(self, i: int, j: int) -> None:
-        super().__init__(f"entry ({i}, {j}) is already specified")
+        super().__init__(f"entry ({i + 1}, {j + 1}) is already specified")
         self.i, self.j = i, j
 
 
@@ -60,7 +68,7 @@ class NotConnectedError(GraphError):
 
 class NotChordalError(GraphError):
     def __init__(self, cycle) -> None:
-        super().__init__(f"graph is not chordal; chordless cycle {list(cycle)}")
+        super().__init__(f"graph is not chordal; chordless cycle {_one_based(cycle, '-')}")
         self.cycle = tuple(cycle)
 
 
@@ -75,7 +83,8 @@ class NotPCMError(CompletionError):
 class NotPCPlusError(CompletionError):
     def __init__(self, edge) -> None:
         super().__init__(
-            f"a fully specified cycle has product != 1 (violating edge {tuple(edge)})"
+            "a fully specified cycle has product != 1"
+            f" (violating edge {{{_one_based(edge, ',')}}})"
         )
         self.edge = tuple(edge)
 
@@ -83,7 +92,8 @@ class NotPCPlusError(CompletionError):
 class ComponentNotChordalError(CompletionError):
     def __init__(self, component, cycle) -> None:
         super().__init__(
-            f"component {list(component)} is not chordal; chordless cycle {list(cycle)}"
+            f"component {{{_one_based(component, ',')}}} is not chordal;"
+            f" chordless cycle {_one_based(cycle, '-')}"
         )
         self.component = tuple(component)
         self.cycle = tuple(cycle)
@@ -91,7 +101,7 @@ class ComponentNotChordalError(CompletionError):
 
 class NoCommonNeighborError(CompletionError):
     def __init__(self, i: int, j: int) -> None:
-        super().__init__(f"no common specified neighbor for entry ({i}, {j})")
+        super().__init__(f"no common specified neighbor for entry ({i + 1}, {j + 1})")
         self.i, self.j = i, j
 
 
@@ -99,7 +109,7 @@ class NeighborDisagreementError(CompletionError):
     def __init__(self, i: int, j: int, products) -> None:
         super().__init__(
             f"common neighbors disagree on the consistent value for entry"
-            f" ({i}, {j}): candidate products {list(products)}"
+            f" ({i + 1}, {j + 1}): candidate products {list(products)}"
         )
         self.i, self.j = i, j
         self.products = tuple(products)

@@ -21,77 +21,63 @@ from .matrices import PartialReciprocalMatrix
 Edge = tuple[int, int]
 
 
-def _canon(i: int, j: int) -> Edge:
-    return (i, j) if i < j else (j, i)
-
-
 @dataclass(frozen=True)
 class SpecGraph:
-    """Undirected graph on vertices 0..n-1 with canonical (min, max) edges."""
+    """Undirected graph on vertices 0..n-1; ``adj[v]`` is the set of v's neighbors."""
 
-    n: int
-    edges: frozenset[Edge]
+    adj: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"invalid edge ({i}, {j}) for {self.n} vertices")
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (min, max) pairs."""
+        return frozenset((i, j) for i, nb in enumerate(self.adj) for j in nb if i < j)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> SpecGraph:
-        return cls(n, frozenset(_canon(i, j) for i, j in edges))
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                raise ValueError(f"invalid edge ({i}, {j}) for {n} vertices")
+            adj[i].add(j)
+            adj[j].add(i)
+        return cls(tuple(map(frozenset, adj)))
 
     @classmethod
     def from_matrix(cls, m: PartialReciprocalMatrix) -> SpecGraph:
-        i, j = np.nonzero(np.triu(m.mask, 1))
-        return cls(m.n, frozenset(zip(i.tolist(), j.tolist())))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return _canon(i, j) in self.edges
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def add_edge(self, i: int, j: int) -> SpecGraph:
-        return SpecGraph(self.n, self.edges | {_canon(i, j)})
+        mask = m.mask & ~np.eye(m.n, dtype=bool)
+        return cls(tuple(frozenset(np.flatnonzero(row).tolist()) for row in mask))
 
     def non_edges(self) -> list[Edge]:
-        return [e for e in combinations(range(self.n), 2) if e not in self.edges]
+        return [(i, j) for i, j in combinations(range(self.n), 2) if j not in self.adj[i]]
 
     def induced(self, vertices) -> SpecGraph:
         """Subgraph on ``vertices``, relabeled to 0..len-1 in sorted order."""
         verts = sorted(vertices)
         local = {v: p for p, v in enumerate(verts)}
-        edges = {
-            (local[i], local[j]) for i, j in self.edges if i in local and j in local
-        }
-        return SpecGraph(len(verts), frozenset(edges))
-
-
-def _mcs_order(g: SpecGraph, adj: dict[int, set[int]]) -> list[int]:
-    """Maximum-cardinality search visit order; ties go to the smallest vertex."""
-    weight = [0] * g.n
-    visited = [False] * g.n
-    order: list[int] = []
-    for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not visited[u]),
-            key=lambda u: (-weight[u], u),
+        return SpecGraph(
+            tuple(frozenset(local[u] for u in self.adj[v] if u in local) for v in verts)
         )
-        visited[v] = True
+
+
+def _mcs_order(adj) -> list[int]:
+    """Maximum-cardinality search visit order; ties go to the smallest vertex."""
+    weight = [0] * len(adj)
+    unvisited = set(range(len(adj)))
+    order: list[int] = []
+    while unvisited:
+        v = min(unvisited, key=lambda u: (-weight[u], u))
+        unvisited.remove(v)
         order.append(v)
-        for u in adj[v]:
-            if not visited[u]:
-                weight[u] += 1
+        for u in adj[v] & unvisited:
+            weight[u] += 1
     return order
 
 
-def _is_perfect_elimination(adj: dict[int, set[int]], elim: list[int]) -> bool:
+def _is_perfect_elimination(adj, elim: list[int]) -> bool:
     pos = {v: p for p, v in enumerate(elim)}
     for v in elim:
         later = [u for u in adj[v] if pos[u] > pos[v]]
@@ -122,14 +108,14 @@ def bfs_parents(adj, start: int, blocked=frozenset()) -> dict[int, int]:
     return parent
 
 
-def _chordless_cycle(g: SpecGraph, adj: dict[int, set[int]]) -> tuple[int, ...]:
+def _chordless_cycle(adj) -> tuple[int, ...]:
     """Some chordless cycle of length >= 4; caller guarantees one exists.
 
     For every vertex v and non-adjacent pair u, w of its neighbors, a
     shortest u-w path avoiding v and v's other neighbors closes a cycle in
     which v has no chord and the path, being shortest, has none either.
     """
-    for v in range(g.n):
+    for v in range(len(adj)):
         nb = sorted(adj[v])
         for u, w in combinations(nb, 2):
             if w in adj[u]:
@@ -145,32 +131,21 @@ def _chordless_cycle(g: SpecGraph, adj: dict[int, set[int]]) -> tuple[int, ...]:
 
 def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
     """Chordality test; on failure also returns a chordless cycle witness."""
-    adj = g.adjacency()
-    order = _mcs_order(g, adj)
-    if _is_perfect_elimination(adj, order[::-1]):
+    if _is_perfect_elimination(g.adj, _mcs_order(g.adj)[::-1]):
         return True, None
-    return False, _chordless_cycle(g, adj)
+    return False, _chordless_cycle(g.adj)
 
 
 def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    adj = g.adjacency()
     seen: set[int] = set()
     comps = []
     for start in range(g.n):
         if start not in seen:
-            comp = bfs_parents(adj, start)
+            comp = bfs_parents(g.adj, start)
             seen.update(comp)
             comps.append(tuple(sorted(comp)))
     return comps
-
-
-def spanning_tree(g: SpecGraph) -> SpecGraph:
-    """BFS spanning tree from vertex 0, neighbors visited in ascending order."""
-    parent = bfs_parents(g.adjacency(), 0)
-    if len(parent) != g.n:
-        raise NotConnectedError("spanning tree requires a connected graph")
-    return SpecGraph(g.n, frozenset(_canon(p, v) for v, p in parent.items() if v != p))
 
 
 def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ...]:
@@ -189,7 +164,7 @@ def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ..
     ok, witness = is_chordal(g)
     if not ok:
         raise NotChordalError(witness)
-    adj = g.adjacency()
+    adj = [set(nb) for nb in g.adj]
     candidates = sorted(g.non_edges(), reverse=not lowest_first)
     ordering: list[Edge] = []
     while candidates:
@@ -203,10 +178,3 @@ def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ..
         adj[v].add(u)
     return tuple(ordering)
 
-
-def common_specified_neighbors(g: SpecGraph, i: int, k: int) -> tuple[int, ...]:
-    """All j adjacent to both i and k, ascending."""
-    if i == k:
-        raise ValueError("vertices must be distinct")
-    adj = g.adjacency()
-    return tuple(sorted(adj[i] & adj[k]))

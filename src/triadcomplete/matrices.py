@@ -73,9 +73,6 @@ class PartialReciprocalMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def is_specified(self, i: int, j: int) -> bool:
-        return bool(self.mask[i, j])
-
     def is_complete(self) -> bool:
         return bool(self.mask.all())
 
@@ -88,7 +85,8 @@ class PartialReciprocalMatrix:
         """New matrix with (i, j) set to ``value`` and (j, i) to its reciprocal."""
         if i == j:
             raise MatrixError("cannot set a diagonal entry")
-        _check_positive(i, j, value)
+        if not (value > 0.0 and np.isfinite(value)):
+            raise NonPositiveEntryError(i, j, value)
         entries = np.array(self.entries)
         mask = np.array(self.mask)
         entries[i, j] = value
@@ -133,11 +131,6 @@ def _as_float_grid(raw) -> np.ndarray:
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise NonSquareError(raw.shape)
     return raw.astype(float)
-
-
-def _check_positive(i: int, j: int, value: float) -> None:
-    if not (value > 0.0 and np.isfinite(value)):
-        raise NonPositiveEntryError(i, j, value)
 
 
 def validate(raw, tol: Tolerances = DEFAULT_TOL) -> PartialReciprocalMatrix:

@@ -213,15 +213,6 @@ class TriadSets:
     def minimax(self) -> float:
         return math.sqrt(self.s_max * self.s_min) if self.s else 1.0
 
-    def c0_products(self, x: float) -> list[tuple[tuple[int, int, int], float]]:
-        """Oriented 3-cycle products through the entry once it is set to x."""
-        i, k = self.entry
-        out = []
-        for j, s in self.s:
-            out.append(((i, j, k), s / x))
-            out.append(((k, j, i), x / s))
-        return out
-
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:
     """Collect the triad sets relevant to filling the unspecified entry (i, k)."""

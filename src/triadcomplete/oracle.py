@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .completion import _check_components_chordal, _fill, _join_components
+from .completion import _chordal_orderings, _fill, _join_components
 from .errors import (
     EntrySpecifiedError,
     NeighborDisagreementError,
@@ -24,7 +24,6 @@ from .errors import (
     NotPCMError,
     TooLargeError,
 )
-from .graphs import SpecGraph, chordal_ordering
 from .matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
@@ -178,14 +177,11 @@ def complete_consistent_chordal(
     """
     if not is_pcm(m, tol):
         raise NotPCMError(f"specified triads are inconsistent (mt = {mt(m)!r})")
-    g = SpecGraph.from_matrix(m)
-    comps = _check_components_chordal(g)
+    comps, ordering = _chordal_orderings(m, lowest_first)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
-    for comp in comps:
-        for a, b in chordal_ordering(g.induced(comp), lowest_first=lowest_first):
-            i, k = comp[a], comp[b]
-            current = PartialReciprocalMatrix(entries, mask)
-            _fill(entries, mask, i, k, complete_one_entry_consistent(current, i, k, tol))
+    for i, k in ordering:
+        current = PartialReciprocalMatrix(entries, mask)
+        _fill(entries, mask, i, k, complete_one_entry_consistent(current, i, k, tol))
     _join_components(entries, mask, comps, join_scale, join_u, join_v)
     return PartialReciprocalMatrix(entries, mask).to_complete()

@@ -15,7 +15,7 @@ from .completion import FeasibleInterval, feasible_interval
 from .errors import MatrixTooSmallError
 from .graphs import Edge
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
-from .measures import TriadProduct, TriadScan, triad_scan, triad_sets_for_entry
+from .measures import TriadScan, triad_scan, triad_sets_for_entry
 
 EDGE_RULES = ("best", "paper")
 
@@ -48,24 +48,6 @@ class ReductionTrace:
         return self.steps[-1].mt_after if self.steps else self.mt_initial
 
 
-def _worst_scan(m: CompleteReciprocalMatrix, tol: Tolerances) -> TriadScan:
-    if m.n < 3:
-        raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
-    return triad_scan(m, tol)
-
-
-def worst_triad(
-    m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL
-) -> tuple[TriadProduct, bool]:
-    """Triad with the maximum oriented product, plus a tie flag.
-
-    The flag is set when another oriented product lies within ``tol.cmp``
-    of the maximum; ties break to the lexicographically smallest triple.
-    """
-    scan = _worst_scan(m, tol)
-    return scan.worst, scan.tie
-
-
 def reduce_step(
     m: CompleteReciprocalMatrix,
     tol: Tolerances = DEFAULT_TOL,
@@ -78,7 +60,9 @@ def reduce_step(
     lexicographically smallest edge).  ``edge_rule="paper"`` re-solves only
     the (min, max) entry of the triad.
     """
-    return _reduce_step(m, _worst_scan(m, tol), tol, edge_rule)[:2]
+    if m.n < 3:
+        raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
+    return _reduce_step(m, triad_scan(m, tol), tol, edge_rule)[:2]
 
 
 def _reduce_step(

@@ -7,6 +7,8 @@ import math
 import numpy as np
 
 from triadcomplete import SpecGraph, is_chordal, validate
+from triadcomplete.completion import FeasibleInterval
+from triadcomplete.measures import TriadSets
 
 SQRT6 = math.sqrt(6.0)
 
@@ -72,6 +74,32 @@ def five_completed():
     )
 
 
+def has_edge(g, i, j):
+    return j in g.adj[i]
+
+
+def add_edge(g, i, j):
+    """``g`` plus the edge {i, j}."""
+    return SpecGraph.from_edges(g.n, g.edges | {(i, j)})
+
+
+def c0_products(ts: TriadSets, x: float) -> list[tuple[tuple[int, int, int], float]]:
+    """Oriented 3-cycle products through ``ts.entry`` once it is set to x."""
+    i, k = ts.entry
+    out = []
+    for j, s in ts.s:
+        out.append(((i, j, k), s / x))
+        out.append(((k, j, i), x / s))
+    return out
+
+
+def minimax_value(fi: FeasibleInterval) -> float:
+    """Largest new oriented triad product at the interval's minimax point."""
+    if fi.unconstrained:
+        return 1.0
+    return fi.mt_context * math.sqrt(fi.lo / fi.hi)
+
+
 def log_uniform(rng, lo, hi, size=None):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
@@ -98,10 +126,10 @@ def random_connected_chordal_graph(rng, n, min_missing=0):
     budget = len(g.non_edges()) - min_missing
     extra = int(rng.integers(0, budget + 1)) if budget > 0 else 0
     for _ in range(extra):
-        addable = [e for e in g.non_edges() if is_chordal(g.add_edge(*e))[0]]
+        addable = [e for e in g.non_edges() if is_chordal(add_edge(g, *e))[0]]
         if not addable:
             break
-        g = g.add_edge(*addable[int(rng.integers(len(addable)))])
+        g = add_edge(g, *addable[int(rng.integers(len(addable)))])
     return g
 
 
@@ -156,7 +184,7 @@ def perturbed_consistent(rng, n, factor=9.0):
 def _graph_distance(g, a, b):
     from collections import deque
 
-    adj = g.adjacency()
+    adj = g.adj
     dist = {a: 0}
     queue = deque([a])
     while queue:
@@ -184,7 +212,7 @@ def random_nonchordal_pcplus(rng, n):
         g = SpecGraph.from_edges(n, random_tree_edges(rng, n))
         far = [e for e in g.non_edges() if _graph_distance(g, *e) >= 3]
         if far:
-            g = g.add_edge(*far[int(rng.integers(len(far)))])
+            g = add_edge(g, *far[int(rng.integers(len(far)))])
             break
     assert not is_chordal(g)[0]
     return mask_to_graph(full, g), full

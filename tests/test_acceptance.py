@@ -99,7 +99,7 @@ def test_criterion_02_first_interval_and_minimax():
     assert fi.lo == pytest.approx(1 / 3, rel=tol)
     assert fi.hi == pytest.approx(1 / 2, rel=tol)
     assert fi.minimax == pytest.approx(SQRT6 / 6, rel=tol)
-    assert fi.minimax_value == pytest.approx(2 * SQRT6 / 3, rel=tol)
+    assert cases.minimax_value(fi) == pytest.approx(2 * SQRT6 / 3, rel=tol)
     _passed(2, "4x4 subproblem: interval [1/3, 1/2], minimax sqrt(6)/6")
 
 
@@ -114,7 +114,7 @@ def test_criterion_03_second_interval_and_preserved_measure():
     assert fi.lo == pytest.approx(SQRT6 / 4, rel=tol)
     assert fi.hi == pytest.approx(2.0, rel=tol)
     assert fi.minimax == pytest.approx(math.sqrt(SQRT6 / 2), rel=tol)
-    assert fi.minimax_value == pytest.approx(math.sqrt(2 * SQRT6), rel=tol)
+    assert cases.minimax_value(fi) == pytest.approx(math.sqrt(2 * SQRT6), rel=tol)
     completed = b.with_entry(0, 4, fi.minimax).to_complete()
     assert mt(completed) == pytest.approx(4.0, rel=tol)
     assert mt(completed) == pytest.approx(mt(n_partial), rel=tol)

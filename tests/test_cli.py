@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
-from triadcomplete import cli, completion, fileio, measures
+from triadcomplete import cli, completion, fileio, graphs, measures, oracle
 from triadcomplete.cli import _json, main
 from triadcomplete.fileio import parse_matrix
 
@@ -359,6 +359,34 @@ class TestUsage:
         assert located in err and "Traceback" not in err
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (
+                ["check"],
+                "1,1e200\n1e200,1\n",
+                "line 1, col 2: entries (1, 2) and (2, 1) are not mutual reciprocals;"
+                " their product is inf",
+            ),
+            (
+                ["check"],
+                "1,-1\n-1,1\n",
+                "line 1, col 2: entry (1, 2) must be positive and finite, got -1.0",
+            ),
+            (["check"], "2,1\n1,1\n", "line 1: diagonal entry (1, 1) must equal 1, got 2.0"),
+            (
+                ["complete"],
+                CYCLE_TEXT,
+                "component {1,2,3,4} is not chordal; chordless cycle 1-2-3-4",
+            ),
+        ],
+        ids=["reciprocal-product", "negative-cell", "diagonal", "not-chordal"],
+    )
+    def test_messages_one_based_with_plain_floats(self, write, capsys, argv, text, message):
+        code = main([argv[0], write("m.csv", text)])
+        assert code == (1 if argv == ["complete"] else 2)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_module_entry_point(self, write):
         path = write("block.csv", BLOCK_TEXT)
         env = dict(os.environ)
@@ -436,6 +464,17 @@ class TestWorkDoneOnce:
         doc = json.loads(capsys.readouterr().out)
         assert len(calls) == 1
         assert out.read_text() == "".join(",".join(row) + "\n" for row in doc["matrix"])
+
+    @pytest.mark.parametrize(
+        "engine", [completion.complete_mt_preserving, oracle.complete_consistent_chordal]
+    )
+    def test_is_chordal_once_per_component(self, monkeypatch, rng, engine):
+        g = graphs.SpecGraph.from_matrix(cases.random_two_component_chordal_prm(rng))
+        m = cases.mask_to_graph(cases.consistent_matrix(cases.random_weights(rng, g.n)), g)
+        holders = [mod for mod in (graphs, completion, oracle) if hasattr(mod, "is_chordal")]
+        calls = self.counted(monkeypatch, graphs, "is_chordal", holders)
+        engine(m)
+        assert len(calls) == len(graphs.connected_components(g)) == 2
 
     def test_tree_weights_twice_per_component(self, write, capsys, monkeypatch):
         # Two components: the 4-cycle with consistent data, and a lone pair.

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 import cases
+from cases import add_edge, has_edge
 from triadcomplete import (
     SpecGraph,
     chordal_ordering,
-    common_specified_neighbors,
     connected_components,
     is_chordal,
-    spanning_tree,
     validate,
 )
+from triadcomplete.completion import _chordal_orderings
 from triadcomplete.errors import NotChordalError, NotConnectedError
+from triadcomplete.graphs import bfs_parents
 
 
 def brute_is_chordal(g):
@@ -26,13 +27,13 @@ def brute_is_chordal(g):
                     continue
                 cycle = (first,) + rest
                 closed = cycle + (first,)
-                if not all(g.has_edge(a, b) for a, b in zip(closed, closed[1:])):
+                if not all(has_edge(g, a, b) for a, b in zip(closed, closed[1:])):
                     continue
                 cycle_edges = {tuple(sorted(p)) for p in zip(closed, closed[1:])}
                 chords = [
                     (a, b)
                     for a, b in combinations(cycle, 2)
-                    if g.has_edge(a, b) and tuple(sorted((a, b))) not in cycle_edges
+                    if has_edge(g, a, b) and tuple(sorted((a, b))) not in cycle_edges
                 ]
                 if not chords:
                     return False
@@ -44,10 +45,41 @@ def reference_ordering(g, lowest_first=False):
     ordering = []
     while g.non_edges():
         candidates = sorted(g.non_edges(), reverse=not lowest_first)
-        e = next(e for e in candidates if is_chordal(g.add_edge(*e))[0])
+        e = next(e for e in candidates if is_chordal(add_edge(g, *e))[0])
         ordering.append(e)
-        g = g.add_edge(*e)
+        g = add_edge(g, *e)
     return tuple(ordering)
+
+
+def spanning_tree(g):
+    """BFS spanning tree from vertex 0, neighbors visited in ascending order."""
+    parent = bfs_parents(g.adj, 0)
+    if len(parent) != g.n:
+        raise NotConnectedError("spanning tree requires a connected graph")
+    return SpecGraph.from_edges(g.n, [(p, v) for v, p in parent.items() if v != p])
+
+
+def common_specified_neighbors(g, i, k):
+    """All j adjacent to both i and k, ascending."""
+    if i == k:
+        raise ValueError("vertices must be distinct")
+    return tuple(sorted(g.adj[i] & g.adj[k]))
+
+
+def induced_by_edge_walk(g, vertices):
+    """Subgraph on ``vertices`` relabeled in sorted order, one pass over all edges."""
+    local = {v: p for p, v in enumerate(sorted(vertices))}
+    edges = [(local[i], local[j]) for i, j in g.edges if i in local and j in local]
+    return SpecGraph.from_edges(len(local), edges)
+
+
+def two_component_graph(rng, n1, n2):
+    """Two random connected chordal graphs on interleaved, shuffled vertex labels."""
+    g1 = cases.random_connected_chordal_graph(rng, n1)
+    g2 = cases.random_connected_chordal_graph(rng, n2)
+    label = rng.permutation(n1 + n2).tolist()
+    edges = list(g1.edges) + [(i + n1, j + n1) for i, j in g2.edges]
+    return SpecGraph.from_edges(n1 + n2, [(label[i], label[j]) for i, j in edges])
 
 
 def random_graph(rng, n, p):
@@ -71,6 +103,27 @@ class TestFromMatrix:
         g = SpecGraph.from_matrix(cases.five_partial())
         assert g.non_edges() == [(0, 4), (1, 4)]
 
+    def test_equals_edges_of_mask(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            m = cases.random_prm(rng, n, p=float(rng.uniform(0.05, 0.9)))
+            rows, cols = np.nonzero(np.triu(m.mask, 1))
+            g = SpecGraph.from_matrix(m)
+            assert g == SpecGraph.from_edges(n, zip(rows.tolist(), cols.tolist()))
+            assert g.n == n and len(g.edges) == len(rows)
+
+    def test_induced_equals_edge_walk(self, rng):
+        disconnected = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.7)))
+            comps = connected_components(g)
+            disconnected += len(comps) > 1
+            subset = [v for v in range(n) if rng.random() < 0.5]
+            for vertices in [*comps, subset, range(n)]:
+                assert g.induced(vertices) == induced_by_edge_walk(g, vertices)
+        assert disconnected >= 10
+
 
 class TestIsChordal:
     def test_trees_are_chordal(self, rng):
@@ -84,7 +137,7 @@ class TestIsChordal:
         assert not ok
         assert sorted(witness) == [0, 1, 2, 3]
         closed = witness + (witness[0],)
-        assert all(g.has_edge(a, b) for a, b in zip(closed, closed[1:]))
+        assert all(has_edge(g, a, b) for a, b in zip(closed, closed[1:]))
 
     def test_five_by_five_graph_is_chordal(self):
         g = SpecGraph.from_matrix(cases.five_partial())
@@ -101,10 +154,10 @@ class TestIsChordal:
             assert len(witness) >= 4
             closed = witness + (witness[0],)
             cycle_edges = {tuple(sorted(p)) for p in zip(closed, closed[1:])}
-            assert all(g.has_edge(a, b) for a, b in zip(closed, closed[1:]))
+            assert all(has_edge(g, a, b) for a, b in zip(closed, closed[1:]))
             for a, b in combinations(witness, 2):
                 if tuple(sorted((a, b))) not in cycle_edges:
-                    assert not g.has_edge(a, b)
+                    assert not has_edge(g, a, b)
 
     def test_agrees_with_brute_force(self, rng):
         for _ in range(150):
@@ -157,7 +210,7 @@ class TestChordalOrdering:
             assert len(ordering) == len(g.non_edges())
             current = g
             for e in ordering:
-                current = current.add_edge(*e)
+                current = add_edge(current, *e)
                 assert brute_is_chordal(current)
             assert current.non_edges() == []
 
@@ -168,6 +221,20 @@ class TestChordalOrdering:
             g = cases.random_connected_chordal_graph(rng, int(rng.integers(4, 13)))
             for lowest_first in (False, True):
                 assert chordal_ordering(g, lowest_first) == reference_ordering(g, lowest_first)
+        # Two components on shuffled labels: the engines' ordering is each
+        # component's reference ordering in turn, mapped to matrix indices.
+        for _ in range(10):
+            g = two_component_graph(rng, int(rng.integers(2, 11)), int(rng.integers(2, 11)))
+            m = cases.prm_on_graph(rng, g)
+            for lowest_first in (False, True):
+                comps, ordering = _chordal_orderings(m, lowest_first)
+                assert comps == connected_components(g)
+                expected = [
+                    (comp[a], comp[b])
+                    for comp in comps
+                    for a, b in reference_ordering(g.induced(comp), lowest_first)
+                ]
+                assert ordering == expected
 
     def test_chord_forcing_at_each_step(self, rng):
         # Common neighbors of a chordality-preserving new edge must be
@@ -180,8 +247,8 @@ class TestChordalOrdering:
             for i, k in chordal_ordering(g):
                 common = common_specified_neighbors(current, i, k)
                 for a, b in combinations(common, 2):
-                    assert current.has_edge(a, b)
-                current = current.add_edge(i, k)
+                    assert has_edge(current, a, b)
+                current = add_edge(current, i, k)
 
 
 class TestSpanningTree:

@@ -104,7 +104,7 @@ class TestValidate:
     def test_one_sided_pair_filled_with_reciprocal(self):
         m = validate([[1, 4], [None, 1]])
         assert m.entries[1, 0] == 0.25
-        assert m.is_specified(1, 0)
+        assert m.mask[1, 0]
 
     def test_upper_triangle_is_authoritative(self):
         # 1/3 cannot be written exactly, so the mate is re-derived from the
@@ -170,7 +170,7 @@ class TestEntryEditing:
 
     def test_without_entry_masks_pair(self):
         m = validate([[1, 2], [0.5, 1]]).without_entry(0, 1)
-        assert not m.is_specified(0, 1) and not m.is_specified(1, 0)
+        assert not m.mask[0, 1] and not m.mask[1, 0]
         assert np.isnan(m.entries[0, 1])
 
     def test_diagonal_refused(self):

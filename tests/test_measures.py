@@ -208,7 +208,7 @@ class TestTriadSetsForEntry:
 
     def test_c0_products_pair_up(self):
         ts = triad_sets_for_entry(cases.five_partial(), 1, 4)
-        prods = dict(ts.c0_products(0.5))
+        prods = dict(cases.c0_products(ts, 0.5))
         assert prods[(1, 2, 4)] == pytest.approx((2 / 3) / 0.5, rel=1e-12)
         assert prods[(4, 2, 1)] == pytest.approx(0.5 / (2 / 3), rel=1e-12)
 

@@ -5,12 +5,12 @@ import pytest
 
 import cases
 from triadcomplete import (
+    max_triad,
     mt,
     oracle,
     reduce,
     reduce_step,
     validate,
-    worst_triad,
 )
 from triadcomplete.errors import MatrixTooSmallError
 from triadcomplete.oracle import specified_triads
@@ -24,7 +24,7 @@ from triadcomplete.reduction import (
 class TestWorstTriad:
     def test_single_triangle_no_tie(self):
         m = validate([[1, 2, 1], [0.5, 1, 2], [1, 0.5, 1]]).to_complete()
-        triad, tie = worst_triad(m)
+        triad, tie = max_triad(m)
         assert (triad.i, triad.j, triad.k) == (0, 1, 2)
         assert triad.max_value == pytest.approx(4.0)
         assert not tie
@@ -33,7 +33,7 @@ class TestWorstTriad:
         # Enumerating all ten triads puts the unique maximum, 4, on the
         # triangle {0, 1, 2}; the runner-up is 3 on {0, 1, 3}.
         m = cases.five_completed()
-        triad, tie = worst_triad(m)
+        triad, tie = max_triad(m)
         assert (triad.i, triad.j, triad.k) == (0, 1, 2)
         assert triad.max_value == pytest.approx(4.0, rel=1e-12)
         assert not tie
@@ -42,15 +42,15 @@ class TestWorstTriad:
 
     def test_consistent_matrix_ties(self, rng):
         m = cases.consistent_matrix(cases.random_weights(rng, 4)).to_complete()
-        triad, tie = worst_triad(m)
+        triad, tie = max_triad(m)
         assert triad.max_value == pytest.approx(1.0) and tie
-
-    def test_too_small(self):
-        with pytest.raises(MatrixTooSmallError):
-            worst_triad(validate([[1, 3], [1 / 3, 1]]).to_complete())
 
 
 class TestReduceStep:
+    def test_too_small(self):
+        with pytest.raises(MatrixTooSmallError):
+            reduce_step(validate([[1, 3], [1 / 3, 1]]).to_complete())
+
     def test_three_by_three_repairs_to_consistency(self):
         m = validate([[1, 2, 1], [0.5, 1, 2], [1, 0.5, 1]]).to_complete()
         repaired, step = reduce_step(m)
