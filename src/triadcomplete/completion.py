@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadSets, mt, tree_violation, tree_weights, triad_scan, triad_sets_for_entry
+from .measures import TriadSets, mt, new_triads_mt, tree_violation, tree_weights, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -112,11 +111,19 @@ def select_value(interval: FeasibleInterval, selection: str) -> float:
     return interval.lo if selection == "lo" else interval.hi
 
 
-def _fill(entries: np.ndarray, mask: np.ndarray, i: int, k: int, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise MatrixError(f"entry ({i + 1}, {k + 1}): filled value {value!r} is out of range")
+def _fill(entries: np.ndarray, mask: np.ndarray, i, k, value) -> None:
+    """Set (i, k) to ``value`` and (k, i) to ``1.0 / value``; all three may be arrays.
+
+    The first value out of (0, inf), row-major, raises MatrixError naming its entry.
+    """
+    ok = np.greater(value, 0.0) & np.less(value, math.inf)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        i, k, value = (np.broadcast_to(a, ok.shape).flat[first] for a in (i, k, value))
+        raise MatrixError(f"entry ({i + 1}, {k + 1}): filled value {float(value)!r} is out of range")
     entries[i, k] = value
-    entries[k, i] = 1.0 / value
+    with np.errstate(over="ignore"):
+        entries[k, i] = 1.0 / value
     mask[i, k] = mask[k, i] = True
 
 
@@ -165,10 +172,10 @@ def _join_components(
             raise IndexError("join column index out of range for a block")
         r = merged[u_index]
         s = comp[v_index]
-        for i in merged:
-            for j in comp:
-                value = scale * float(entries[i, r]) * float(entries[s, j])
-                _fill(entries, mask, i, j, value)
+        rows, cols = np.array(merged), np.array(comp)
+        with np.errstate(over="ignore"):
+            block = np.multiply.outer(scale * entries[rows, r], entries[s, cols])
+        _fill(entries, mask, rows[:, None], cols, block)
         joins.append(BlockJoin(tuple(merged), tuple(comp), r, s, scale))
         merged = sorted(merged + list(comp))
     return joins
@@ -198,9 +205,10 @@ def complete_consistent_pc_plus(
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     for comp, w in zip(comps, weights):
-        for i, j in combinations(comp, 2):
-            if not mask[i, j]:
-                _fill(entries, mask, i, j, w[i] / w[j])
+        c, wv = np.array(comp), np.array([w[v] for v in comp])
+        a, b = np.nonzero(np.triu(~mask[np.ix_(c, c)], 1))  # the missing pairs, row-major
+        with np.errstate(over="ignore"):
+            _fill(entries, mask, c[a], c[b], wv[a] / wv[b])
     _join_components(entries, mask, comps, join_scale, join_u, join_v)
     return PartialReciprocalMatrix(entries, mask).to_complete()
 
@@ -214,24 +222,16 @@ def join_blocks(
 ) -> CompleteReciprocalMatrix:
     """Stack two complete blocks with off-diagonal block k * u * (1/v)^T.
 
-    ``u`` is column ``u_col`` of ``a`` and ``v`` column ``v_col`` of ``b``.
-    The result's measure equals the larger of the blocks' measures, and the
-    result is consistent whenever both blocks are.
+    ``u`` is column ``u_col`` of ``a`` and ``v`` column ``v_col`` of ``b``:
+    the join of :func:`_join_components`.  The result's measure equals the
+    larger of the blocks' measures, and it is consistent when both blocks are.
     """
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"scale k must be finite and positive, got {k!r}")
-    if not 0 <= u_col < a.n:
-        raise IndexError(f"u_col {u_col} out of range for a {a.n}x{a.n} block")
-    if not 0 <= v_col < b.n:
-        raise IndexError(f"v_col {v_col} out of range for a {b.n}x{b.n} block")
-    n1, n2 = a.n, b.n
-    entries = np.empty((n1 + n2, n1 + n2))
-    entries[:n1, :n1] = a.entries
-    entries[n1:, n1:] = b.entries
-    cross = k * np.outer(a.entries[:, u_col], 1.0 / b.entries[:, v_col])
-    entries[:n1, n1:] = cross
-    entries[n1:, :n1] = (1.0 / cross).T
-    return PartialReciprocalMatrix(entries, np.ones_like(entries, dtype=bool)).to_complete()
+    n1, n = a.n, a.n + b.n
+    entries = np.full((n, n), np.nan)
+    entries[:n1, :n1], entries[n1:, n1:] = a.entries, b.entries
+    mask = ~np.isnan(entries)
+    _join_components(entries, mask, [range(n1), range(n1, n)], k, u_col, v_col)
+    return PartialReciprocalMatrix(entries, mask).to_complete()
 
 
 def complete_mt_preserving(
@@ -246,10 +246,10 @@ def complete_mt_preserving(
 
     Requires every component chordal.  Entries are filled along a chordal
     ordering; each step draws its value from the feasible interval against
-    the current measure, which each after-fill check takes as the maximum of
-    the previous one and a scan of the clique of the entry and its common
-    neighbors, where every new triad lies.  Disconnected components are
-    joined with a rank-one block (defaults: first columns, unit scale).
+    the current measure, and its after-fill check forms only the triads
+    through the common neighbors (:func:`new_triads_mt`), exactly.
+    Disconnected components are joined with a rank-one block (defaults:
+    first columns, unit scale).
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
@@ -257,20 +257,18 @@ def complete_mt_preserving(
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     steps: list[CompletionStep] = []
-    current, context = m, mt(m)
+    context = mt(m)
     for i, k in ordering:
-        ts = triad_sets_for_entry(current, i, k)
+        ts = TriadSets.of(entries, mask, i, k)
         # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-        neighbors = [j for j, _ in ts.s]
-        if not mask[np.ix_(neighbors, neighbors)].all():
+        if not mask[ts.j][:, ts.j].all():
             raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
         interval = FeasibleInterval.from_triad_sets(ts, context)
         if not interval.lo <= interval.hi * (1.0 + tol.cmp):
             raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
         value = select_value(interval, selection)
         _fill(entries, mask, i, k, value)
-        current = PartialReciprocalMatrix(entries, mask)
-        after = max(context, triad_scan(current, tol, sorted([i, k, *neighbors])).mt)
+        after = max(context, new_triads_mt(entries, mask, i, k, ts.j))
         if not after <= context * (1.0 + tol.cmp):
             raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
         steps.append(CompletionStep((i, k), interval, value, context, after))

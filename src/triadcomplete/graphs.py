@@ -156,8 +156,8 @@ def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ..
     scans in ascending order instead and generally yields a different,
     equally valid ordering.  A valid next edge always exists for a chordal
     graph, so the greedy scan never dead-ends.  For a chordal G, G + uv is
-    chordal iff N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008), so
-    one BFS per candidate accepts exactly what a full chordality test would.
+    chordal iff N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008): one
+    BFS per candidate, none if N(u) ∩ N(v) is empty (G is connected).
     """
     if len(connected_components(g)) != 1:
         raise NotConnectedError("chordal ordering requires a connected graph")
@@ -169,7 +169,8 @@ def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ..
     ordering: list[Edge] = []
     while candidates:
         for p, (u, v) in enumerate(candidates):
-            if v not in bfs_parents(adj, u, blocked=adj[u] & adj[v]):
+            common = adj[u] & adj[v]
+            if common and v not in bfs_parents(adj, u, blocked=common):
                 break
         else:
             raise AssertionError("no chordality-preserving edge found")

@@ -70,7 +70,7 @@ class TriadScan:
         return 1.0 - 1.0 / self.mt
 
 
-def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL, within=None) -> TriadScan:
+def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> TriadScan:
     """Form every 3-cycle product once, looping over the middle index j.
 
     ``prods[i, k] = a[i,j] * a[j,k] * a[k,i]``; NaN entries poison exactly
@@ -79,11 +79,10 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL, within
     the peak grows with the value, so the first close row holds the worst
     triad, and a second close row or triad, or its reciprocal, is a tie.
     A product (or its reciprocal) that overflows raises :class:`MatrixError`
-    naming the triad, one-based.  ``within`` (ascending indices) limits the
-    scan to the triads inside it, still named by their indices in ``m``.
+    naming the triad, one-based.  :func:`new_triads_mt` updates ``mt``
+    after one fill from the new triads alone.
     """
-    at = range(m.n) if within is None else list(within)
-    e, n = (m.entries if within is None else m.entries[np.ix_(at, at)]), len(at)
+    e, n = m.entries, m.n
     e_t = np.ascontiguousarray(e.T)
     prods, row_peak = np.empty((n, n)), np.zeros((n, n))
     best, peak, count = 1.0, 0.0, 0
@@ -99,7 +98,7 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL, within
             peak = max(peak, float(top.max(initial=0.0)))
             if best == math.inf or peak == math.inf:
                 i, k = np.argwhere(np.isinf(prods) | np.isinf(1.0 / prods))[0]
-                a, b, c = sorted(at[x] + 1 for x in (i, j, k))
+                a, b, c = sorted(int(x) + 1 for x in (i, j, k))
                 raise MatrixError(f"triad ({a}, {b}, {c}): 3-cycle product overflows")
     if peak == 0.0:
         return TriadScan(best, best <= 1.0 + tol.cons, None, False, 0)
@@ -107,10 +106,29 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL, within
     i, j = (int(x) for x in rows[0])
     vals = e[i, j] * e[j, j + 1 :] * e[j + 1 :, i]
     hits = np.flatnonzero(np.abs(np.fmax(vals, 1.0 / vals) / peak - 1.0) <= tol.cmp)
-    worst = TriadProduct(at[i], at[j], at[j + 1 + int(hits[0])], float(vals[hits[0]]))
+    worst = TriadProduct(i, j, j + 1 + int(hits[0]), float(vals[hits[0]]))
     low = min(worst.value, worst.reciprocal)
     tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp
     return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, count)
+
+
+def new_triads_mt(entries: np.ndarray, mask: np.ndarray, i: int, k: int, js) -> float:
+    """Largest oriented product of the triads {i, j, k}, j in ``js``, after (i, k) is filled.
+
+    With ``js`` the common neighbors these are all the new triads, so the mt
+    after the fill is ``max(mt before, this)``.  Each product is formed as
+    ``(e[p,m] * e[m,q]) * e[q,p]``, m the middle vertex, as in :func:`triad_scan`,
+    so the two agree bit for bit; on overflow a full scan names the triad.
+    """
+    ij, jk, kj, ji = entries[i, js], entries[js, k], entries[k, js], entries[js, i]
+    x, y = entries[i, k], entries[k, i]
+    with np.errstate(over="ignore", divide="ignore"):
+        p = np.concatenate(((ij * jk) * y, (kj * ji) * x, (ji * x) * kj,  # middle j, j, i
+                            (y * ij) * jk, (x * kj) * ji, (jk * y) * ij))  # middle i, k, k
+        top, low = p.max(initial=1.0), p.min(initial=1.0)
+        if top == math.inf or 1.0 / low == math.inf:
+            return triad_scan(PartialReciprocalMatrix(entries, mask)).mt
+    return float(top)
 
 
 def mt(m: PartialReciprocalMatrix) -> float:
@@ -185,44 +203,49 @@ def tree_violation(m: PartialReciprocalMatrix, comp, w, tol: Tolerances) -> Edge
     return (comp[off[0, 0]], comp[off[0, 1]]) if len(off) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriadSets:
     """Triad bookkeeping around one unspecified entry (i, k).
 
-    ``s`` holds (j, a[i,j] * a[j,k]) for every common
-    specified neighbor j; these are exactly the triad products through
-    (i, k) once divided by the candidate value x.
+    ``j`` holds every common specified neighbor, ascending, and ``s`` the
+    products a[i,j] * a[j,k] over them; these are exactly the triad products
+    through (i, k) once divided by the candidate value x.
     """
 
     entry: Edge
-    s: tuple[tuple[int, float], ...]
+    j: np.ndarray
+    s: np.ndarray
+
+    @classmethod
+    def of(cls, entries: np.ndarray, mask: np.ndarray, i: int, k: int) -> TriadSets:
+        """Triad sets of entry (i, k), read from a partial matrix's arrays."""
+        i, k = (i, k) if i < k else (k, i)
+        if mask[i, k]:
+            raise EntrySpecifiedError(i, k)
+        js = np.flatnonzero(mask[i] & mask[k])
+        with np.errstate(over="ignore"):
+            return cls((i, k), js, entries[i, js] * entries[js, k])
 
     @property
     def is_unconstrained(self) -> bool:
-        return not self.s
+        return not self.s.size
 
     @property
     def s_min(self) -> float | None:
-        return min(v for _, v in self.s) if self.s else None
+        return float(self.s.min()) if self.s.size else None
 
     @property
     def s_max(self) -> float | None:
-        return max(v for _, v in self.s) if self.s else None
+        return float(self.s.max()) if self.s.size else None
 
     @property
     def minimax(self) -> float:
-        return math.sqrt(self.s_max * self.s_min) if self.s else 1.0
+        return math.sqrt(self.s_max * self.s_min) if self.s.size else 1.0
 
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:
     """Collect the triad sets relevant to filling the unspecified entry (i, k)."""
-    i, k = (i, k) if i < k else (k, i)
-    if m.mask[i, k]:
-        raise EntrySpecifiedError(i, k)
-    js = np.flatnonzero(m.mask[i] & m.mask[k])
-    with np.errstate(over="ignore"):
-        s = m.entries[i, js] * m.entries[js, k]
-    return TriadSets(entry=(i, k), s=tuple(zip(js.tolist(), s.tolist())))
+    return TriadSets.of(m.entries, m.mask, i, k)
 
 
 def max_triad(

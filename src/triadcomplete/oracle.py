@@ -151,12 +151,12 @@ def complete_one_entry_consistent(
     """
     i, k = (i, k) if i < k else (k, i)
     ts = triad_sets_for_entry(m, i, k)
-    if not ts.s:
+    if ts.is_unconstrained:
         raise NoCommonNeighborError(i, k)
-    x = ts.s[0][1]
-    for _, s in ts.s[1:]:
+    x, *rest = ts.s.tolist()
+    for s in rest:
         if abs(s / x - 1.0) > tol.cons:
-            raise NeighborDisagreementError(i, k, [s for _, s in ts.s])
+            raise NeighborDisagreementError(i, k, ts.s.tolist())
     return x
 
 

@@ -87,7 +87,7 @@ def c0_products(ts: TriadSets, x: float) -> list[tuple[tuple[int, int, int], flo
     """Oriented 3-cycle products through ``ts.entry`` once it is set to x."""
     i, k = ts.entry
     out = []
-    for j, s in ts.s:
+    for j, s in zip(ts.j.tolist(), ts.s.tolist()):
         out.append(((i, j, k), s / x))
         out.append(((k, j, i), x / s))
     return out
@@ -141,6 +141,27 @@ def prm_on_graph(rng, g):
     for i, j in sorted(g.edges):
         raw[i][j] = float(log_uniform(rng, 1 / 9, 9))
     return validate(raw)
+
+
+def star_graph(n):
+    """Vertex 0 adjacent to every other vertex, and no other edge."""
+    return SpecGraph.from_edges(n, [(0, j) for j in range(1, n)])
+
+
+def clique_attached_graph(rng, n, clique_max=4):
+    """Connected chordal graph in which each new vertex joins part of an earlier clique.
+
+    The new vertex is simplicial when added, so the graph stays chordal
+    with no chordality test, which keeps n in the tens affordable.
+    """
+    cliques = [(0,)]
+    edges = []
+    for v in range(1, n):
+        base = cliques[int(rng.integers(len(cliques)))]
+        part = rng.choice(base, int(rng.integers(1, min(len(base), clique_max) + 1)), replace=False)
+        edges += [(int(u), v) for u in part]
+        cliques.append((*part.tolist(), v))
+    return SpecGraph.from_edges(n, edges)
 
 
 def random_chordal_prm(rng, n, min_missing=0):

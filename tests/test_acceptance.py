@@ -94,7 +94,7 @@ def test_criterion_02_first_interval_and_minimax():
     a = cases.sub_four()
     assert mt(a) == pytest.approx(2.0, rel=tol)
     ts = triad_sets_for_entry(a, 0, 3)
-    assert sorted(v for _, v in ts.s) == pytest.approx([1 / 4, 2 / 3], rel=tol)
+    assert sorted(ts.s.tolist()) == pytest.approx([1 / 4, 2 / 3], rel=tol)
     fi = feasible_interval(a, 0, 3)
     assert fi.lo == pytest.approx(1 / 3, rel=tol)
     assert fi.hi == pytest.approx(1 / 2, rel=tol)
@@ -109,7 +109,7 @@ def test_criterion_03_second_interval_and_preserved_measure():
     b = n_partial.with_entry(1, 4, SQRT6 / 6)
     assert mt(b) == pytest.approx(4.0, rel=tol)
     ts = triad_sets_for_entry(b, 0, 4)
-    assert sorted(v for _, v in ts.s) == pytest.approx([1 / 2, 1.0, SQRT6], rel=tol)
+    assert sorted(ts.s.tolist()) == pytest.approx([1 / 2, 1.0, SQRT6], rel=tol)
     fi = feasible_interval(b, 0, 4)
     assert fi.lo == pytest.approx(SQRT6 / 4, rel=tol)
     assert fi.hi == pytest.approx(2.0, rel=tol)

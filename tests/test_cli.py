@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
-from triadcomplete import cli, completion, fileio, graphs, measures, oracle
+from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle
 from triadcomplete.cli import _json, main
 from triadcomplete.fileio import parse_matrix
 
@@ -475,6 +475,18 @@ class TestWorkDoneOnce:
         calls = self.counted(monkeypatch, graphs, "is_chordal", holders)
         engine(m)
         assert len(calls) == len(graphs.connected_components(g)) == 2
+
+    def test_no_matrix_built_per_fill_step(self, monkeypatch, rng):
+        cls = matrices.PartialReciprocalMatrix
+        builds = self.counted(monkeypatch, cls, "__post_init__", (cls,))
+        counts = []
+        for n in (16, 32):
+            m = cases.prm_on_graph(rng, cases.star_graph(n))
+            builds.clear()
+            report = completion.complete_mt_preserving(m)
+            assert len(report.steps) == (n - 1) * (n - 2) // 2
+            counts.append(len(builds))
+        assert counts[0] == counts[1]
 
     def test_tree_weights_twice_per_component(self, write, capsys, monkeypatch):
         # Two components: the 4-cycle with consistent data, and a lone pair.

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -10,12 +11,14 @@ from triadcomplete import (
     chordal_ordering,
     complete_consistent_pc_plus,
     complete_mt_preserving,
+    connected_components,
     feasible_interval,
     is_consistent,
     is_pc_plus,
     join_blocks,
     mt,
     oracle,
+    tree_weights,
     triad_sets_for_entry,
     validate,
 )
@@ -151,6 +154,48 @@ class TestCompleteConsistentPcPlus:
             with pytest.raises(NotPCPlusError) as exc:
                 complete_consistent_pc_plus(m)
             assert exc.value.edge == witness
+
+
+    def test_equals_pair_loop_bit_for_bit(self, rng):
+        # The loop the block fills replace: w[i] / w[j] per missing pair with
+        # its mirror as 1.0 / value, then each join cell by cell.
+        def pair_loop(m, scale):
+            entries, mask = np.array(m.entries), np.array(m.mask)
+            comps = connected_components(SpecGraph.from_matrix(m))
+            for comp in comps:
+                w = tree_weights(m, comp)
+                for i, j in combinations(comp, 2):
+                    if not mask[i, j]:
+                        value = w[i] / w[j]
+                        entries[i, j], entries[j, i] = value, 1.0 / value
+            merged = list(comps[0])
+            for comp in comps[1:]:
+                r, s = merged[0], comp[0]
+                for i in merged:
+                    for j in comp:
+                        value = scale * float(entries[i, r]) * float(entries[s, j])
+                        entries[i, j], entries[j, i] = value, 1.0 / value
+                merged = sorted(merged + list(comp))
+            return entries
+
+        for _ in range(12):
+            n = int(rng.integers(4, 14))
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.25]
+            g = SpecGraph.from_edges(n, pairs)
+            m = cases.mask_to_graph(cases.consistent_matrix(cases.random_weights(rng, n)), g)
+            scale = float(cases.log_uniform(rng, 1 / 9, 9))
+            result = complete_consistent_pc_plus(m, join_scale=scale)
+            assert result.entries.tobytes() == pair_loop(m, scale).tobytes()
+
+    def test_out_of_range_fill_names_the_first_pair(self):
+        # Pairs (3, 4), (3, 6), (4, 5) and (5, 6) leave double range; the
+        # first in combinations order is named.
+        w = [1.0, 1.0, 1e-200, 1e200, 1e-200, 1e200]
+        raw = np.full((6, 6), np.nan)
+        raw[0, 1:] = [w[0] / x for x in w[1:]]
+        message = re.escape("entry (3, 4): filled value 0.0 is out of range")
+        with pytest.raises(MatrixError, match=message):
+            complete_consistent_pc_plus(validate(raw))
 
 
 class TestJoinBlocks:
@@ -315,6 +360,14 @@ class TestCompleteMtPreserving:
                 for step in complete_mt_preserving(prm, selection=selection).steps:
                     current = current.with_entry(*step.edge, step.value)
                     assert mt(current) == step.mt_after
+
+    def test_out_of_range_join_names_the_first_cell(self):
+        # At scale 1e308 the cross cells (1, 4), (2, 3) and (2, 4) overflow;
+        # the first, row by row, is named.
+        raw = [[1, 1 / 4, None, None], [4, 1, None, None], [None, None, 1, 4], [None, None, 1 / 4, 1]]
+        message = re.escape("entry (1, 4): filled value inf is out of range")
+        with pytest.raises(MatrixError, match=message):
+            complete_mt_preserving(validate(raw), join_scale=1e308)
 
     def test_disconnected_components_joined(self, rng):
         prm = cases.random_two_component_chordal_prm(rng)

@@ -1,9 +1,10 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
@@ -12,6 +13,7 @@ from triadcomplete import (
     PartialReciprocalMatrix,
     SpecGraph,
     Tolerances,
+    complete_mt_preserving,
     is_pc_plus,
     is_pcm,
     koczkodaj_index,
@@ -24,7 +26,7 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
-from triadcomplete.measures import triad_scan
+from triadcomplete.measures import new_triads_mt, triad_scan
 from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
@@ -186,14 +188,14 @@ class TestTreeWeights:
 class TestTriadSetsForEntry:
     def test_five_by_five_second_row_entry(self):
         ts = triad_sets_for_entry(cases.five_partial(), 1, 4)
-        assert sorted(v for _, v in ts.s) == pytest.approx([1 / 4, 2 / 3], rel=1e-12)
+        assert sorted(ts.s.tolist()) == pytest.approx([1 / 4, 2 / 3], rel=1e-12)
         assert ts.s_max == pytest.approx(2 / 3, rel=1e-12)
         assert ts.s_min == pytest.approx(1 / 4, rel=1e-12)
 
     def test_five_by_five_top_entry_after_fill(self):
         b = cases.five_partial().with_entry(1, 4, cases.SQRT6 / 6)
         ts = triad_sets_for_entry(b, 0, 4)
-        assert sorted(v for _, v in ts.s) == pytest.approx(
+        assert sorted(ts.s.tolist()) == pytest.approx(
             [1 / 2, 1.0, cases.SQRT6], rel=1e-12
         )
 
@@ -312,3 +314,50 @@ class TestTriadScan:
         tiny = PartialReciprocalMatrix(entries, np.ones((4, 4), dtype=bool))
         with pytest.raises(MatrixError, match=r"triad \(2, 3, 4\)"):
             triad_scan(tiny)
+
+
+def scaled_prm(rng, g, shift):
+    """Random entries on the pattern of ``g``, each scaled by 2**e with |e| <= shift."""
+    raw = np.full((g.n, g.n), np.nan)
+    for i, j in sorted(g.edges):
+        raw[i, j] = float(cases.log_uniform(rng, 1 / 9, 9)) * 2.0 ** int(rng.integers(-shift, shift + 1))
+    return validate(raw)
+
+
+class TestNewTriadsMt:
+    @settings(max_examples=12)
+    @given(
+        n=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+        star=st.booleans(),
+        shift=st.sampled_from([0, 8, 60]),
+    )
+    def test_running_max_equals_full_scan(self, n, seed, star, shift):
+        # Replay the engine's fills; after each one the running maximum of the
+        # kernel must be the filled matrix's mt, bit for bit.
+        rng = np.random.default_rng(seed)
+        g = cases.star_graph(n) if star else cases.clique_attached_graph(rng, n)
+        m = scaled_prm(rng, g, shift)
+        entries, mask = np.array(m.entries), np.array(m.mask)
+        context = mt(m)
+        for step in complete_mt_preserving(m).steps:
+            i, k = step.edge
+            js = np.flatnonzero(mask[i] & mask[k])
+            entries[i, k], entries[k, i] = step.value, 1.0 / step.value
+            mask[i, k] = mask[k, i] = True
+            context = max(context, new_triads_mt(entries, mask, i, k, js))
+            assert context == mt(PartialReciprocalMatrix(entries, mask))
+
+    @pytest.mark.parametrize("big", [1e200, 1e-200])
+    def test_overflow_names_the_triad(self, big):
+        # Filling (2, 4) closes the triad {2, 4, 5}, whose product overflows
+        # (or underflows to 0); the triad {1, 2, 5} is finite.
+        raw = np.full((5, 5), np.nan)
+        raw[0, 1], raw[0, 4], raw[1, 4], raw[3, 4] = 2.0, 3.0, big, 1 / big
+        m = validate(raw)
+        entries, mask = np.array(m.entries), np.array(m.mask)
+        entries[1, 3] = entries[3, 1] = 1.0
+        mask[1, 3] = mask[3, 1] = True
+        message = re.escape("triad (2, 4, 5): 3-cycle product overflows")
+        with pytest.raises(MatrixError, match=message):
+            new_triads_mt(entries, mask, 1, 3, np.array([4]))
