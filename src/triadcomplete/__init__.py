@@ -19,7 +19,7 @@ from .completion import (
     join_blocks,
     select_value,
 )
-from .fileio import format_matrix, load_matrix, parse_matrix, save_matrix
+from .fileio import format_matrix, load_matrix, parse_matrix
 from .graphs import (
     SpecGraph,
     chordal_ordering,
@@ -90,7 +90,6 @@ __all__ = [
     "rank_one_vector",
     "reduce",
     "reduce_step",
-    "save_matrix",
     "select_value",
     "tree_weights",
     "triad_sets_for_entry",

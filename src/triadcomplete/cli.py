@@ -28,7 +28,6 @@ from .errors import (
     NoConsistentCompletionError,
 )
 from .fileio import load_matrix, format_matrix
-from .graphs import SpecGraph, connected_components, is_chordal
 from .matrices import PartialReciprocalMatrix, Tolerances
 from .measures import TriadScan, is_pc_plus, mt, triad_scan
 from .reduction import EDGE_RULES, reduce
@@ -85,25 +84,16 @@ def _interval_doc(interval) -> dict:
 
 
 def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> dict:
-    g = SpecGraph.from_matrix(m)
-    comps = connected_components(g)
-    per_component = []
-    all_chordal = True
-    for comp in comps:
-        ok, witness = is_chordal(g.induced(comp))
-        all_chordal &= ok
-        per_component.append(
-            {
-                "vertices": _one_based(comp),
-                "chordal": ok,
-                "witness_cycle": _one_based(comp[v] for v in witness) if witness else None,
-            }
-        )
+    all_chordal = not any(m.graph.chordless_cycles)
     pc_plus, witness_edge = is_pc_plus(m, tol)
     return {
         "n": m.n,
         "unspecified_pairs": [[i + 1, j + 1] for i, j in m.missing_pairs()],
-        "components": per_component,
+        "components": [
+            {"vertices": _one_based(comp), "chordal": cycle is None,
+             "witness_cycle": _one_based(cycle) if cycle else None}
+            for comp, cycle in zip(m.graph.components, m.graph.chordless_cycles)
+        ],
         "all_components_chordal": all_chordal,
         "pcm": scan.pcm,
         "pc_plus": pc_plus,
@@ -234,12 +224,9 @@ def _completion_steps_doc(report: CompletionReport) -> list[dict]:
     ]
 
 
-def _filled_entries_doc(before: PartialReciprocalMatrix, after) -> list[dict]:
+def _filled_entries_doc(pairs, after) -> list[dict]:
     values = after.entries.tolist()
-    return [
-        {"edge": [i + 1, j + 1], "interval": None, "value": values[i][j]}
-        for (i, j) in before.missing_pairs()
-    ]
+    return [{"edge": [i, j], "interval": None, "value": values[i - 1][j - 1]} for i, j in pairs]
 
 
 def cmd_complete(args) -> int:
@@ -282,7 +269,7 @@ def cmd_complete(args) -> int:
             raise NoConsistentCompletionError(
                 "input is neither PC+ nor a chordal PCM; no consistent completion exists"
             )
-        steps_doc = _filled_entries_doc(m, result)
+        steps_doc = _filled_entries_doc(cls["unspecified_pairs"], result)
     else:
         completion = complete_mt_preserving(m, selection=args.selection, tol=tol, **join)
         result = completion.result

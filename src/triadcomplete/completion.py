@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComponentNotChordalError, MatrixError, NotChordalError, NotPCPlusError
-from .graphs import Edge, SpecGraph, chordal_ordering, connected_components
+from .errors import ComponentNotChordalError, MatrixError, NotPCPlusError
+from .graphs import Edge, _greedy_ordering
 from .matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
@@ -135,16 +135,13 @@ def _chordal_orderings(
     The ordering runs component by component, in matrix indices.  The first
     component that is not chordal raises :class:`ComponentNotChordalError`.
     """
-    g = SpecGraph.from_matrix(m)
-    comps = connected_components(g)
+    g = m.graph
     ordering = []
-    for comp in comps:
-        try:
-            local = chordal_ordering(g.induced(comp), lowest_first)
-        except NotChordalError as exc:
-            raise ComponentNotChordalError(comp, [comp[v] for v in exc.cycle]) from None
-        ordering += [(comp[a], comp[b]) for a, b in local]
-    return comps, ordering
+    for comp, cycle in zip(g.components, g.chordless_cycles):
+        if cycle is not None:
+            raise ComponentNotChordalError(comp, cycle)
+        ordering += _greedy_ordering(g.adj, comp, lowest_first)
+    return list(g.components), ordering
 
 
 def _join_components(
@@ -195,7 +192,7 @@ def complete_consistent_pc_plus(
     specified entries; across components there is a free scale per join,
     unit by default.
     """
-    comps = connected_components(SpecGraph.from_matrix(m))
+    comps = m.graph.components
     weights = []
     for comp in comps:
         weights.append(tree_weights(m, comp))

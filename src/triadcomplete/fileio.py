@@ -116,8 +116,3 @@ def format_matrix(
 def load_matrix(path, tol: Tolerances = DEFAULT_TOL) -> tuple[PartialReciprocalMatrix, list[list[str]]]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_matrix(handle.read(), tol)
-
-
-def save_matrix(path, m: PartialReciprocalMatrix, source_tokens=None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_matrix(m, source_tokens))

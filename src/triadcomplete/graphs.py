@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import NotChordalError, NotConnectedError
-from .matrices import PartialReciprocalMatrix
 
 Edge = tuple[int, int]
 
@@ -47,9 +47,20 @@ class SpecGraph:
         return cls(tuple(map(frozenset, adj)))
 
     @classmethod
-    def from_matrix(cls, m: PartialReciprocalMatrix) -> SpecGraph:
+    def from_matrix(cls, m) -> SpecGraph:
+        """Edges where matrix ``m`` is specified off the diagonal; ``m.graph`` keeps it."""
         mask = m.mask & ~np.eye(m.n, dtype=bool)
         return cls(tuple(frozenset(np.flatnonzero(row).tolist()) for row in mask))
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(connected_components(self))
+
+    @cached_property
+    def chordless_cycles(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per component, a chordless cycle in this graph's labels, or None when it is chordal."""
+        witnesses = [is_chordal(self.induced(comp))[1] for comp in self.components]
+        return tuple(w and tuple(c[v] for v in w) for c, w in zip(self.components, witnesses))
 
     def non_edges(self) -> list[Edge]:
         return [(i, j) for i, j in combinations(range(self.n), 2) if j not in self.adj[i]]
@@ -130,14 +141,14 @@ def _chordless_cycle(adj) -> tuple[int, ...]:
 
 
 def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test; on failure also returns a chordless cycle witness."""
+    """Chordality test with a chordless-cycle witness; ``SpecGraph.chordless_cycles`` keeps it."""
     if _is_perfect_elimination(g.adj, _mcs_order(g.adj)[::-1]):
         return True, None
     return False, _chordless_cycle(g.adj)
 
 
 def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum."""
+    """Sorted vertex sets of the components, by minimum; ``SpecGraph.components`` keeps them."""
     seen: set[int] = set()
     comps = []
     for start in range(g.n):
@@ -151,21 +162,27 @@ def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
 def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ...]:
     """Greedy ordering of all non-edges keeping every prefix graph chordal.
 
-    Candidates are scanned highest pair first (the convention that matches
-    the worked examples shipped with the package); ``lowest_first=True``
-    scans in ascending order instead and generally yields a different,
-    equally valid ordering.  A valid next edge always exists for a chordal
-    graph, so the greedy scan never dead-ends.  For a chordal G, G + uv is
-    chordal iff N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008): one
-    BFS per candidate, none if N(u) ∩ N(v) is empty (G is connected).
+    Candidates are scanned highest pair first (the convention that matches the worked
+    examples shipped with the package); ``lowest_first=True`` scans in ascending order
+    instead and generally yields a different, equally valid ordering.  A valid next edge
+    always exists for a chordal graph, so the greedy scan never dead-ends.  For a chordal
+    G, G + uv is chordal iff N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008): one
+    BFS per candidate, none if N(u) ∩ N(v) is empty (G is connected).  ``g`` is tested
+    here; the engines read each component's verdict from ``chordless_cycles``.
     """
     if len(connected_components(g)) != 1:
         raise NotConnectedError("chordal ordering requires a connected graph")
     ok, witness = is_chordal(g)
     if not ok:
         raise NotChordalError(witness)
-    adj = [set(nb) for nb in g.adj]
-    candidates = sorted(g.non_edges(), reverse=not lowest_first)
+    return _greedy_ordering(g.adj, range(g.n), lowest_first)
+
+
+def _greedy_ordering(adj, comp, lowest_first: bool) -> tuple[Edge, ...]:
+    """:func:`chordal_ordering`'s scan of component ``comp`` (ascending), known chordal."""
+    adj = {v: set(adj[v]) for v in comp}
+    pairs = [(u, v) for u, v in combinations(comp, 2) if v not in adj[u]]
+    candidates = sorted(pairs, reverse=not lowest_first)
     ordering: list[Edge] = []
     while candidates:
         for p, (u, v) in enumerate(candidates):
@@ -178,4 +195,3 @@ def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ..
         adj[u].add(v)
         adj[v].add(u)
     return tuple(ordering)
-

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     ReciprocalOverflowError,
     ReciprocityViolationError,
 )
+from .graphs import SpecGraph
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,11 @@ class PartialReciprocalMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def graph(self) -> SpecGraph:
+        """The specification graph, built on first read; the mask is read-only."""
+        return SpecGraph.from_matrix(self)
 
     def is_complete(self) -> bool:
         return bool(self.mask.all())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntrySpecifiedError, MatrixError, NotConsistentError
-from .graphs import Edge, SpecGraph, bfs_parents, connected_components
+from .graphs import Edge, bfs_parents
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
 
 
@@ -159,17 +159,16 @@ def rank_one_vector(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) 
 
 
 def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
-    """BFS spanning-tree weights for one component of the specification graph.
+    """BFS spanning-tree weights for one component of ``m.graph``, walked inside it.
 
     The root (smallest vertex) gets weight 1 and each tree edge i -> j sets
     w[j] = w[i] / a[i, j], so w[i] / w[j] reproduces every tree entry.  A
     weight out of (0, inf) raises :class:`MatrixError` naming (root, j).
     """
     comp = sorted(component)
-    adj = {v: np.flatnonzero(m.mask[v]).tolist() for v in comp}
     outside = set(range(m.n)).difference(comp)
     weights = {}
-    for j, i in bfs_parents(adj, comp[0], blocked=outside).items():
+    for j, i in bfs_parents(m.graph.adj, comp[0], blocked=outside).items():
         weights[j] = 1.0 if i == j else weights[i] / float(m.entries[i, j])
         if not 0.0 < weights[j] < math.inf:
             raise MatrixError(f"entry ({comp[0] + 1}, {j + 1}): implied value is out of range")
@@ -187,7 +186,7 @@ def is_pc_plus(
     that edge as a witness (the tree path between its endpoints plus the
     edge itself closes a violating cycle).
     """
-    for comp in connected_components(SpecGraph.from_matrix(m)):
+    for comp in m.graph.components:
         edge = tree_violation(m, comp, tree_weights(m, comp), tol)
         if edge is not None:
             return False, edge

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import FeasibleInterval, feasible_interval
+from .completion import FeasibleInterval, _fill
 from .errors import MatrixTooSmallError
 from .graphs import Edge
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
-from .measures import TriadScan, triad_scan, triad_sets_for_entry
+from .measures import TriadScan, TriadSets, mt, triad_scan
 
 EDGE_RULES = ("best", "paper")
 
@@ -73,20 +73,20 @@ def _reduce_step(
         raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
     edges = [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]
-    best = None
-    for edge in edges:
-        masked = m.without_entry(*edge)
-        value = triad_sets_for_entry(masked, *edge).minimax
-        candidate = masked.with_entry(*edge, value).to_complete()
-        after = triad_scan(candidate, tol)
-        if best is None or (after.mt, edge) < (best[0].mt, best[1]):
-            best = (after, edge, candidate, value)
-    after, edge, candidate, value = best
+    tried = []
+    for a, b in edges:
+        entries, mask = m.entries.copy(), m.mask.copy()
+        mask[a, b] = mask[b, a] = False
+        ts = TriadSets.of(entries, mask, a, b)
+        _fill(entries, mask, a, b, ts.minimax)
+        candidate = CompleteReciprocalMatrix(entries, mask)
+        tried.append((triad_scan(candidate, tol), (a, b), candidate, ts))
+    after, edge, candidate, ts = min(tried, key=lambda t: (t[0].mt, t[1]))
     step = ReductionStep(
         edge=edge,
         old_value=float(m.entries[edge]),
-        new_value=value,
-        interval=feasible_interval(m.without_entry(*edge), *edge, tol),
+        new_value=ts.minimax,
+        interval=FeasibleInterval.from_triad_sets(ts, mt(m.without_entry(*edge))),
         mt_before=scan.mt,
         mt_after=after.mt,
         tie=scan.tie,

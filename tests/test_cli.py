@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
-from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle
+from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle, reduction
 from triadcomplete.cli import _json, main
 from triadcomplete.fileio import parse_matrix
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 FIVE_TEXT = """\
 1,6,1/2,1,?
@@ -225,6 +227,14 @@ class TestComplete:
             assert "error" in err and "Traceback" not in err
             assert "--join-cols" in err or not flag.startswith("--join-cols")
             assert not out.exists()
+
+    @pytest.mark.parametrize("cols", ["a,b", "1", "1,2,3"])
+    def test_unparsable_join_cols_exit_two(self, write, capsys, cols):
+        path = write("blocks.csv", "1,2,?,?\n1/2,1,?,?\n?,?,1,5\n?,?,1/5,1\n")
+        assert main(["complete", path, "--join-cols", cols]) == 2
+        err = capsys.readouterr().err
+        assert "--join-cols expects two comma-separated one-based indices" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n, d", [(8, 3e-10), (40, 9e-10)])
     def test_chordal_pcm_at_tolerance_edge_keeps_mt(self, write, capsys, n, d):
@@ -496,3 +506,50 @@ class TestWorkDoneOnce:
         assert main(["complete", write("two.csv", text), "--trace"]) == 0
         assert json.loads(capsys.readouterr().out)["completion"]["engine"] == "consistent-pc-plus"
         assert len(calls) == 2 * 2
+
+    def holders(self, name):
+        return [mod for mod in (graphs, measures, completion, cli) if hasattr(mod, name)]
+
+    @pytest.mark.parametrize("command", ["check", "complete"])
+    def test_one_graph_and_one_component_search_per_command(self, capsys, monkeypatch, command):
+        spec = graphs.SpecGraph
+        built = self.counted(monkeypatch, spec, "from_matrix", (spec,))
+        searched = self.counted(
+            monkeypatch, graphs, "connected_components", self.holders("connected_components")
+        )
+        main([command, str(DATA / "two_blocks_8x8.csv"), "--trace"])
+        assert len(json.loads(capsys.readouterr().out)["classification"]["components"]) == 2
+        assert len(built) == len(searched) == 1
+
+    def test_is_chordal_once_per_component_per_complete(self, capsys, monkeypatch):
+        calls = self.counted(monkeypatch, graphs, "is_chordal", self.holders("is_chordal"))
+        assert main(["complete", str(DATA / "two_blocks_8x8.csv"), "--trace"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == len(doc["classification"]["components"]) == 2
+
+    @pytest.mark.parametrize("text", [CYCLE_FIXED_TEXT, "1,2,?,?\n1/2,1,?,?\n?,?,1,5\n?,?,1/5,1\n"])
+    def test_missing_pairs_once_per_consistent_complete(self, write, capsys, monkeypatch, text):
+        prm = matrices.PartialReciprocalMatrix
+        calls = self.counted(monkeypatch, prm, "missing_pairs", (prm,))
+        assert main(["complete", write("m.csv", text), "--trace"]) == 0
+        assert json.loads(capsys.readouterr().out)["completion"]["mode"] == "consistent"
+        assert len(calls) == 1
+
+    def test_reduce_step_builds_a_fixed_number_of_matrices(self, monkeypatch, rng):
+        prm = matrices.PartialReciprocalMatrix
+        builds = self.counted(monkeypatch, prm, "__post_init__", (prm,))
+        counts = []
+        for n in (16, 32):
+            m = cases.perturbed_consistent(rng, n)[0]
+            builds.clear()
+            reduction.reduce_step(m)
+            counts.append(len(builds))
+        # One per candidate edge of the worst triad, one for the interval's context.
+        assert counts == [4, 4]
+
+    def test_pc_plus_reads_components_without_a_chordality_test(self, monkeypatch):
+        calls = self.counted(monkeypatch, graphs, "is_chordal", self.holders("is_chordal"))
+        m, _ = parse_matrix(CYCLE_FIXED_TEXT)
+        assert measures.is_pc_plus(m) == (True, None)
+        completion.complete_consistent_pc_plus(m)
+        assert calls == []

@@ -11,6 +11,7 @@ from triadcomplete import (
     chordal_ordering,
     complete_consistent_pc_plus,
     complete_mt_preserving,
+    completion,
     connected_components,
     feasible_interval,
     is_consistent,
@@ -360,6 +361,26 @@ class TestCompleteMtPreserving:
                 for step in complete_mt_preserving(prm, selection=selection).steps:
                     current = current.with_entry(*step.edge, step.value)
                     assert mt(current) == step.mt_after
+
+    def test_chord_forcing_check_fires(self, monkeypatch):
+        # The 4-cycle's missing entry (0, 2) has common neighbors 1 and 3, not adjacent.
+        m = validate(cases.CYCLE_PCM)
+        monkeypatch.setattr(
+            completion, "_chordal_orderings", lambda m: ([(0, 1, 2, 3)], [(0, 2), (1, 3)])
+        )
+        with pytest.raises(AssertionError, match=re.escape("common neighbors of (0, 2) are not")):
+            complete_mt_preserving(m)
+
+    def test_empty_interval_check_fires(self, monkeypatch):
+        # Against mt = 1 the constraining products of entry (1, 4) leave no value.
+        monkeypatch.setattr(completion, "mt", lambda m: 1.0)
+        with pytest.raises(AssertionError, match=re.escape("empty feasible interval at (1, 4)")):
+            complete_mt_preserving(cases.five_partial())
+
+    def test_measure_increase_check_fires(self, monkeypatch):
+        monkeypatch.setattr(completion, "select_value", lambda interval, selection: 2 * interval.hi)
+        with pytest.raises(AssertionError, match=re.escape("measure increased at (1, 4): 4.0 -> ")):
+            complete_mt_preserving(cases.five_partial())
 
     def test_out_of_range_join_names_the_first_cell(self):
         # At scale 1e308 the cross cells (1, 4), (2, 3) and (2, 4) overflow;

@@ -37,3 +37,14 @@ def test_product_modules_do_not_import_oracle():
         if any("oracle" in parts for parts in _imported_paths(node))
     ]
     assert found == []
+
+
+def test_graphs_does_not_import_matrices():
+    # A matrix owns its graph, so the dependency runs matrices -> graphs only.
+    path = SRC / "graphs.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if any("matrices" in parts for parts in _imported_paths(node))
+    ]
+    assert found == []
