@@ -13,7 +13,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
+
+import numpy as np
 
 from .completion import (
     SELECTIONS,
@@ -41,11 +45,31 @@ def _one_based(indices) -> list[int]:
     return [int(v) + 1 for v in indices]
 
 
+@dataclass(frozen=True)
+class Records:
+    """A list of dicts with the same keys, held by column.
+
+    ``columns[key]`` is an array whose first axis runs over the rows (a row
+    of a 2-D column is a list) or one value shared by every row; at least
+    one column is an array.  :func:`_json` writes it as it would write
+    :meth:`rows`, from one row template, so no per-row dict is built.
+    """
+
+    columns: dict
+
+    def rows(self) -> list[dict]:
+        lists = [c.tolist() if type(c) is np.ndarray else repeat(c) for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*lists)]
+
+
 def _json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` with non-finite floats written as null.
 
     ``pad`` is the newline and indent that precede this value's closing
-    bracket; its items sit one level (two spaces) deeper.
+    bracket; its items sit one level (two spaces) deeper.  Numpy arrays are
+    written as their ``tolist()`` and :class:`Records` as their ``rows()``;
+    those with only integers or finite floats are filled into one
+    %-template, and a row of strings is one join.
     """
     kind = type(value)
     if kind is str:
@@ -67,10 +91,62 @@ def _json(value, pad: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+        if set(map(type, value)) == {str}:
+            items = map(_json_string, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is np.ndarray:
+        slot = _slot(value)
+        if slot is None:
+            return _json(value.tolist(), pad)
+        return _slots(value.shape, slot, pad) % tuple(value.ravel().tolist())
+    if kind is Records:
+        return _json_records(value, pad)
     if isinstance(value, float):  # numpy floats
         return _json(float(value))
     raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
+def _slot(array: np.ndarray) -> str | None:
+    """The %-conversion that writes ``array``'s values as ``json.dumps`` does, if one does."""
+    if array.dtype.kind in "iu":
+        return "%d"
+    if array.dtype.kind == "f" and np.isfinite(array).all():
+        return "%r"
+    return None
+
+
+def _slots(shape: tuple[int, ...], slot: str, pad: str) -> str:
+    """%-template of a nested list of ``shape`` with every value written by ``slot``."""
+    if not shape:
+        return slot
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([_slots(shape[1:], slot, inner)] * shape[0]) + pad + "]"
+
+
+def _json_records(records: Records, pad: str) -> str:
+    """``_json(records.rows(), pad)``, from one row template when every column is plain."""
+    arrays = [c for c in records.columns.values() if type(c) is np.ndarray]
+    if not all(map(_slot, arrays)):
+        return _json(records.rows(), pad)
+    size = len(arrays[0])
+    if not size:
+        return "[]"
+    inner, field = pad + "  ", pad + "    "
+    fields = []
+    for key, column in records.columns.items():
+        if type(column) is np.ndarray:
+            text = _slots(column.shape[1:], _slot(column), field)
+        else:
+            text = _json(column, field).replace("%", "%%")
+        fields.append(_json_string(key).replace("%", "%%") + ": " + text)
+    row = "{" + field + ("," + field).join(fields) + inner + "}"
+    values = np.concatenate([a.reshape(size, -1).astype(object) for a in arrays], axis=1)
+    template = "[" + inner + ("," + inner).join([row] * size) + pad + "]"
+    return template % tuple(values.ravel().tolist())
 
 
 def _interval_doc(interval) -> dict:
@@ -88,7 +164,7 @@ def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> d
     pc_plus, witness_edge = is_pc_plus(m, tol)
     return {
         "n": m.n,
-        "unspecified_pairs": [[i + 1, j + 1] for i, j in m.missing_pairs()],
+        "unspecified_pairs": np.array(m.missing_pairs(), dtype=int).reshape(-1, 2) + 1,
         "components": [
             {"vertices": _one_based(comp), "chordal": cycle is None,
              "witness_cycle": _one_based(cycle) if cycle else None}
@@ -154,14 +230,16 @@ def _print_human(report: dict) -> None:
     comp = report.get("completion")
     if comp:
         print(f"mode: {comp['mode']}")
-        for step in comp["steps"]:
-            i, j = step["edge"]
-            line = f"filled ({i},{j}) = {_fmt(step['value'])}"
-            if step.get("interval") and not step["interval"]["unconstrained"]:
-                line += (
-                    f"  interval [{_fmt(step['interval']['lo'])},"
-                    f" {_fmt(step['interval']['hi'])}]"
-                )
+        steps = comp["steps"]
+        if type(steps) is Records:  # filled pairs without intervals
+            cols = steps.columns
+            rows = zip(cols["edge"].tolist(), cols["value"].tolist(), repeat(None))
+        else:
+            rows = ((step["edge"], step["value"], step["interval"]) for step in steps)
+        for (i, j), value, interval in rows:
+            line = f"filled ({i},{j}) = {_fmt(value)}"
+            if interval and not interval["unconstrained"]:
+                line += f"  interval [{_fmt(interval['lo'])}, {_fmt(interval['hi'])}]"
             print(line)
         print(f"MT before = {_fmt(comp['mt_before'])}, MT after = {_fmt(comp['mt_after'])}")
     red = report.get("reduction")
@@ -224,9 +302,10 @@ def _completion_steps_doc(report: CompletionReport) -> list[dict]:
     ]
 
 
-def _filled_entries_doc(pairs, after) -> list[dict]:
-    values = after.entries.tolist()
-    return [{"edge": [i, j], "interval": None, "value": values[i - 1][j - 1]} for i, j in pairs]
+def _filled_entries_doc(pairs: np.ndarray, after) -> Records:
+    """Steps of a consistent completion: the one-based ``pairs`` and their values in ``after``."""
+    values = after.entries[pairs[:, 0] - 1, pairs[:, 1] - 1]
+    return Records({"edge": pairs, "interval": None, "value": values})
 
 
 def cmd_complete(args) -> int:

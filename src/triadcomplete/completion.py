@@ -28,7 +28,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadSets, mt, new_triads_mt, tree_violation, tree_weights, triad_sets_for_entry
+from .measures import TriadSets, mt, new_triads_mt, tree_violation, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -193,19 +193,17 @@ def complete_consistent_pc_plus(
     unit by default.
     """
     comps = m.graph.components
-    weights = []
-    for comp in comps:
-        weights.append(tree_weights(m, comp))
-        witness = tree_violation(m, comp, weights[-1], tol)
+    for c, comp in enumerate(comps):
+        witness = tree_violation(m, comp, m.component_weights(c), tol)
         if witness is not None:
             raise NotPCPlusError(witness)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
-    for comp, w in zip(comps, weights):
-        c, wv = np.array(comp), np.array([w[v] for v in comp])
-        a, b = np.nonzero(np.triu(~mask[np.ix_(c, c)], 1))  # the missing pairs, row-major
+    for c, comp in enumerate(comps):
+        v, wv = np.array(comp), m.component_weights(c)
+        a, b = np.nonzero(np.triu(~mask[np.ix_(v, v)], 1))  # the missing pairs, row-major
         with np.errstate(over="ignore"):
-            _fill(entries, mask, c[a], c[b], wv[a] / wv[b])
+            _fill(entries, mask, v[a], v[b], wv[a] / wv[b])
     _join_components(entries, mask, comps, join_scale, join_u, join_v)
     return PartialReciprocalMatrix(entries, mask).to_complete()
 

@@ -80,6 +80,23 @@ class PartialReciprocalMatrix:
         """The specification graph, built on first read; the mask is read-only."""
         return SpecGraph.from_matrix(self)
 
+    @cached_property
+    def _weights(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def component_weights(self, c: int) -> np.ndarray:
+        """Spanning-tree weights of ``graph.components[c]`` in its vertex order, computed once.
+
+        They come from :func:`measures.tree_weights` and need no tolerance.
+        """
+        if c not in self._weights:
+            from .measures import tree_weights  # measures imports this module
+
+            comp = self.graph.components[c]
+            w = tree_weights(self, comp)
+            self._weights[c] = np.array([w[v] for v in comp])
+        return self._weights[c]
+
     def is_complete(self) -> bool:
         return bool(self.mask.all())
 

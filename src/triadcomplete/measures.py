@@ -186,16 +186,20 @@ def is_pc_plus(
     that edge as a witness (the tree path between its endpoints plus the
     edge itself closes a violating cycle).
     """
-    for comp in m.graph.components:
-        edge = tree_violation(m, comp, tree_weights(m, comp), tol)
+    for c, comp in enumerate(m.graph.components):
+        edge = tree_violation(m, comp, m.component_weights(c), tol)
         if edge is not None:
             return False, edge
     return True, None
 
 
-def tree_violation(m: PartialReciprocalMatrix, comp, w, tol: Tolerances) -> Edge | None:
-    """First specified (i, j) of ``comp``, in ``combinations`` order, off w[i] / w[j]."""
-    wv = np.array([w[v] for v in comp])
+def tree_violation(
+    m: PartialReciprocalMatrix, comp, wv: np.ndarray, tol: Tolerances
+) -> Edge | None:
+    """First specified (i, j) of ``comp``, in ``combinations`` order, off wv[i] / wv[j].
+
+    ``wv`` holds the weights in ``comp``'s vertex order.
+    """
     with np.errstate(over="ignore"):
         ratio = m.entries[np.ix_(comp, comp)] * wv / wv[:, None]  # unspecified: NaN
     off = np.argwhere(np.triu(np.abs(ratio - 1.0) > tol.cons, 1))
@@ -239,7 +243,13 @@ class TriadSets:
 
     @property
     def minimax(self) -> float:
-        return math.sqrt(self.s_max * self.s_min) if self.s.size else 1.0
+        """``sqrt(s_max * s_min)``, rooted factor by factor when the product leaves double range."""
+        if not self.s.size:
+            return 1.0
+        root = math.sqrt(self.s_max * self.s_min)
+        if root == math.inf or root == 0.0:
+            root = math.sqrt(self.s_max) * math.sqrt(self.s_min)
+        return root
 
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:

@@ -247,3 +247,19 @@ def random_two_component_chordal_prm(rng):
     g2 = random_connected_chordal_graph(rng, n2)
     edges = set(g1.edges) | {(i + n1, j + n1) for i, j in g2.edges}
     return prm_on_graph(rng, SpecGraph.from_edges(n1 + n2, edges))
+
+
+def random_sparse_graph(rng, n, parts=1, extra=0.05):
+    """``parts`` connected blocks on shuffled labels, each a random tree plus random extra edges.
+
+    Each pair inside a block becomes an extra edge with probability
+    ``extra``; at n in the tens the pattern is then almost never chordal.
+    """
+    perm = rng.permutation(n)
+    edges = set()
+    for block in np.array_split(perm, parts):
+        for p in range(1, len(block)):
+            edges.add(tuple(sorted((int(block[p]), int(block[rng.integers(p)])))))
+        for a, b in np.argwhere(np.triu(rng.random((len(block),) * 2) < extra, 1)):
+            edges.add(tuple(sorted((int(block[a]), int(block[b])))))
+    return SpecGraph.from_edges(n, edges)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cases
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle, reduction
-from triadcomplete.cli import _json, main
-from triadcomplete.fileio import parse_matrix
+from triadcomplete.cli import Records, _json, main
+from triadcomplete.fileio import format_matrix, parse_matrix
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -369,6 +370,24 @@ class TestUsage:
         assert located in err and "Traceback" not in err
         assert [str(w.message) for w in caught] == []
 
+    def test_complete_with_overflowing_minimax_product(self, write, capsys):
+        # The one triad product through (1, 3) is 1e155; its square overflows.
+        path = write("path.csv", "1,1e155,?\n1e-155,1,1\n?,1,1\n")
+        code, doc = run_json(["complete", path], capsys)
+        assert code == 0
+        assert doc["completion"]["steps"][0]["value"] == 1.0000000000000001e155
+        assert doc["matrix"][0] == ["1", "1e155", "1.0000000000000001e+155"]
+
+    def test_reduce_with_overflowing_minimax_product(self, write, capsys):
+        text = "1,1e155,1e155,1e155\n1e-155,1,2,1\n1e-155,1/2,1,1\n1e-155,1,1,1\n"
+        code, doc = run_json(["reduce", write("m.csv", text)], capsys)
+        assert code == 0
+        red = doc["reduction"]
+        assert [(s["edge"], s["old_value"], s["new_value"]) for s in red["steps"]] == [
+            ([2, 3], 2.0, 1.0)
+        ]
+        assert (red["mt_initial"], red["mt_final"]) == (2.0, 1.0)
+
     @pytest.mark.parametrize(
         "argv, text, message",
         [
@@ -413,17 +432,30 @@ class TestUsage:
 
 
 def _sanitised(value):
-    """The report as ``json.dumps`` is given it: tuples as lists, non-finite as None."""
+    """The report as ``json.dumps`` is given it.
+
+    Tuples, arrays and records become lists, and non-finite floats None.
+    """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _sanitised(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitised(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _sanitised(value.tolist())
+    if isinstance(value, Records):
+        arrays = {k: c.tolist() for k, c in value.columns.items() if isinstance(c, np.ndarray)}
+        size = len(next(iter(arrays.values())))
+        rows = [{k: arrays[k][r] if k in arrays else c for k, c in value.columns.items()}
+                for r in range(size)]
+        return _sanitised(rows)
     return value
 
 
-_texts = st.text() | st.sampled_from(["", "é", '"q"', "back\\slash", "\x00\x1f\n\t", "\u2028", "\U0001f600"])
+_texts = st.text() | st.sampled_from(
+    ["", "é", '"q"', "back\\slash", "\x00\x1f\n\t", "\u2028", "\U0001f600", "100%", "%d %r %%"]
+)
 _scalars = (
     st.none()
     | st.booleans()
@@ -434,11 +466,48 @@ _scalars = (
     | st.sampled_from([0, 1, 0.0, -0.0, 1e-7, 1e22, math.inf, -math.inf, math.nan])
     | _texts
 )
+_ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+_floats = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+_dtypes = st.sampled_from([np.int64, np.float64, np.bool_])
+
+
+def _columns(size: int):
+    """Arrays over ``size`` rows: values, one-based pairs, or rows of any width."""
+    widths = st.sampled_from([(), (2,), (0,), (3,)])
+    return (
+        hnp.arrays(np.int64, (size, 2), elements=st.integers(1, 200))
+        | widths.flatmap(lambda w: hnp.arrays(_dtypes, (size, *w), elements=None))
+        | widths.flatmap(lambda w: hnp.arrays(np.float64, (size, *w), elements=_floats))
+    )
+
+
+@st.composite
+def _records(draw):
+    size = draw(st.integers(0, 4))
+    keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
+    array_at = draw(st.integers(0, len(keys) - 1))
+    return Records({key: draw(_columns(size) if p == array_at else _columns(size) | _scalars)
+                    for p, key in enumerate(keys)})
+
+
+_arrays = (
+    hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.just(2)), elements=_ints)
+    | hnp.arrays(_dtypes, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+    | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0), elements=_floats)
+)
 _docs = st.recursive(
-    _scalars,
+    _scalars | _arrays | _records(),
     lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_texts, kids),
     max_leaves=40,
 )
+
+
+def _pc_plus_text(seed: int, n: int, parts: int) -> str:
+    """Consistent data on a sparse, almost surely non-chordal pattern with ``parts`` components."""
+    rng = np.random.default_rng(seed)
+    g = cases.random_sparse_graph(rng, n, parts)
+    full = cases.consistent_matrix(cases.random_weights(rng, n))
+    return format_matrix(cases.mask_to_graph(full, g))
 
 
 class TestTraceEmitter:
@@ -450,6 +519,38 @@ class TestTraceEmitter:
     def test_empty_containers_and_literals(self):
         doc = {"a": [], "b": {}, "c": (), "d": [True, False, None, -0.0, math.nan]}
         assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
+
+    def test_arrays_and_records(self):
+        pairs = np.array([[1, 3], [2, 4]])
+        doc = {
+            "pairs": pairs,
+            "none": np.zeros((0, 2), dtype=int),
+            "steps": Records({"edge": pairs, "interval": None, "value": np.array([0.5, 3.0])}),
+            "bad": Records(
+                {"edge": pairs, "interval": None, "value": np.array([math.inf, math.nan])}
+            ),
+            "empty": Records({"edge": pairs[:0], "value": np.zeros(0)}),
+            "percent": Records({"%d": pairs[:, 0], "note": "100% %r", "%": {"%s": [1]}}),
+            "tokens": ["1", "7/3", "?"],
+        }
+        text = _json(doc)
+        assert text == json.dumps(_sanitised(doc), indent=2)
+        assert json.loads(text)["bad"][1] == {"edge": [2, 4], "interval": None, "value": None}
+
+    @pytest.mark.parametrize("seed, n, parts", [(1, 64, 1), (2, 128, 2)])
+    def test_consistent_trace_at_scale(self, write, capsys, seed, n, parts):
+        path = write("pcplus.csv", _pc_plus_text(seed, n, parts))
+        assert main(["complete", path, "--trace"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["completion"]["engine"] == "consistent-pc-plus"
+        assert len(doc["classification"]["components"]) == parts
+        assert len(doc["completion"]["steps"]) == len(doc["classification"]["unspecified_pairs"])
+        expected = json.dumps(doc, indent=2) + "\n"
+        if out != expected:  # a plain assert would diff two megabyte strings
+            at = len(os.path.commonprefix([out, expected]))
+            got, want = out[at - 40 : at + 40], expected[at - 40 : at + 40]
+            pytest.fail(f"differs at byte {at}: {got!r} vs {want!r}")
 
 
 class TestWorkDoneOnce:
@@ -498,14 +599,14 @@ class TestWorkDoneOnce:
             counts.append(len(builds))
         assert counts[0] == counts[1]
 
-    def test_tree_weights_twice_per_component(self, write, capsys, monkeypatch):
+    def test_tree_weights_once_per_component(self, write, capsys, monkeypatch):
         # Two components: the 4-cycle with consistent data, and a lone pair.
         text = "1,2,?,10/3,?,?\n1/2,1,1/3,?,?,?\n?,3,1,5,?,?\n3/10,?,1/5,1,?,?\n" \
             "?,?,?,?,1,7\n?,?,?,?,1/7,1\n"
-        calls = self.counted(monkeypatch, measures, "tree_weights", (measures, completion))
+        calls = self.counted(monkeypatch, measures, "tree_weights", self.holders("tree_weights"))
         assert main(["complete", write("two.csv", text), "--trace"]) == 0
         assert json.loads(capsys.readouterr().out)["completion"]["engine"] == "consistent-pc-plus"
-        assert len(calls) == 2 * 2
+        assert len(calls) == 2
 
     def holders(self, name):
         return [mod for mod in (graphs, measures, completion, cli) if hasattr(mod, name)]

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cases
 from triadcomplete import (
@@ -24,6 +26,7 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.completion import SELECTIONS
+from triadcomplete.measures import triad_scan
 from triadcomplete.errors import (
     ComponentNotChordalError,
     EntrySpecifiedError,
@@ -197,6 +200,42 @@ class TestCompleteConsistentPcPlus:
         message = re.escape("entry (3, 4): filled value 0.0 is out of range")
         with pytest.raises(MatrixError, match=message):
             complete_consistent_pc_plus(validate(raw))
+
+
+class TestDiagonalSimilarity:
+    """D A D^-1 with D a diagonal of powers of two scales every product exactly.
+
+    So MT and the PC+ verdict are bitwise unchanged, and the consistent
+    completion of the scaled data is the scaled completion.  The block join
+    is anchored at each component's first vertex; D takes one power on
+    those vertices, where the join's free scale would otherwise move.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 64),
+        parts=st.integers(1, 2),
+        perturb=st.booleans(),
+    )
+    def test_scaled_input_scales_the_completion(self, seed, n, parts, perturb):
+        rng = np.random.default_rng(seed)
+        g = cases.random_sparse_graph(rng, n, parts)
+        m = cases.mask_to_graph(cases.consistent_matrix(cases.random_weights(rng, n)), g)
+        if perturb:  # breaks PC+ when the edge lies on a cycle
+            i, j = sorted(g.edges)[int(rng.integers(len(g.edges)))]
+            m = m.with_entry(i, j, float(m.entries[i, j]) * 1.5)
+        powers = rng.integers(-60, 61, n)
+        for comp in m.graph.components:
+            powers[comp[0]] = powers[0]
+        d = np.ldexp(1.0, powers)
+        scaled = validate(m.entries * d[:, None] / d)
+        assert triad_scan(scaled).mt == triad_scan(m).mt
+        verdict = is_pc_plus(m)
+        assert is_pc_plus(scaled) == verdict
+        if verdict[0]:
+            expected = complete_consistent_pc_plus(m).entries * d[:, None] / d
+            assert complete_consistent_pc_plus(scaled).entries.tobytes() == expected.tobytes()
 
 
 class TestJoinBlocks:

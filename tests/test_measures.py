@@ -26,7 +26,7 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
-from triadcomplete.measures import new_triads_mt, triad_scan
+from triadcomplete.measures import TriadSets, new_triads_mt, triad_scan
 from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
@@ -223,6 +223,22 @@ class TestTriadSetsForEntry:
             ts = triad_sets_for_entry(m, 0, n - 1)
             bound = mt(m) ** 2 * ts.s_min
             assert ts.s_max <= bound * (1 + 1e-12)
+
+
+class TestMinimax:
+    @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4))
+    def test_plain_root_unless_the_product_leaves_range(self, s):
+        ts = TriadSets((0, 1), np.arange(len(s)), np.array(s))
+        hi, lo = max(s), min(s)
+        if 0.0 < hi * lo < math.inf:
+            assert ts.minimax == math.sqrt(hi * lo)
+        else:
+            assert ts.minimax == math.sqrt(hi) * math.sqrt(lo)
+            assert 0.0 < ts.minimax < math.inf
+
+    def test_huge_products(self):
+        ts = TriadSets((0, 2), np.array([1]), np.array([1e155]))
+        assert ts.minimax == 1.0000000000000001e155
 
 
 class TestMaxTriadAndKoczkodaj:

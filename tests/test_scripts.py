@@ -52,10 +52,15 @@ def test_script_runs(argv, summary):
         assert line in proc.stdout
 
 
-def test_cli_digest_is_stable():
+def load_cli_digest():
     spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "scripts" / "cli_digest.py")
     cli_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_digest)
+    return cli_digest
+
+
+def test_cli_digest_is_stable():
+    cli_digest = load_cli_digest()
     csvs = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "data").glob("*.csv"))
     runs = [run_script("cli_digest.py", *csvs) for _ in range(2)]
     for proc in runs:
@@ -68,3 +73,19 @@ def test_cli_digest_is_stable():
         " ".join(argv) for csv in csvs for argv in cli_digest.commands(csv)
     ]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_cli_digest_writes_the_benchmark_instances(tmp_path):
+    pytest.importorskip("networkx")  # perfbench/workloads.py checks its patterns with it
+    cli_digest = load_cli_digest()
+    names = cli_digest.write_instances(101, tmp_path)
+    assert len(names) == len(set(names)) == 108
+    assert sorted(names) == sorted(p.name for p in tmp_path.iterdir())
+    assert names[0] == "chordal-fill-00.csv" and names[-1] == "consistent-large-35.csv"
+    again = tmp_path / "again"
+    again.mkdir()
+    assert cli_digest.write_instances(101, again) == names
+    assert all((tmp_path / name).read_text() == (again / name).read_text() for name in names)
+    with pytest.raises(SystemExit) as exc:
+        cli_digest.main([])
+    assert exc.value.code == 2
