@@ -51,15 +51,15 @@ class Records:
 
     ``columns[key]`` is an array whose first axis runs over the rows (a row
     of a 2-D column is a list) or one value shared by every row; at least
-    one column is an array.  :func:`_json` writes it as it would write
-    :meth:`rows`, from one row template, so no per-row dict is built.
+    one column is an array.  Iterating yields the rows as dicts; :func:`_json`
+    writes the same list from one row template, so no per-row dict is built.
     """
 
     columns: dict
 
-    def rows(self) -> list[dict]:
+    def __iter__(self):
         lists = [c.tolist() if type(c) is np.ndarray else repeat(c) for c in self.columns.values()]
-        return [dict(zip(self.columns, row)) for row in zip(*lists)]
+        return (dict(zip(self.columns, row)) for row in zip(*lists))
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -67,7 +67,7 @@ def _json(value, pad: str = "\n") -> str:
 
     ``pad`` is the newline and indent that precede this value's closing
     bracket; its items sit one level (two spaces) deeper.  Numpy arrays are
-    written as their ``tolist()`` and :class:`Records` as their ``rows()``;
+    written as their ``tolist()`` and :class:`Records` as the list of their rows;
     those with only integers or finite floats are filled into one
     %-template, and a row of strings is one join.
     """
@@ -128,10 +128,10 @@ def _slots(shape: tuple[int, ...], slot: str, pad: str) -> str:
 
 
 def _json_records(records: Records, pad: str) -> str:
-    """``_json(records.rows(), pad)``, from one row template when every column is plain."""
+    """``_json(list(records), pad)``, from one row template when every column is plain."""
     arrays = [c for c in records.columns.values() if type(c) is np.ndarray]
     if not all(map(_slot, arrays)):
-        return _json(records.rows(), pad)
+        return _json(list(records), pad)
     size = len(arrays[0])
     if not size:
         return "[]"
@@ -152,7 +152,7 @@ def _json_records(records: Records, pad: str) -> str:
 def _interval_doc(interval) -> dict:
     return {
         "lo": interval.lo,
-        "hi": None if math.isinf(interval.hi) else interval.hi,
+        "hi": interval.hi,
         "minimax": interval.minimax,
         "mt_context": interval.mt_context,
         "unconstrained": interval.unconstrained,
@@ -164,7 +164,7 @@ def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> d
     pc_plus, witness_edge = is_pc_plus(m, tol)
     return {
         "n": m.n,
-        "unspecified_pairs": np.array(m.missing_pairs(), dtype=int).reshape(-1, 2) + 1,
+        "unspecified_pairs": m.missing_pairs() + 1,
         "components": [
             {"vertices": _one_based(comp), "chordal": cycle is None,
              "witness_cycle": _one_based(cycle) if cycle else None}
@@ -230,14 +230,10 @@ def _print_human(report: dict) -> None:
     comp = report.get("completion")
     if comp:
         print(f"mode: {comp['mode']}")
-        steps = comp["steps"]
-        if type(steps) is Records:  # filled pairs without intervals
-            cols = steps.columns
-            rows = zip(cols["edge"].tolist(), cols["value"].tolist(), repeat(None))
-        else:
-            rows = ((step["edge"], step["value"], step["interval"]) for step in steps)
-        for (i, j), value, interval in rows:
-            line = f"filled ({i},{j}) = {_fmt(value)}"
+        for step in comp["steps"]:
+            i, j = step["edge"]
+            line = f"filled ({i},{j}) = {_fmt(step['value'])}"
+            interval = step["interval"]
             if interval and not interval["unconstrained"]:
                 line += f"  interval [{_fmt(interval['lo'])}, {_fmt(interval['hi'])}]"
             print(line)
@@ -323,7 +319,7 @@ def cmd_complete(args) -> int:
     cls = _classify(m, tol, scan)
     # Blocks are merged left to right, so u indexes the first block at the
     # first join and v indexes every later block.
-    sizes = [len(comp["vertices"]) for comp in cls["components"]]
+    sizes = [len(comp) for comp in m.graph.components]
     if len(sizes) > 1 and (join_u > sizes[0] or join_v > min(sizes[1:])):
         raise MatrixFileError(
             f"--join-cols {args.join_cols}: out of range for blocks of sizes {sizes}"

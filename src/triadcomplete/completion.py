@@ -28,7 +28,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadSets, mt, new_triads_mt, tree_violation, triad_sets_for_entry
+from .measures import TriadSets, is_pc_plus, mt, new_triads_mt, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -87,9 +87,7 @@ class CompletionReport:
     result: CompleteReciprocalMatrix
 
 
-def feasible_interval(
-    m: PartialReciprocalMatrix, i: int, k: int, tol: Tolerances = DEFAULT_TOL
-) -> FeasibleInterval:
+def feasible_interval(m: PartialReciprocalMatrix, i: int, k: int) -> FeasibleInterval:
     """Interval of values for entry (i, k) that keep mt at its current value.
 
     Meaningful when adding {i, k} is a chordal-ordering step (or the entry
@@ -107,7 +105,7 @@ def select_value(interval: FeasibleInterval, selection: str) -> float:
     if selection == "minimax":
         return interval.minimax
     if selection == "midpoint":
-        return 0.5 * (interval.lo + interval.hi)
+        return 0.5 * interval.lo + 0.5 * interval.hi  # no overflow near the top of the range
     return interval.lo if selection == "lo" else interval.hi
 
 
@@ -127,10 +125,8 @@ def _fill(entries: np.ndarray, mask: np.ndarray, i, k, value) -> None:
     mask[i, k] = mask[k, i] = True
 
 
-def _chordal_orderings(
-    m: PartialReciprocalMatrix, lowest_first: bool = False
-) -> tuple[list[tuple[int, ...]], list[Edge]]:
-    """Components of m's graph and a chordal ordering of the entries missing inside them.
+def _chordal_orderings(m: PartialReciprocalMatrix, lowest_first: bool = False) -> list[Edge]:
+    """A chordal ordering of the entries missing inside the components of m's graph.
 
     The ordering runs component by component, in matrix indices.  The first
     component that is not chordal raises :class:`ComponentNotChordalError`.
@@ -141,7 +137,7 @@ def _chordal_orderings(
         if cycle is not None:
             raise ComponentNotChordalError(comp, cycle)
         ordering += _greedy_ordering(g.adj, comp, lowest_first)
-    return list(g.components), ordering
+    return ordering
 
 
 def _join_components(
@@ -192,11 +188,10 @@ def complete_consistent_pc_plus(
     specified entries; across components there is a free scale per join,
     unit by default.
     """
+    pc_plus, witness = is_pc_plus(m, tol)
+    if not pc_plus:
+        raise NotPCPlusError(witness)
     comps = m.graph.components
-    for c, comp in enumerate(comps):
-        witness = tree_violation(m, comp, m.component_weights(c), tol)
-        if witness is not None:
-            raise NotPCPlusError(witness)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     for c, comp in enumerate(comps):
@@ -205,7 +200,7 @@ def complete_consistent_pc_plus(
         with np.errstate(over="ignore"):
             _fill(entries, mask, v[a], v[b], wv[a] / wv[b])
     _join_components(entries, mask, comps, join_scale, join_u, join_v)
-    return PartialReciprocalMatrix(entries, mask).to_complete()
+    return CompleteReciprocalMatrix(entries, mask)
 
 
 def join_blocks(
@@ -226,7 +221,7 @@ def join_blocks(
     entries[:n1, :n1], entries[n1:, n1:] = a.entries, b.entries
     mask = ~np.isnan(entries)
     _join_components(entries, mask, [range(n1), range(n1, n)], k, u_col, v_col)
-    return PartialReciprocalMatrix(entries, mask).to_complete()
+    return CompleteReciprocalMatrix(entries, mask)
 
 
 def complete_mt_preserving(
@@ -248,7 +243,7 @@ def complete_mt_preserving(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
-    comps, ordering = _chordal_orderings(m)
+    ordering = _chordal_orderings(m)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     steps: list[CompletionStep] = []
@@ -268,6 +263,5 @@ def complete_mt_preserving(
             raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
         steps.append(CompletionStep((i, k), interval, value, context, after))
         context = after
-    joins = _join_components(entries, mask, comps, join_scale, join_u, join_v)
-    result = PartialReciprocalMatrix(entries, mask).to_complete()
-    return CompletionReport(tuple(steps), tuple(joins), result)
+    joins = _join_components(entries, mask, m.graph.components, join_scale, join_u, join_v)
+    return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries, mask))

@@ -59,25 +59,19 @@ class SpecGraph:
     @cached_property
     def chordless_cycles(self) -> tuple[tuple[int, ...] | None, ...]:
         """Per component, a chordless cycle in this graph's labels, or None when it is chordal."""
-        witnesses = [is_chordal(self.induced(comp))[1] for comp in self.components]
-        return tuple(w and tuple(c[v] for v in w) for c, w in zip(self.components, witnesses))
+        return tuple(_chordless_cycle_or_none(self.adj, comp) for comp in self.components)
 
     def non_edges(self) -> list[Edge]:
         return [(i, j) for i, j in combinations(range(self.n), 2) if j not in self.adj[i]]
 
-    def induced(self, vertices) -> SpecGraph:
-        """Subgraph on ``vertices``, relabeled to 0..len-1 in sorted order."""
-        verts = sorted(vertices)
-        local = {v: p for p, v in enumerate(verts)}
-        return SpecGraph(
-            tuple(frozenset(local[u] for u in self.adj[v] if u in local) for v in verts)
-        )
 
+def _mcs_order(adj, verts) -> list[int]:
+    """Maximum-cardinality search visit order of ``verts``; ties go to the smallest vertex.
 
-def _mcs_order(adj) -> list[int]:
-    """Maximum-cardinality search visit order; ties go to the smallest vertex."""
-    weight = [0] * len(adj)
-    unvisited = set(range(len(adj)))
+    ``verts`` must be closed under ``adj`` (a union of components).
+    """
+    weight = dict.fromkeys(verts, 0)
+    unvisited = set(verts)
     order: list[int] = []
     while unvisited:
         v = min(unvisited, key=lambda u: (-weight[u], u))
@@ -119,14 +113,15 @@ def bfs_parents(adj, start: int, blocked=frozenset()) -> dict[int, int]:
     return parent
 
 
-def _chordless_cycle(adj) -> tuple[int, ...]:
-    """Some chordless cycle of length >= 4; caller guarantees one exists.
+def _chordless_cycle(adj, verts) -> tuple[int, ...]:
+    """Some chordless cycle of length >= 4 among ascending ``verts``; caller guarantees one exists.
 
     For every vertex v and non-adjacent pair u, w of its neighbors, a
     shortest u-w path avoiding v and v's other neighbors closes a cycle in
     which v has no chord and the path, being shortest, has none either.
+    Every scan runs in ascending order, so the cycle is deterministic.
     """
-    for v in range(len(adj)):
+    for v in verts:
         nb = sorted(adj[v])
         for u, w in combinations(nb, 2):
             if w in adj[u]:
@@ -140,11 +135,17 @@ def _chordless_cycle(adj) -> tuple[int, ...]:
     raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
+def _chordless_cycle_or_none(adj, verts) -> tuple[int, ...] | None:
+    """A chordless cycle among ascending ``verts`` (a union of components), or None if chordal."""
+    if _is_perfect_elimination(adj, _mcs_order(adj, verts)[::-1]):
+        return None
+    return _chordless_cycle(adj, verts)
+
+
 def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
     """Chordality test with a chordless-cycle witness; ``SpecGraph.chordless_cycles`` keeps it."""
-    if _is_perfect_elimination(g.adj, _mcs_order(g.adj)[::-1]):
-        return True, None
-    return False, _chordless_cycle(g.adj)
+    witness = _chordless_cycle_or_none(g.adj, range(g.n))
+    return witness is None, witness
 
 
 def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:

@@ -100,10 +100,9 @@ class PartialReciprocalMatrix:
     def is_complete(self) -> bool:
         return bool(self.mask.all())
 
-    def missing_pairs(self) -> list[tuple[int, int]]:
-        """Unspecified positions (i, j) with i < j."""
-        rows, cols = np.nonzero(np.triu(~self.mask, 1))
-        return list(zip(rows.tolist(), cols.tolist()))
+    def missing_pairs(self) -> np.ndarray:
+        """Unspecified positions (i, j) with i < j, row-major, as a (k, 2) int array."""
+        return np.argwhere(np.triu(~self.mask, 1))
 
     def with_entry(self, i: int, j: int, value: float) -> PartialReciprocalMatrix:
         """New matrix with (i, j) set to ``value`` and (j, i) to its reciprocal."""

@@ -10,6 +10,7 @@ in :func:`triad_scan`, which the other measures read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,13 +166,12 @@ def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
     w[j] = w[i] / a[i, j], so w[i] / w[j] reproduces every tree entry.  A
     weight out of (0, inf) raises :class:`MatrixError` naming (root, j).
     """
-    comp = sorted(component)
-    outside = set(range(m.n)).difference(comp)
+    root = min(component)
     weights = {}
-    for j, i in bfs_parents(m.graph.adj, comp[0], blocked=outside).items():
+    for j, i in bfs_parents(m.graph.adj, root).items():
         weights[j] = 1.0 if i == j else weights[i] / float(m.entries[i, j])
         if not 0.0 < weights[j] < math.inf:
-            raise MatrixError(f"entry ({comp[0] + 1}, {j + 1}): implied value is out of range")
+            raise MatrixError(f"entry ({root + 1}, {j + 1}): implied value is out of range")
     return weights
 
 
@@ -243,13 +243,16 @@ class TriadSets:
 
     @property
     def minimax(self) -> float:
-        """``sqrt(s_max * s_min)``, rooted factor by factor when the product leaves double range."""
+        """``sqrt(s_max * s_min)``, rooted factor by factor when the product is not a normal double.
+
+        A subnormal product has lost bits, so its root would too; an infinite one has no root.
+        """
         if not self.s.size:
             return 1.0
-        root = math.sqrt(self.s_max * self.s_min)
-        if root == math.inf or root == 0.0:
-            root = math.sqrt(self.s_max) * math.sqrt(self.s_min)
-        return root
+        product = self.s_max * self.s_min
+        if product == math.inf or product < sys.float_info.min:
+            return math.sqrt(self.s_max) * math.sqrt(self.s_min)
+        return math.sqrt(product)
 
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:

@@ -177,11 +177,11 @@ def complete_consistent_chordal(
     """
     if not is_pcm(m, tol):
         raise NotPCMError(f"specified triads are inconsistent (mt = {mt(m)!r})")
-    comps, ordering = _chordal_orderings(m, lowest_first)
+    ordering = _chordal_orderings(m, lowest_first)
     entries = np.array(m.entries)
     mask = np.array(m.mask)
     for i, k in ordering:
         current = PartialReciprocalMatrix(entries, mask)
         _fill(entries, mask, i, k, complete_one_entry_consistent(current, i, k, tol))
-    _join_components(entries, mask, comps, join_scale, join_u, join_v)
-    return PartialReciprocalMatrix(entries, mask).to_complete()
+    _join_components(entries, mask, m.graph.components, join_scale, join_u, join_v)
+    return CompleteReciprocalMatrix(entries, mask)

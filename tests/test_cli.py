@@ -388,6 +388,46 @@ class TestUsage:
         ]
         assert (red["mt_initial"], red["mt_final"]) == (2.0, 1.0)
 
+    def test_complete_with_subnormal_minimax_product(self, write, capsys):
+        # The one triad product through (1, 3) is 1e-160; its square is subnormal.
+        path = write("path.csv", "1,1e-80,?\n1e80,1,1e-80\n?,1e80,1\n")
+        code, doc = run_json(["complete", path], capsys)
+        assert code == 0
+        assert doc["completion"]["engine"] == "consistent-chordal"
+        assert doc["completion"]["steps"][0]["value"] == 1e-160
+        assert doc["completion"]["mt_after"] == 1.0
+        assert doc["matrix"][0] == ["1", "1e-80", "1e-160"]
+
+    def test_reduce_with_subnormal_minimax_product(self, write, capsys):
+        text = "1,1e-80,3e-160\n1e80,1,1e-80\n3.3333333333333333e159,1e80,1\n"
+        code, doc = run_json(["reduce", write("m.csv", text), "--edge", "paper"], capsys)
+        assert code == 0
+        red = doc["reduction"]
+        assert [(s["edge"], s["old_value"], s["new_value"]) for s in red["steps"]] == [
+            ([1, 3], 3e-160, 1e-160)
+        ]
+        assert (red["stop_reason"], red["mt_final"]) == ("target_reached", 1.0)
+
+    def test_midpoint_near_the_top_of_the_range(self, write, capsys):
+        path = write("path.csv", "1,1e154,?\n1e-154,1,1e154\n?,1e-154,1\n")
+        argv = ["complete", path, "--mode", "mt-preserving", "--selection", "midpoint"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        (step,) = doc["completion"]["steps"]
+        assert step["edge"] == [1, 3] and step["value"] == 1e308
+        assert step["interval"]["lo"] == step["interval"]["hi"] == 1e308
+
+    def test_unbounded_interval_end(self, write, capsys):
+        # The triads through (1, 5) allow it up to 1e10 * 1e300, which is inf.
+        text = "1,1e150,?,?,?\n1e-150,1,1e150,?,?\n?,1e-150,1,1e10,1\n?,?,1e-10,1,1\n?,?,1,1,1\n"
+        path = write("m.csv", text)
+        assert main(["complete", path]) == 0
+        assert "filled (1,5) = 1e+300  interval [1e+290, inf]\n" in capsys.readouterr().out
+        code, doc = run_json(["complete", path], capsys)
+        steps = {tuple(s["edge"]): s for s in doc["completion"]["steps"]}
+        assert steps[1, 5]["interval"]["hi"] is None
+        assert not steps[1, 5]["interval"]["unconstrained"]
+
     @pytest.mark.parametrize(
         "argv, text, message",
         [
@@ -553,6 +593,11 @@ class TestTraceEmitter:
             pytest.fail(f"differs at byte {at}: {got!r} vs {want!r}")
 
 
+# The per-component chordality test that ``SpecGraph.chordless_cycles`` and
+# ``is_chordal`` share.
+CHORDALITY_TEST = "_chordless_cycle_or_none"
+
+
 class TestWorkDoneOnce:
     def counted(self, monkeypatch, module, name, namespaces):
         calls = []
@@ -582,8 +627,7 @@ class TestWorkDoneOnce:
     def test_is_chordal_once_per_component(self, monkeypatch, rng, engine):
         g = graphs.SpecGraph.from_matrix(cases.random_two_component_chordal_prm(rng))
         m = cases.mask_to_graph(cases.consistent_matrix(cases.random_weights(rng, g.n)), g)
-        holders = [mod for mod in (graphs, completion, oracle) if hasattr(mod, "is_chordal")]
-        calls = self.counted(monkeypatch, graphs, "is_chordal", holders)
+        calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))
         engine(m)
         assert len(calls) == len(graphs.connected_components(g)) == 2
 
@@ -609,12 +653,20 @@ class TestWorkDoneOnce:
         assert len(calls) == 2
 
     def holders(self, name):
-        return [mod for mod in (graphs, measures, completion, cli) if hasattr(mod, name)]
+        return [mod for mod in (graphs, measures, completion, oracle, cli) if hasattr(mod, name)]
+
+    @pytest.mark.parametrize("name", ["two_blocks_8x8.csv", "partial_5x5.csv"])
+    def test_two_matrices_per_complete(self, capsys, monkeypatch, name):
+        prm = matrices.PartialReciprocalMatrix
+        builds = self.counted(monkeypatch, prm, "__post_init__", (prm,))
+        assert main(["complete", str(DATA / name), "--trace"]) == 0
+        assert json.loads(capsys.readouterr().out)["completion"]["steps"]
+        assert len(builds) == 2  # the input and the result
 
     @pytest.mark.parametrize("command", ["check", "complete"])
     def test_one_graph_and_one_component_search_per_command(self, capsys, monkeypatch, command):
         spec = graphs.SpecGraph
-        built = self.counted(monkeypatch, spec, "from_matrix", (spec,))
+        built = self.counted(monkeypatch, spec, "__init__", (spec,))  # from_matrix and the rest
         searched = self.counted(
             monkeypatch, graphs, "connected_components", self.holders("connected_components")
         )
@@ -623,7 +675,7 @@ class TestWorkDoneOnce:
         assert len(built) == len(searched) == 1
 
     def test_is_chordal_once_per_component_per_complete(self, capsys, monkeypatch):
-        calls = self.counted(monkeypatch, graphs, "is_chordal", self.holders("is_chordal"))
+        calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))
         assert main(["complete", str(DATA / "two_blocks_8x8.csv"), "--trace"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(calls) == len(doc["classification"]["components"]) == 2
@@ -649,7 +701,7 @@ class TestWorkDoneOnce:
         assert counts == [4, 4]
 
     def test_pc_plus_reads_components_without_a_chordality_test(self, monkeypatch):
-        calls = self.counted(monkeypatch, graphs, "is_chordal", self.holders("is_chordal"))
+        calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))
         m, _ = parse_matrix(CYCLE_FIXED_TEXT)
         assert measures.is_pc_plus(m) == (True, None)
         completion.complete_consistent_pc_plus(m)

@@ -25,7 +25,7 @@ from triadcomplete import (
     triad_sets_for_entry,
     validate,
 )
-from triadcomplete.completion import SELECTIONS
+from triadcomplete.completion import SELECTIONS, FeasibleInterval, select_value
 from triadcomplete.measures import triad_scan
 from triadcomplete.errors import (
     ComponentNotChordalError,
@@ -376,6 +376,11 @@ class TestCompleteMtPreserving:
         with pytest.raises(ValueError):
             complete_mt_preserving(cases.five_partial(), selection="median")
 
+    def test_midpoint_near_the_top_of_the_range(self):
+        # lo + hi overflows; halving each end first does not.
+        assert select_value(FeasibleInterval(1e308, 1.5e308, 1.2e308, 1.0), "midpoint") == 1.25e308
+        assert select_value(FeasibleInterval(0.5, 4.0, 2.0, 2.0), "midpoint") == 2.25
+
     def test_all_selections_preserve_measure(self, rng):
         for _ in range(15):
             prm = cases.random_chordal_prm(rng, int(rng.integers(4, 8)), min_missing=1)
@@ -404,9 +409,7 @@ class TestCompleteMtPreserving:
     def test_chord_forcing_check_fires(self, monkeypatch):
         # The 4-cycle's missing entry (0, 2) has common neighbors 1 and 3, not adjacent.
         m = validate(cases.CYCLE_PCM)
-        monkeypatch.setattr(
-            completion, "_chordal_orderings", lambda m: ([(0, 1, 2, 3)], [(0, 2), (1, 3)])
-        )
+        monkeypatch.setattr(completion, "_chordal_orderings", lambda m: [(0, 2), (1, 3)])
         with pytest.raises(AssertionError, match=re.escape("common neighbors of (0, 2) are not")):
             complete_mt_preserving(m)
 

@@ -24,7 +24,7 @@ class TestParse:
     def test_fractions_decimals_and_holes(self):
         m, tokens = parse_matrix(FIVE_TEXT)
         assert m.n == 5
-        assert m.missing_pairs() == [(0, 4), (1, 4)]
+        assert m.missing_pairs().tolist() == [[0, 4], [1, 4]]
         assert m.entries[0, 2] == 0.5
         assert m.entries[1, 2] == pytest.approx(1 / 3, rel=1e-15)
         assert tokens[0][1] == "6"

@@ -73,6 +73,27 @@ def induced_by_edge_walk(g, vertices):
     return SpecGraph.from_edges(len(local), edges)
 
 
+def relabelled_chordless_cycles(g):
+    """``SpecGraph.chordless_cycles`` by testing each component relabelled to 0..len-1."""
+    cycles = []
+    for comp in connected_components(g):
+        witness = is_chordal(induced_by_edge_walk(g, comp))[1]
+        cycles.append(witness and tuple(comp[v] for v in witness))
+    return tuple(cycles)
+
+
+def mixed_component_graph(rng, n, parts):
+    """``parts`` connected blocks on shuffled labels, each chordal or a tree plus extra edges."""
+    edges = []
+    for block in np.array_split(rng.permutation(n), parts):
+        if rng.random() < 0.5:
+            local = cases.clique_attached_graph(rng, len(block))
+        else:
+            local = cases.random_sparse_graph(rng, len(block), extra=float(rng.uniform(0, 0.4)))
+        edges += [(int(block[i]), int(block[j])) for i, j in local.edges]
+    return SpecGraph.from_edges(n, edges)
+
+
 def two_component_graph(rng, n1, n2):
     """Two random connected chordal graphs on interleaved, shuffled vertex labels."""
     g1 = cases.random_connected_chordal_graph(rng, n1)
@@ -111,18 +132,6 @@ class TestFromMatrix:
             g = SpecGraph.from_matrix(m)
             assert g == SpecGraph.from_edges(n, zip(rows.tolist(), cols.tolist()))
             assert g.n == n and len(g.edges) == len(rows)
-
-    def test_induced_equals_edge_walk(self, rng):
-        disconnected = 0
-        for _ in range(40):
-            n = int(rng.integers(2, 13))
-            g = random_graph(rng, n, float(rng.uniform(0.05, 0.7)))
-            comps = connected_components(g)
-            disconnected += len(comps) > 1
-            subset = [v for v in range(n) if rng.random() < 0.5]
-            for vertices in [*comps, subset, range(n)]:
-                assert g.induced(vertices) == induced_by_edge_walk(g, vertices)
-        assert disconnected >= 10
 
 
 class TestIsChordal:
@@ -164,6 +173,16 @@ class TestIsChordal:
             n = int(rng.integers(3, 8))
             g = random_graph(rng, n, float(rng.uniform(0.2, 0.9)))
             assert is_chordal(g)[0] == brute_is_chordal(g)
+
+    def test_components_tested_in_place_equal_relabelled_tests(self, rng):
+        chordal = nonchordal = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 31))
+            g = mixed_component_graph(rng, n, int(rng.integers(1, min(n, 4) + 1)))
+            assert g.chordless_cycles == relabelled_chordless_cycles(g)
+            nonchordal += sum(c is not None for c in g.chordless_cycles)
+            chordal += sum(c is None for c in g.chordless_cycles)
+        assert chordal >= 100 and nonchordal >= 50
 
 
 class TestConnectedComponents:
@@ -226,15 +245,14 @@ class TestChordalOrdering:
         for _ in range(10):
             g = two_component_graph(rng, int(rng.integers(2, 11)), int(rng.integers(2, 11)))
             m = cases.prm_on_graph(rng, g)
+            assert list(m.graph.components) == connected_components(g)
             for lowest_first in (False, True):
-                comps, ordering = _chordal_orderings(m, lowest_first)
-                assert comps == connected_components(g)
                 expected = [
                     (comp[a], comp[b])
-                    for comp in comps
-                    for a, b in reference_ordering(g.induced(comp), lowest_first)
+                    for comp in connected_components(g)
+                    for a, b in reference_ordering(induced_by_edge_walk(g, comp), lowest_first)
                 ]
-                assert ordering == expected
+                assert _chordal_orderings(m, lowest_first) == expected
 
     def test_chord_forcing_at_each_step(self, rng):
         # Common neighbors of a chordality-preserving new edge must be

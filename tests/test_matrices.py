@@ -65,12 +65,13 @@ class TestValidate:
     def test_one_by_one(self):
         m = validate([[1]])
         assert m.n == 1
-        assert m.missing_pairs() == []
+        assert m.missing_pairs().tolist() == []
+        assert m.missing_pairs().shape == (0, 2)
         assert m.entries[0, 0] == 1.0
 
     def test_partial_cycle_pattern(self):
         m = validate(cases.CYCLE_PCM)
-        assert m.missing_pairs() == [(0, 2), (1, 3)]
+        assert m.missing_pairs().tolist() == [[0, 2], [1, 3]]
         assert int((~m.mask).sum()) == 4
 
     def test_reciprocity_violation(self):
@@ -117,7 +118,7 @@ class TestValidate:
     def test_nan_and_none_both_mean_unspecified(self):
         m1 = validate([[1, None], [None, 1]])
         m2 = validate(np.array([[1, np.nan], [np.nan, 1]]))
-        assert m1.missing_pairs() == m2.missing_pairs() == [(0, 1)]
+        assert m1.missing_pairs().tolist() == m2.missing_pairs().tolist() == [[0, 1]]
 
     def test_reciprocal_out_of_range(self):
         # The stored pair would hold inf and 0: the named entry is subnormal.

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -230,7 +231,7 @@ class TestMinimax:
     def test_plain_root_unless_the_product_leaves_range(self, s):
         ts = TriadSets((0, 1), np.arange(len(s)), np.array(s))
         hi, lo = max(s), min(s)
-        if 0.0 < hi * lo < math.inf:
+        if sys.float_info.min <= hi * lo < math.inf:
             assert ts.minimax == math.sqrt(hi * lo)
         else:
             assert ts.minimax == math.sqrt(hi) * math.sqrt(lo)
@@ -239,6 +240,11 @@ class TestMinimax:
     def test_huge_products(self):
         ts = TriadSets((0, 2), np.array([1]), np.array([1e155]))
         assert ts.minimax == 1.0000000000000001e155
+
+    def test_subnormal_products(self):
+        # 1e-160 squared is subnormal: its root would be 9.99994433575849e-161.
+        ts = TriadSets((0, 2), np.array([1]), np.array([1e-160]))
+        assert ts.minimax == 1e-160
 
 
 class TestMaxTriadAndKoczkodaj:
