@@ -224,6 +224,31 @@ def join_blocks(
     return CompleteReciprocalMatrix(entries, mask)
 
 
+def _fill_step(
+    entries: np.ndarray, mask: np.ndarray, i, k, context: float, selection: str, tol: Tolerances
+) -> CompletionStep:
+    """Fill the unspecified (i, k) in place; ``context`` is the arrays' mt before the fill.
+
+    The value comes from the feasible interval against ``context``.  Three
+    checks run under ``python -O`` too: the common neighbors are pairwise
+    adjacent, the interval is non-empty and mt is not raised.  The step's
+    ``mt_after`` equals a full rescan bit for bit.
+    """
+    ts = TriadSets.of(entries, mask, i, k)
+    # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
+    if not mask[ts.j][:, ts.j].all():
+        raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
+    interval = FeasibleInterval.from_triad_sets(ts, context)
+    if not interval.lo <= interval.hi * (1.0 + tol.cmp):
+        raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
+    value = select_value(interval, selection)
+    _fill(entries, mask, i, k, value)
+    after = max(context, new_triads_mt(entries, mask, i, k, ts.j))
+    if not after <= context * (1.0 + tol.cmp):
+        raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
+    return CompletionStep((i, k), interval, value, context, after)
+
+
 def complete_mt_preserving(
     m: PartialReciprocalMatrix,
     selection: str = "minimax",
@@ -249,19 +274,7 @@ def complete_mt_preserving(
     steps: list[CompletionStep] = []
     context = mt(m)
     for i, k in ordering:
-        ts = TriadSets.of(entries, mask, i, k)
-        # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-        if not mask[ts.j][:, ts.j].all():
-            raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
-        interval = FeasibleInterval.from_triad_sets(ts, context)
-        if not interval.lo <= interval.hi * (1.0 + tol.cmp):
-            raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
-        value = select_value(interval, selection)
-        _fill(entries, mask, i, k, value)
-        after = max(context, new_triads_mt(entries, mask, i, k, ts.j))
-        if not after <= context * (1.0 + tol.cmp):
-            raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
-        steps.append(CompletionStep((i, k), interval, value, context, after))
-        context = after
+        steps.append(_fill_step(entries, mask, i, k, context, selection, tol))
+        context = steps[-1].mt_after
     joins = _join_components(entries, mask, m.graph.components, join_scale, join_u, join_v)
     return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries, mask))

@@ -1,21 +1,23 @@
 """Inconsistency reduction for complete reciprocal matrices.
 
-One step finds the worst oriented triad, re-solves one of its entries
-through the feasible-interval machinery, and keeps the candidate with the
-lowest resulting measure.  The measure never increases; with a unique
-worst triad it strictly decreases, so iteration drives it down one entry
-change at a time.
+One step finds the worst oriented triad, clears one of its entries and
+refills it with the completion engine's checked fill step at its minimax
+value, so the interval's context is the mt without that entry and every
+candidate passes the engine's three checks.  The candidate with the lowest
+resulting measure wins.  The measure never increases; with a unique worst
+triad it strictly decreases, so iteration drives it down one entry change
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import FeasibleInterval, _fill
+from .completion import FeasibleInterval, _fill_step
 from .errors import MatrixTooSmallError
 from .graphs import Edge
-from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
-from .measures import TriadScan, TriadSets, mt, triad_scan
+from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
+from .measures import mt, triad_scan
 
 EDGE_RULES = ("best", "paper")
 
@@ -53,7 +55,7 @@ def reduce_step(
     tol: Tolerances = DEFAULT_TOL,
     edge_rule: str = "best",
 ) -> tuple[CompleteReciprocalMatrix, ReductionStep]:
-    """Re-solve one entry of the worst triad; never increases the measure.
+    """Clear one entry of the worst triad and refill it by the engine's checked fill step.
 
     With ``edge_rule="best"`` all three edges of the worst triad are tried
     and the candidate with the lowest resulting measure wins (ties to the
@@ -62,36 +64,20 @@ def reduce_step(
     """
     if m.n < 3:
         raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
-    return _reduce_step(m, triad_scan(m, tol), tol, edge_rule)[:2]
-
-
-def _reduce_step(
-    m: CompleteReciprocalMatrix, scan: TriadScan, tol: Tolerances, edge_rule: str
-) -> tuple[CompleteReciprocalMatrix, ReductionStep, TriadScan]:
-    """:func:`reduce_step` on a matrix already scanned; also returns the result's scan."""
     if edge_rule not in EDGE_RULES:
         raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
+    scan = triad_scan(m, tol)
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
-    edges = [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]
     tried = []
-    for a, b in edges:
+    for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
         entries, mask = m.entries.copy(), m.mask.copy()
         mask[a, b] = mask[b, a] = False
-        ts = TriadSets.of(entries, mask, a, b)
-        _fill(entries, mask, a, b, ts.minimax)
-        candidate = CompleteReciprocalMatrix(entries, mask)
-        tried.append((triad_scan(candidate, tol), (a, b), candidate, ts))
-    after, edge, candidate, ts = min(tried, key=lambda t: (t[0].mt, t[1]))
-    step = ReductionStep(
-        edge=edge,
-        old_value=float(m.entries[edge]),
-        new_value=ts.minimax,
-        interval=FeasibleInterval.from_triad_sets(ts, mt(m.without_entry(*edge))),
-        mt_before=scan.mt,
-        mt_after=after.mt,
-        tie=scan.tie,
-    )
-    return candidate, step, after
+        context = mt(PartialReciprocalMatrix(entries, mask))
+        tried.append((_fill_step(entries, mask, a, b, context, "minimax", tol), entries, mask))
+    fill, entries, mask = min(tried, key=lambda t: (t[0].mt_after, t[0].edge))
+    step = ReductionStep(fill.edge, float(m.entries[fill.edge]), fill.value, fill.interval,
+                         scan.mt, fill.mt_after, scan.tie)
+    return CompleteReciprocalMatrix(entries, mask), step
 
 
 def reduce(
@@ -103,28 +89,28 @@ def reduce(
 ) -> ReductionTrace:
     """Iterate reduce_step until the target, the step budget, or a stall.
 
-    A step is applied only when it strictly decreases the measure; a step
-    that cannot (the worst product is tied across triads that share no
-    repairable entry) stops the loop with the tie reported, so entry
-    changes are never wasted.
+    A step is applied only when it lowers the measure on the target test's
+    scale, ``mt_after * (1 + tol.cmp) < mt``; a step that cannot (the worst
+    product is tied across triads that share no repairable entry) stops the
+    loop with the tie reported, so entry changes are never wasted.
     """
     if not target_mt >= 1.0:
         raise ValueError(f"target_mt must be >= 1, got {target_mt!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
-    current, scan = m, triad_scan(m, tol)
-    mt_initial = scan.mt
+    current, mt_initial = m, mt(m)
+    mt_now = mt_initial
     steps: list[ReductionStep] = []
     while True:
-        if scan.mt <= target_mt * (1.0 + tol.cmp):
+        if mt_now <= target_mt * (1.0 + tol.cmp):
             reason = STOP_TARGET
             break
         if len(steps) >= max_steps:
             reason = STOP_MAX_STEPS
             break
-        candidate, step, after = _reduce_step(current, scan, tol, edge_rule)
-        if step.mt_after < scan.mt * (1.0 - tol.cmp):
-            current, scan = candidate, after
+        candidate, step = reduce_step(current, tol, edge_rule)
+        if step.mt_after * (1.0 + tol.cmp) < mt_now:
+            current, mt_now = candidate, step.mt_after
             steps.append(step)
             continue
         reason = STOP_TIE if step.tie else STOP_NO_DECREASE

@@ -301,6 +301,13 @@ class TestReduce:
         path = write("five.csv", FIVE_TEXT)
         assert main(["reduce", path]) == 2
 
+    def test_loose_comparison_tolerance_reaches_the_target(self, write, capsys):
+        # The one step reaches MT = 1; the decrease test must accept it at any --tol-cmp.
+        path = write("t.csv", "1,7/5,1\n5/7,1,1\n1,1,1\n")
+        assert main(["reduce", path, "--tol-cmp", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert "stop reason: target_reached" in out and "MT = 1 (was 1.4)" in out
+
 
 class TestUsage:
     def test_unknown_flag_exits_two(self, write):
@@ -697,8 +704,19 @@ class TestWorkDoneOnce:
             builds.clear()
             reduction.reduce_step(m)
             counts.append(len(builds))
-        # One per candidate edge of the worst triad, one for the interval's context.
+        # One cleared matrix per candidate edge of the worst triad, plus one result.
         assert counts == [4, 4]
+
+    def test_reduce_scans_once_plus_four_per_step(self, monkeypatch, rng):
+        scans = self.counted(monkeypatch, measures, "triad_scan", (measures, reduction))
+        m = cases.random_prm(rng, 12, p=1.0).to_complete()
+        reduction.reduce_step(m)
+        assert len(scans) == 4  # the input, then each candidate's cleared matrix
+        steps = self.counted(monkeypatch, reduction, "reduce_step", (reduction,))
+        scans.clear()
+        trace = reduction.reduce(m, max_steps=4)
+        assert len(trace.steps) == 4 and len(steps) == 4
+        assert len(scans) == 1 + 4 * len(steps)
 
     def test_pc_plus_reads_components_without_a_chordality_test(self, monkeypatch):
         calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))

@@ -21,12 +21,14 @@ from triadcomplete import (
     join_blocks,
     mt,
     oracle,
+    reduce,
     tree_weights,
     triad_sets_for_entry,
     validate,
 )
 from triadcomplete.completion import SELECTIONS, FeasibleInterval, select_value
 from triadcomplete.measures import triad_scan
+from triadcomplete.reduction import EDGE_RULES
 from triadcomplete.errors import (
     ComponentNotChordalError,
     EntrySpecifiedError,
@@ -208,7 +210,9 @@ class TestDiagonalSimilarity:
     So MT and the PC+ verdict are bitwise unchanged, and the consistent
     completion of the scaled data is the scaled completion.  The block join
     is anchored at each component's first vertex; D takes one power on
-    those vertices, where the join's free scale would otherwise move.
+    those vertices, where the join's free scale would otherwise move.  The
+    same holds for a minimax fill and for a reduce: each filled value
+    (i, k) scales by exactly d_i / d_k, and every measure keeps its bits.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -236,6 +240,46 @@ class TestDiagonalSimilarity:
         if verdict[0]:
             expected = complete_consistent_pc_plus(m).entries * d[:, None] / d
             assert complete_consistent_pc_plus(scaled).entries.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 24))  # ordering cost bounds n
+    def test_scaled_input_scales_the_minimax_fill(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = cases.prm_on_graph(rng, cases.clique_attached_graph(rng, n))
+        d = np.ldexp(1.0, rng.integers(-60, 61, n))
+        report = complete_mt_preserving(m)
+        scaled = complete_mt_preserving(validate(m.entries * d[:, None] / d))
+        assert len(scaled.steps) == len(report.steps)
+        for step, got in zip(report.steps, scaled.steps):
+            i, k = step.edge
+            assert (got.edge, got.mt_before, got.mt_after) == (step.edge, step.mt_before, step.mt_after)
+            assert got.value == step.value * d[i] / d[k]
+        expected = report.result.entries * d[:, None] / d
+        assert scaled.result.entries.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 39),
+        edge_rule=st.sampled_from(EDGE_RULES),
+    )
+    def test_scaled_input_scales_the_reduction(self, seed, n, edge_rule):
+        rng = np.random.default_rng(seed)
+        m = cases.random_prm(rng, n, p=1.0).to_complete()
+        d = np.ldexp(1.0, rng.integers(-60, 61, n))
+        trace = reduce(m, max_steps=4, edge_rule=edge_rule)
+        scaled = reduce(validate(m.entries * d[:, None] / d).to_complete(), max_steps=4,
+                        edge_rule=edge_rule)
+        assert (scaled.stop_reason, scaled.mt_initial) == (trace.stop_reason, trace.mt_initial)
+        assert len(scaled.steps) == len(trace.steps)
+        for step, got in zip(trace.steps, scaled.steps):
+            i, k = step.edge
+            assert (got.edge, got.tie, got.mt_before, got.mt_after) == (
+                step.edge, step.tie, step.mt_before, step.mt_after)
+            assert got.interval.mt_context == step.interval.mt_context
+            assert got.new_value == step.new_value * d[i] / d[k]
+        expected = trace.result.entries * d[:, None] / d
+        assert scaled.result.entries.tobytes() == expected.tobytes()
 
 
 class TestJoinBlocks:

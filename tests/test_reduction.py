@@ -1,20 +1,27 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cases
 from triadcomplete import (
+    completion,
     max_triad,
     mt,
     oracle,
     reduce,
     reduce_step,
+    reduction,
     validate,
 )
 from triadcomplete.errors import MatrixTooSmallError
+from triadcomplete.measures import triad_scan
 from triadcomplete.oracle import specified_triads
 from triadcomplete.reduction import (
+    EDGE_RULES,
     STOP_MAX_STEPS,
     STOP_TARGET,
     STOP_TIE,
@@ -100,6 +107,46 @@ class TestReduceStep:
         changed = np.argwhere(repaired.entries != m.entries)
         assert {tuple(x) for x in changed} <= {(i, j), (j, i)}
         assert repaired.entries[i, j] * repaired.entries[j, i] == 1.0
+
+    # Each candidate is refilled by the engine's checked fill step, so its
+    # checks fire here as in tests/test_completion.py.
+    def test_empty_interval_check_fires(self, monkeypatch):
+        # Against mt = 1 the constraining products of entry (0, 1) leave no value.
+        monkeypatch.setattr(reduction, "mt", lambda m: 1.0)
+        with pytest.raises(AssertionError, match=re.escape("empty feasible interval at (0, 1)")):
+            reduce_step(cases.five_completed())
+
+    def test_measure_increase_check_fires(self, monkeypatch):
+        monkeypatch.setattr(completion, "select_value", lambda interval, selection: 2 * interval.hi)
+        with pytest.raises(AssertionError, match=re.escape("measure increased at (0, 1): ")):
+            reduce_step(cases.five_completed())
+
+    @given(
+        n=st.integers(3, 64),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0, 8, 60]),
+        tie_grid=st.booleans(),
+        edge_rule=st.sampled_from(EDGE_RULES),
+        chain=st.integers(1, 3),
+    )
+    def test_candidate_mt_equals_full_scan(self, n, seed, shift, tie_grid, edge_rule, chain):
+        # A candidate's mt is max(context, new triads), never a rescan; it
+        # must still be the rescan's bits, as must the interval's context.
+        rng = np.random.default_rng(seed)
+        if tie_grid:  # all ones but one entry: every triad through it ties at 4
+            raw = np.ones((n, n))
+            i, j = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            raw[i, j], raw[j, i] = 4.0, 0.25
+        else:
+            raw = np.triu(cases.log_uniform(rng, 1 / 9, 9, (n, n)), 1)
+            raw *= np.ldexp(1.0, rng.integers(-shift, shift + 1, (n, n)))
+            raw[np.tril_indices(n)] = np.nan
+        m = validate(raw).to_complete()
+        for _ in range(chain):
+            result, step = reduce_step(m, edge_rule=edge_rule)
+            assert step.mt_after == triad_scan(result).mt
+            assert step.interval.mt_context == mt(m.without_entry(*step.edge))
+            m = result
 
 
 class TestReduce:
