@@ -109,8 +109,8 @@ def select_value(interval: FeasibleInterval, selection: str) -> float:
     return interval.lo if selection == "lo" else interval.hi
 
 
-def _fill(entries: np.ndarray, mask: np.ndarray, i, k, value) -> None:
-    """Set (i, k) to ``value`` and (k, i) to ``1.0 / value``; all three may be arrays.
+def _fill(entries: np.ndarray, i, k, value) -> None:
+    """Write ``value`` over the NaN at (i, k) and ``1 / value`` at (k, i); all may be arrays.
 
     The first value out of (0, inf), row-major, raises MatrixError naming its entry.
     """
@@ -122,7 +122,6 @@ def _fill(entries: np.ndarray, mask: np.ndarray, i, k, value) -> None:
     entries[i, k] = value
     with np.errstate(over="ignore"):
         entries[k, i] = 1.0 / value
-    mask[i, k] = mask[k, i] = True
 
 
 def _chordal_orderings(m: PartialReciprocalMatrix, lowest_first: bool = False) -> list[Edge]:
@@ -142,7 +141,6 @@ def _chordal_orderings(m: PartialReciprocalMatrix, lowest_first: bool = False) -
 
 def _join_components(
     entries: np.ndarray,
-    mask: np.ndarray,
     comps,
     scale: float = 1.0,
     u_index: int = 0,
@@ -168,7 +166,7 @@ def _join_components(
         rows, cols = np.array(merged), np.array(comp)
         with np.errstate(over="ignore"):
             block = np.multiply.outer(scale * entries[rows, r], entries[s, cols])
-        _fill(entries, mask, rows[:, None], cols, block)
+        _fill(entries, rows[:, None], cols, block)
         joins.append(BlockJoin(tuple(merged), tuple(comp), r, s, scale))
         merged = sorted(merged + list(comp))
     return joins
@@ -193,14 +191,13 @@ def complete_consistent_pc_plus(
         raise NotPCPlusError(witness)
     comps = m.graph.components
     entries = np.array(m.entries)
-    mask = np.array(m.mask)
     for c, comp in enumerate(comps):
         v, wv = np.array(comp), m.component_weights(c)
-        a, b = np.nonzero(np.triu(~mask[np.ix_(v, v)], 1))  # the missing pairs, row-major
+        a, b = np.nonzero(np.triu(np.isnan(entries[np.ix_(v, v)]), 1))  # unspecified, row-major
         with np.errstate(over="ignore"):
-            _fill(entries, mask, v[a], v[b], wv[a] / wv[b])
-    _join_components(entries, mask, comps, join_scale, join_u, join_v)
-    return CompleteReciprocalMatrix(entries, mask)
+            _fill(entries, v[a], v[b], wv[a] / wv[b])
+    _join_components(entries, comps, join_scale, join_u, join_v)
+    return CompleteReciprocalMatrix(entries)
 
 
 def join_blocks(
@@ -219,31 +216,30 @@ def join_blocks(
     n1, n = a.n, a.n + b.n
     entries = np.full((n, n), np.nan)
     entries[:n1, :n1], entries[n1:, n1:] = a.entries, b.entries
-    mask = ~np.isnan(entries)
-    _join_components(entries, mask, [range(n1), range(n1, n)], k, u_col, v_col)
-    return CompleteReciprocalMatrix(entries, mask)
+    _join_components(entries, [range(n1), range(n1, n)], k, u_col, v_col)
+    return CompleteReciprocalMatrix(entries)
 
 
 def _fill_step(
-    entries: np.ndarray, mask: np.ndarray, i, k, context: float, selection: str, tol: Tolerances
+    entries: np.ndarray, i, k, context: float, selection: str, tol: Tolerances
 ) -> CompletionStep:
-    """Fill the unspecified (i, k) in place; ``context`` is the arrays' mt before the fill.
+    """Fill the unspecified (NaN) (i, k) of ``entries`` in place; ``context`` is its mt before.
 
     The value comes from the feasible interval against ``context``.  Three
     checks run under ``python -O`` too: the common neighbors are pairwise
     adjacent, the interval is non-empty and mt is not raised.  The step's
     ``mt_after`` equals a full rescan bit for bit.
     """
-    ts = TriadSets.of(entries, mask, i, k)
+    ts = TriadSets.of(entries, i, k)
     # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-    if not mask[ts.j][:, ts.j].all():
+    if np.isnan(entries[ts.j][:, ts.j]).any():
         raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
     interval = FeasibleInterval.from_triad_sets(ts, context)
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
     value = select_value(interval, selection)
-    _fill(entries, mask, i, k, value)
-    after = max(context, new_triads_mt(entries, mask, i, k, ts.j))
+    _fill(entries, i, k, value)
+    after = max(context, new_triads_mt(entries, i, k, ts.j))
     if not after <= context * (1.0 + tol.cmp):
         raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
     return CompletionStep((i, k), interval, value, context, after)
@@ -270,11 +266,10 @@ def complete_mt_preserving(
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
     ordering = _chordal_orderings(m)
     entries = np.array(m.entries)
-    mask = np.array(m.mask)
     steps: list[CompletionStep] = []
     context = mt(m)
     for i, k in ordering:
-        steps.append(_fill_step(entries, mask, i, k, context, selection, tol))
+        steps.append(_fill_step(entries, i, k, context, selection, tol))
         context = steps[-1].mt_after
-    joins = _join_components(entries, mask, m.graph.components, join_scale, join_u, join_v)
-    return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries, mask))
+    joins = _join_components(entries, m.graph.components, join_scale, join_u, join_v)
+    return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries))

@@ -1,9 +1,9 @@
 """Reciprocal (pairwise comparison) matrices, complete and partial.
 
 A reciprocal matrix holds positive ratio comparisons with ``a[j, i] ==
-1 / a[i, j]`` and a unit diagonal.  A partial matrix additionally tracks
-which entries are specified; unspecified positions are stored as NaN and
-masked out, so they poison any arithmetic that touches them by accident.
+1 / a[i, j]`` and a unit diagonal.  A partial matrix is its entries alone:
+NaN is the only mark of an unspecified entry, so it poisons any arithmetic
+that touches it by accident, and the mask of specified entries is derived.
 """
 
 from __future__ import annotations
@@ -48,36 +48,36 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True, eq=False)
 class PartialReciprocalMatrix:
-    """Positive reciprocal matrix with a mask of specified entries.
+    """Positive reciprocal matrix whose NaN entries are the unspecified ones.
 
-    Instances are immutable; the underlying arrays are copied on
-    construction and marked read-only.  Use :func:`validate` to build one
-    from raw data so that all invariants are enforced.
+    Instances are immutable; ``entries`` is copied on construction and marked
+    read-only, and ``mask`` and ``graph`` derive from it.  Use :func:`validate`
+    to build one from raw data so that all invariants are enforced.
     """
 
     entries: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
-        mask = np.array(self.mask, dtype=bool)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise NonSquareError(entries.shape)
-        if mask.shape != entries.shape:
-            raise MatrixError("mask shape differs from entries shape")
-        entries[~mask] = np.nan
         entries.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "mask", mask)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        """Specified entries, ``~np.isnan(entries)``, derived on first read and read-only."""
+        mask = ~np.isnan(self.entries)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def graph(self) -> SpecGraph:
-        """The specification graph, built on first read; the mask is read-only."""
+        """The specification graph, built on first read; the entries are read-only."""
         return SpecGraph.from_matrix(self)
 
     @cached_property
@@ -104,43 +104,44 @@ class PartialReciprocalMatrix:
         """Unspecified positions (i, j) with i < j, row-major, as a (k, 2) int array."""
         return np.argwhere(np.triu(~self.mask, 1))
 
+    def _check_pair(self, i: int, j: int, action: str) -> None:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise MatrixError(f"entry ({i + 1}, {j + 1}) is outside the {self.n}x{self.n} matrix")
+        if i == j:
+            raise MatrixError(f"cannot {action} a diagonal entry")
+
     def with_entry(self, i: int, j: int, value: float) -> PartialReciprocalMatrix:
         """New matrix with (i, j) set to ``value`` and (j, i) to its reciprocal."""
-        if i == j:
-            raise MatrixError("cannot set a diagonal entry")
+        self._check_pair(i, j, "set")
         if not (value > 0.0 and np.isfinite(value)):
             raise NonPositiveEntryError(i, j, value)
         entries = np.array(self.entries)
-        mask = np.array(self.mask)
         entries[i, j] = value
         entries[j, i] = 1.0 / value
-        mask[i, j] = mask[j, i] = True
-        return PartialReciprocalMatrix(entries, mask)
+        return PartialReciprocalMatrix(entries)
 
     def without_entry(self, i: int, j: int) -> PartialReciprocalMatrix:
         """New matrix with the symmetric pair (i, j), (j, i) unspecified."""
-        if i == j:
-            raise MatrixError("cannot unspecify a diagonal entry")
+        self._check_pair(i, j, "unspecify")
         entries = np.array(self.entries)
-        mask = np.array(self.mask)
-        mask[i, j] = mask[j, i] = False
-        return PartialReciprocalMatrix(entries, mask)
+        entries[i, j] = entries[j, i] = np.nan
+        return PartialReciprocalMatrix(entries)
 
     def to_complete(self) -> CompleteReciprocalMatrix:
         if not self.is_complete():
             raise MatrixError(
                 f"matrix is not complete; {len(self.missing_pairs())} pair(s) unspecified"
             )
-        return CompleteReciprocalMatrix(self.entries, self.mask)
+        return CompleteReciprocalMatrix(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
 class CompleteReciprocalMatrix(PartialReciprocalMatrix):
-    """Reciprocal matrix with every entry specified."""
+    """Reciprocal matrix with every entry specified: ``entries`` holds no NaN."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.mask.all():
+        if not self.is_complete():
             raise MatrixError("complete matrix has unspecified entries")
 
 
@@ -208,4 +209,4 @@ def validate(raw, tol: Tolerances = DEFAULT_TOL) -> PartialReciprocalMatrix:
     entries[rows[keep], cols[keep]] = value[keep]
     entries[cols[keep], rows[keep]] = mirror[keep]
     np.fill_diagonal(entries, 1.0)
-    return PartialReciprocalMatrix(entries, ~np.isnan(entries))
+    return PartialReciprocalMatrix(entries)

@@ -113,8 +113,8 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> Tri
     return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, count)
 
 
-def new_triads_mt(entries: np.ndarray, mask: np.ndarray, i: int, k: int, js) -> float:
-    """Largest oriented product of the triads {i, j, k}, j in ``js``, after (i, k) is filled.
+def new_triads_mt(entries: np.ndarray, i: int, k: int, js) -> float:
+    """Largest oriented product of the triads {i, j, k}, j in ``js``, once ``entries[i, k]`` is set.
 
     With ``js`` the common neighbors these are all the new triads, so the mt
     after the fill is ``max(mt before, this)``.  Each product is formed as
@@ -128,7 +128,7 @@ def new_triads_mt(entries: np.ndarray, mask: np.ndarray, i: int, k: int, js) -> 
                             (y * ij) * jk, (x * kj) * ji, (jk * y) * ij))  # middle i, k, k
         top, low = p.max(initial=1.0), p.min(initial=1.0)
         if top == math.inf or 1.0 / low == math.inf:
-            return triad_scan(PartialReciprocalMatrix(entries, mask)).mt
+            return triad_scan(PartialReciprocalMatrix(entries)).mt
     return float(top)
 
 
@@ -220,14 +220,15 @@ class TriadSets:
     s: np.ndarray
 
     @classmethod
-    def of(cls, entries: np.ndarray, mask: np.ndarray, i: int, k: int) -> TriadSets:
-        """Triad sets of entry (i, k), read from a partial matrix's arrays."""
+    def of(cls, entries: np.ndarray, i: int, k: int) -> TriadSets:
+        """Triad sets of the unspecified (NaN) entry (i, k), read from a matrix's entries."""
         i, k = (i, k) if i < k else (k, i)
-        if mask[i, k]:
+        if not math.isnan(entries[i, k]):
             raise EntrySpecifiedError(i, k)
-        js = np.flatnonzero(mask[i] & mask[k])
         with np.errstate(over="ignore"):
-            return cls((i, k), js, entries[i, js] * entries[js, k])
+            s = entries[i] * entries[:, k]  # NaN where a factor is unspecified
+        js = np.flatnonzero(~np.isnan(s))
+        return cls((i, k), js, s[js])
 
     @property
     def is_unconstrained(self) -> bool:
@@ -257,7 +258,7 @@ class TriadSets:
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:
     """Collect the triad sets relevant to filling the unspecified entry (i, k)."""
-    return TriadSets.of(m.entries, m.mask, i, k)
+    return TriadSets.of(m.entries, i, k)
 
 
 def max_triad(

@@ -179,9 +179,8 @@ def complete_consistent_chordal(
         raise NotPCMError(f"specified triads are inconsistent (mt = {mt(m)!r})")
     ordering = _chordal_orderings(m, lowest_first)
     entries = np.array(m.entries)
-    mask = np.array(m.mask)
     for i, k in ordering:
-        current = PartialReciprocalMatrix(entries, mask)
-        _fill(entries, mask, i, k, complete_one_entry_consistent(current, i, k, tol))
-    _join_components(entries, mask, m.graph.components, join_scale, join_u, join_v)
-    return CompleteReciprocalMatrix(entries, mask)
+        current = PartialReciprocalMatrix(entries)
+        _fill(entries, i, k, complete_one_entry_consistent(current, i, k, tol))
+    _join_components(entries, m.graph.components, join_scale, join_u, join_v)
+    return CompleteReciprocalMatrix(entries)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .completion import FeasibleInterval, _fill_step
 from .errors import MatrixTooSmallError
 from .graphs import Edge
-from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
+from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
 from .measures import mt, triad_scan
 
 EDGE_RULES = ("best", "paper")
@@ -70,14 +70,14 @@ def reduce_step(
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
     tried = []
     for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
-        entries, mask = m.entries.copy(), m.mask.copy()
-        mask[a, b] = mask[b, a] = False
-        context = mt(PartialReciprocalMatrix(entries, mask))
-        tried.append((_fill_step(entries, mask, a, b, context, "minimax", tol), entries, mask))
-    fill, entries, mask = min(tried, key=lambda t: (t[0].mt_after, t[0].edge))
+        cleared = m.without_entry(a, b)
+        entries = cleared.entries.copy()
+        context = mt(cleared)
+        tried.append((_fill_step(entries, a, b, context, "minimax", tol), entries))
+    fill, entries = min(tried, key=lambda t: (t[0].mt_after, t[0].edge))
     step = ReductionStep(fill.edge, float(m.entries[fill.edge]), fill.value, fill.interval,
                          scan.mt, fill.mt_after, scan.tie)
-    return CompleteReciprocalMatrix(entries, mask), step
+    return CompleteReciprocalMatrix(entries), step
 
 
 def reduce(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,40 @@ class TestEntryEditing:
         with pytest.raises(MatrixError):
             m.to_complete()
         assert isinstance(m.with_entry(0, 1, 2.0).to_complete(), CompleteReciprocalMatrix)
+
+    @pytest.mark.parametrize(
+        "method, args, where",
+        [
+            ("without_entry", (0, -3), "(1, -2)"),  # would clear the diagonal (1,1)
+            ("with_entry", (1, -2, 5.0), "(2, -1)"),  # would write 0.2 onto (2,2)
+            ("with_entry", (0, 3, 2.0), "(1, 4)"),  # past the last column
+            ("without_entry", (3, 3), "(4, 4)"),  # the range is checked before the diagonal
+        ],
+    )
+    def test_index_outside_matrix_refused(self, method, args, where):
+        m = validate([[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]])
+        with pytest.raises(MatrixError, match=re.escape(f"entry {where} is outside the 3x3")):
+            getattr(m, method)(*args)
+        assert np.array_equal(m.entries, [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]])
+
+
+class TestNanIsUnspecified:
+    @pytest.mark.parametrize(
+        "entries", [[[1, np.nan, 1], [np.nan, 1, 1], [1, 1, 1]], np.full((3, 3), np.nan)]
+    )
+    def test_complete_matrix_with_nan_refused(self, entries):
+        with pytest.raises(MatrixError, match="unspecified"):
+            CompleteReciprocalMatrix(entries)
+
+    def test_nan_counts_as_unspecified(self):
+        entries = np.array([[1.0, 2.0, np.nan], [0.5, 1.0, 3.0], [np.nan, 1 / 3, 1.0]])
+        m = PartialReciprocalMatrix(entries)
+        assert np.array_equal(m.mask, ~np.isnan(entries))
+        assert sorted(m.graph.edges) == [(0, 1), (1, 2)]
+        assert m.missing_pairs().tolist() == [[0, 2]]
+        assert not m.is_complete()
+        assert m.with_entry(0, 2, 6.0).is_complete()
+        assert m.with_entry(0, 2, 6.0).without_entry(0, 2).mask.tolist() == m.mask.tolist()
 
 
 class TestConsistency:

@@ -48,3 +48,25 @@ def test_graphs_does_not_import_matrices():
         if any("matrices" in parts for parts in _imported_paths(node))
     ]
     assert found == []
+
+
+def test_matrix_is_one_array():
+    # NaN in ``entries`` is the only mark of an unspecified entry: no module
+    # builds a matrix from a second array or writes into a mask.
+    constructors = ("PartialReciprocalMatrix", "CompleteReciprocalMatrix")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 1:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in constructors:
+                    found.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                continue
+            for target in getattr(node, "targets", None) or [node.target]:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Subscript) and "mask" in (
+                        getattr(t.value, "id", None), getattr(t.value, "attr", None)
+                    ):
+                        found.append(f"{path.name}:{t.lineno}")
+    assert found == []
