@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -187,17 +188,6 @@ def _measures_doc(scan: TriadScan) -> dict:
             "max_triad": worst}
 
 
-def _tol_from_args(args) -> Tolerances:
-    return Tolerances(rec=args.tol_rec, cons=args.tol_cons, cmp=args.tol_cmp)
-
-
-def _emit(report: dict, args) -> None:
-    if args.trace:
-        print(_json(report))
-        return
-    _print_human(report)
-
-
 def _print_human(report: dict) -> None:
     cls = report.get("classification")
     if cls:
@@ -256,33 +246,19 @@ def _print_human(report: dict) -> None:
             print("  " + ",".join(row))
 
 
-def cmd_check(args) -> int:
-    tol = _tol_from_args(args)
-    m, _ = load_matrix(args.path, tol)
+def cmd_check(m, tokens, tol, args) -> tuple[dict, int]:
     scan = triad_scan(m, tol)
     cls = _classify(m, tol, scan)
-    report = {
-        "command": "check",
-        "input": args.path,
-        "classification": cls,
-        "measures": _measures_doc(scan),
-    }
-    _emit(report, args)
-    return 0 if cls["consistent_completion_exists"] else 1
+    code = 0 if cls["consistent_completion_exists"] else 1
+    return {"classification": cls, "measures": _measures_doc(scan)}, code
 
 
-def cmd_measure(args) -> int:
-    tol = _tol_from_args(args)
-    m, tokens = load_matrix(args.path, tol)
-    report = {
-        "command": "measure",
-        "input": args.path,
+def cmd_measure(m, tokens, tol, args) -> tuple[dict, int]:
+    return {
         "measures": _measures_doc(triad_scan(m, tol)),
         "matrix": tokens,
         "matrix_written": True,  # matrix came from the input; don't echo it
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _completion_steps_doc(report: CompletionReport) -> list[dict]:
@@ -304,9 +280,7 @@ def _filled_entries_doc(pairs: np.ndarray, after) -> Records:
     return Records({"edge": pairs, "interval": None, "value": values})
 
 
-def cmd_complete(args) -> int:
-    tol = _tol_from_args(args)
-    m, tokens = load_matrix(args.path, tol)
+def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
     if m.is_complete():
         raise MatrixFileError("matrix has no unspecified entries; nothing to complete")
     try:
@@ -360,9 +334,7 @@ def cmd_complete(args) -> int:
             }
             for j in completion.joins
         ]
-    report = {
-        "command": "complete",
-        "input": args.path,
+    sections = {
         "classification": cls,
         "completion": {
             "mode": mode,
@@ -373,14 +345,11 @@ def cmd_complete(args) -> int:
             "mt_after": mt(result),
         },
     }
-    _add_matrix(report, result, tokens, args.out)
-    _emit(report, args)
-    return 0
+    _add_matrix(sections, result, tokens, args.out)
+    return sections, 0
 
 
-def cmd_reduce(args) -> int:
-    tol = _tol_from_args(args)
-    m, tokens = load_matrix(args.path, tol)
+def cmd_reduce(m, tokens, tol, args) -> tuple[dict, int]:
     if not m.is_complete():
         raise MatrixFileError("reduce requires a complete matrix")
     trace = reduce(
@@ -390,9 +359,7 @@ def cmd_reduce(args) -> int:
         tol=tol,
         edge_rule=args.edge,
     )
-    report = {
-        "command": "reduce",
-        "input": args.path,
+    sections = {
         "reduction": {
             "steps": [
                 {
@@ -411,20 +378,19 @@ def cmd_reduce(args) -> int:
             "mt_final": trace.mt_final,
         },
     }
-    _add_matrix(report, trace.result, tokens, args.out)
-    _emit(report, args)
+    _add_matrix(sections, trace.result, tokens, args.out)
     reached = trace.mt_final <= args.target_mt * (1.0 + tol.cmp)
-    return 0 if reached else 1
+    return sections, 0 if reached else 1
 
 
-def _add_matrix(report: dict, m: PartialReciprocalMatrix, tokens, out: str | None) -> None:
+def _add_matrix(sections: dict, m: PartialReciprocalMatrix, tokens, out: str | None) -> None:
     """Format ``m`` once: the report's rows and the ``--out`` file share the text."""
     text = format_matrix(m, tokens)
-    report["matrix"] = [row.split(",") for row in text.splitlines()]
+    sections["matrix"] = [row.split(",") for row in text.splitlines()]
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        report["matrix_written"] = True
+        sections["matrix_written"] = True
 
 
 def _add_common(sp) -> None:
@@ -437,6 +403,7 @@ def _add_common(sp) -> None:
     )
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triadcomplete",
@@ -495,16 +462,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv``, load the matrix and write the report of ``args.func``.
+
+    Each ``cmd_*`` gets the matrix, its cell tokens, the tolerances and the
+    arguments, and returns its own report sections and the exit code.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CompletionError, MatrixTooSmallError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        tol = Tolerances(rec=args.tol_rec, cons=args.tol_cons, cmp=args.tol_cmp)
+        m, tokens = load_matrix(args.path, tol)
+        sections, code = args.func(m, tokens, tol, args)
+        report = {"command": args.command, "input": args.path, **sections}
+        if args.trace:
+            print(_json(report))
+        else:
+            _print_human(report)
+        return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (CompletionError, MatrixTooSmallError)) else 2
 
 
 if __name__ == "__main__":

@@ -114,5 +114,5 @@ def format_matrix(
 
 
 def load_matrix(path, tol: Tolerances = DEFAULT_TOL) -> tuple[PartialReciprocalMatrix, list[list[str]]]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
         return parse_matrix(handle.read(), tol)

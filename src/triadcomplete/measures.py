@@ -3,8 +3,11 @@
 The central measure is the maximum 3-cycle product over fully specified
 triads, written ``mt`` here.  It is 1 exactly when every specified triad
 is consistent, and it applies unchanged to partial matrices (defaulting
-to 1 when no triad is fully specified).  Every triad product is formed
-in :func:`triad_scan`, which the other measures read.
+to 1 when no triad is fully specified).  :func:`triad_scan` forms every
+product of a full scan, which the other measures read; on the fill path
+:func:`new_triads_mt` forms the six oriented products of each new triad,
+grouped ``(a * b) * c`` as in ``triad_scan`` so it is bitwise equal to a
+rescan; :meth:`TriadSets.of` forms ``a[i,j] * a[j,k]`` around an entry (i, k).
 """
 
 from __future__ import annotations

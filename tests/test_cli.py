@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -70,6 +71,16 @@ def run_json(argv, capsys):
     code = main(argv + ["--trace"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_module(argv) -> subprocess.CompletedProcess:
+    """``python -m triadcomplete *argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "triadcomplete", *argv], capture_output=True, text=True, env=env
+    )
 
 
 class TestCheck:
@@ -464,18 +475,42 @@ class TestUsage:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_module_entry_point(self, write):
-        path = write("block.csv", BLOCK_TEXT)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "triadcomplete", "measure", path],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module(["measure", write("block.csv", BLOCK_TEXT)])
         assert proc.returncode == 0
         assert "MT = 2" in proc.stdout
+
+    def test_calls_in_one_process_match_first_calls(self, write, capsys, tmp_path):
+        # One parser serves every call: nothing of one call's arguments,
+        # a rejected flag or an --out path, may reach the next.
+        partial, full = write("p.csv", CYCLE_FIXED_TEXT), write("f.csv", BLOCK_TEXT)
+        out = tmp_path / "x.csv"
+        sequence = [["measure", full, "--frobnicate"], ["complete", partial, "--out", str(out)],
+                    ["reduce", full]]
+        first = [(proc.returncode, proc.stdout) for proc in map(run_module, sequence)]
+        out.unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(sequence[0])
+        got = [(exc.value.code, capsys.readouterr().out)]
+        got.append((main(sequence[1]), capsys.readouterr().out))
+        out.unlink()
+        got.append((main(sequence[2]), capsys.readouterr().out))
+        assert got == first
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [CYCLE_FIXED_TEXT, "# a comment first\n1,?\n?,1\n"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, text):
+        # Spreadsheets save "CSV UTF-8" with a BOM before the first cell or comment.
+        runs = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-out.csv"
+            path.write_text(prefix + text, encoding="utf-8")
+            for argv in (["check"], ["complete", "--trace", "--out", str(out)]):
+                code = main([argv[0], str(path), *argv[1:]])
+                captured = capsys.readouterr()
+                runs.append((code, captured.out.replace(str(path), "<input>"), captured.err))
+            runs.append(out.read_bytes())
+        assert runs[:3] == runs[3:]
+        assert runs[0][2] == "" and not runs[5].startswith(b"\xef\xbb\xbf")
 
 
 def _sanitised(value):
@@ -617,6 +652,17 @@ class TestWorkDoneOnce:
         for namespace in namespaces:
             monkeypatch.setattr(namespace, name, wrapper)
         return calls
+
+    def test_one_parser_per_process(self, write, capsys, monkeypatch, tmp_path):
+        partial, full = write("p.csv", CYCLE_FIXED_TEXT), write("f.csv", BLOCK_TEXT)
+        main(["check", partial])  # may build the parser
+        parser = argparse.ArgumentParser
+        built = self.counted(monkeypatch, parser, "__init__", (parser,))
+        main(["check", partial])
+        main(["measure", full, "--trace"])
+        main(["complete", partial, "--trace", "--out", str(tmp_path / "out.csv")])
+        main(["reduce", full])
+        assert len(built) == 0
 
     @pytest.mark.parametrize("argv", [["complete"], ["reduce"]])
     def test_one_format_per_out_command(self, write, capsys, monkeypatch, tmp_path, argv):

@@ -70,3 +70,22 @@ def test_matrix_is_one_array():
                     ):
                         found.append(f"{path.name}:{t.lineno}")
     assert found == []
+
+
+def test_commands_return_sections_and_main_writes_them():
+    # ``cli.main`` loads the file, builds the tolerances and prints every
+    # report; a ``cmd_*`` function returns only its own sections.
+    path = SRC / "cli.py"
+    found = []
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("load_matrix", "Tolerances") and fn.name != "main" or (
+                name == "print" and fn.name.startswith("cmd_")
+            ):
+                found.append(f"{fn.name}:{node.lineno} {name}")
+    assert found == []
