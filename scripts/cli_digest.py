@@ -2,11 +2,11 @@
 
 Runs a fixed command set in-process on each FILE: ``check``, ``measure``,
 ``complete`` and ``reduce`` in human mode and with ``--trace``, each with
-and without ``--out`` where it applies, and ``complete --mode
-mt-preserving --trace`` with each ``--selection``.  Each line gives the
-exit code and the sha256 of stdout, stderr and the ``--out`` file, then
-the command.  Run it at two commits and ``diff`` the output to check that
-the CLI's bytes did not change:
+and without ``--out`` where it applies, ``reduce --edge paper --trace``,
+and ``complete --mode mt-preserving --trace`` with each ``--selection``.
+Each line gives the exit code and the sha256 of stdout, stderr and the
+``--out`` file, then the command.  Run it at two commits and ``diff`` the
+output to check that the CLI's bytes did not change:
 
     python scripts/cli_digest.py data/*.csv
     python scripts/cli_digest.py --seed 101
@@ -54,6 +54,7 @@ def commands(path: str) -> list[list[str]]:
             [cmd, path, "--out", OUT],
             [cmd, path, "--trace", "--out", OUT],
         ]
+    argvs.append(["reduce", path, "--edge", "paper", "--trace"])
     for selection in SELECTIONS:
         argvs.append(
             ["complete", path, "--mode", "mt-preserving", "--selection", selection, "--trace"]

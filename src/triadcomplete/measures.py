@@ -3,11 +3,11 @@
 The central measure is the maximum 3-cycle product over fully specified
 triads, written ``mt`` here.  It is 1 exactly when every specified triad
 is consistent, and it applies unchanged to partial matrices (defaulting
-to 1 when no triad is fully specified).  :func:`triad_scan` forms every
-product of a full scan, which the other measures read; on the fill path
-:func:`new_triads_mt` forms the six oriented products of each new triad,
-grouped ``(a * b) * c`` as in ``triad_scan`` so it is bitwise equal to a
-rescan; :meth:`TriadSets.of` forms ``a[i,j] * a[j,k]`` around an entry (i, k).
+to 1 when no triad is fully specified).  :func:`triad_scan` reads the
+:class:`TriadTables` that the one full scan builds in O(n^3) and a changed
+pair updates in O(n^2); on the fill path :func:`new_triads_mt` forms the six
+oriented products of each new triad, all grouped ``(a * b) * c`` alike and so
+bitwise a rescan; :meth:`TriadSets.of` forms ``a[i,j] * a[j,k]`` around (i, k).
 """
 
 from __future__ import annotations
@@ -75,45 +75,97 @@ class TriadScan:
 
 
 def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> TriadScan:
-    """Form every 3-cycle product once, looping over the middle index j.
+    """mt, the worst triad, its tie flag and the count, read from ``m``'s :class:`TriadTables`.
 
-    ``prods[i, k] = a[i,j] * a[j,k] * a[k,i]``; NaN entries poison exactly
-    the incomplete triads.  Block i < j < k holds each triad's ``value``;
-    only the largest ``max_value`` per row (i, j) is kept.  Closeness to
-    the peak grows with the value, so the first close row holds the worst
-    triad, and a second close row or triad, or its reciprocal, is a tie.
-    A product (or its reciprocal) that overflows raises :class:`MatrixError`
-    naming the triad, one-based.  :func:`new_triads_mt` updates ``mt``
-    after one fill from the new triads alone.
+    An overflowing product (or reciprocal) raises :class:`MatrixError` naming the triad, one-based.
     """
-    e, n = m.entries, m.n
-    e_t = np.ascontiguousarray(e.T)
-    prods, row_peak = np.empty((n, n)), np.zeros((n, n))
-    best, peak, count = 1.0, 0.0, 0
-    with np.errstate(over="ignore", divide="ignore"):
-        for j in range(n):
-            np.multiply(e[:, j, None], e[j], out=prods)
-            prods *= e_t
-            best = max(best, float(np.fmax.reduce(prods, axis=None)))
-            v = prods[:j, j + 1 :]
-            count += v.size - int(np.count_nonzero(np.isnan(v)))
-            low = np.fmin.reduce(v, axis=1, initial=math.inf)
-            top = np.fmax(np.fmax.reduce(v, axis=1, initial=0.0), 1.0 / low, out=row_peak[:j, j])
-            peak = max(peak, float(top.max(initial=0.0)))
-            if best == math.inf or peak == math.inf:
-                i, k = np.argwhere(np.isinf(prods) | np.isinf(1.0 / prods))[0]
-                a, b, c = sorted(int(x) + 1 for x in (i, j, k))
-                raise MatrixError(f"triad ({a}, {b}, {c}): 3-cycle product overflows")
-    if peak == 0.0:
-        return TriadScan(best, best <= 1.0 + tol.cons, None, False, 0)
-    rows = np.argwhere((row_peak > 0.0) & (np.abs(row_peak / peak - 1.0) <= tol.cmp))
-    i, j = (int(x) for x in rows[0])
-    vals = e[i, j] * e[j, j + 1 :] * e[j + 1 :, i]
-    hits = np.flatnonzero(np.abs(np.fmax(vals, 1.0 / vals) / peak - 1.0) <= tol.cmp)
-    worst = TriadProduct(i, j, j + 1 + int(hits[0]), float(vals[hits[0]]))
-    low = min(worst.value, worst.reciprocal)
-    tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp
-    return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, count)
+    return TriadTables(m.entries).scan(tol)
+
+
+class TriadTables:
+    """Two n x n tables of a full triad scan, kept in step as one pair at a time changes.
+
+    ``prods_j[i, k] = (e[i,j] * e[j,k]) * e[k,i]`` for middle j is formed as ``[k, i]``; NaN
+    poisons exactly the incomplete triads.  ``mid[j, i]`` is the largest of row i of
+    ``prods_j`` (mt is the largest ``mid``) and ``row_peak[i, j]`` the largest max(v, 1/v)
+    over the triads i < j < k, v = ``prods_j[i, k]``; closeness to the peak grows with the
+    value, so the first close row holds the worst triad.  A changed pair (a, b) moves only
+    middles a and b and rows a and b, an n x n array each: an update is O(n^2) and, grouped
+    ``(a * b) * c`` alike, bitwise a rescan, overflow included.  ``entries`` is not copied.
+    """
+
+    def __init__(self, entries: np.ndarray) -> None:
+        e, n = entries, entries.shape[0]
+        e_t, prods = np.ascontiguousarray(e.T), np.empty((n, n))
+        self.entries, self.mid, self.row_peak = e, np.empty((n, n)), np.zeros((n, n))
+        with np.errstate(over="ignore", divide="ignore"):
+            for j in range(n):
+                np.multiply(e[j, :, None], e_t[j], out=prods)
+                prods *= e
+                np.fmax.reduce(prods, axis=0, out=self.mid[j])
+                _peaks(prods[j + 1 :, :j], self.row_peak[:j, j])
+        self._check_overflow()
+        upper = np.triu(~np.isnan(e), 1).astype(float)  # count i < j < k, with (k, i) from e.T
+        self.count = int(np.vdot(upper @ upper, ~np.isnan(e.T)))
+
+    def set(self, a: int, b: int, value: float) -> None:
+        """Set (a, b) to ``value``, (b, a) to its reciprocal (NaN unspecifies); overflows raise."""
+        e, was = self.entries, not math.isnan(self.entries[a, b])
+        e[a, b], e[b, a] = value, 1.0 / value
+        now = not math.isnan(value)  # and the triads {a, b, k} with (a, k), (b, k) specified:
+        self.count += (now - was) * (int(np.count_nonzero(~np.isnan(e[a] + e[b]))) - 2 * now)
+        self._update(e, self.mid, a, b, peaks=True)
+        self._check_overflow()
+
+    def cleared(self, a: int, b: int) -> tuple[np.ndarray, float]:
+        """``entries`` copied with (a, b) and (b, a) unspecified, and its mt via a scratch mid."""
+        e, mid = self.entries.copy(), self.mid.copy()
+        e[a, b] = e[b, a] = math.nan
+        self._update(e, mid, a, b, peaks=False)
+        return e, float(np.fmax.reduce(mid, axis=None, initial=1.0))
+
+    def _update(self, e: np.ndarray, mid: np.ndarray, a: int, b: int, peaks: bool) -> None:
+        with np.errstate(over="ignore", divide="ignore"):
+            for x in (a, b):
+                prods = (e[x, :, None] * e[:, x]) * e  # [k, i]; e[x,k] * e[i,x] commutes exactly
+                rows = (e.T * e[x]) * e[:, x, None]  # [k, j] = prods_j[x, k]
+                np.fmax.reduce(prods, axis=0, out=mid[x])
+                np.fmax.reduce(rows, axis=0, out=mid[:, x])
+                if peaks:
+                    _peaks(prods[x + 1 :, :x], self.row_peak[:x, x])
+                    below = np.tri(len(e), k=-1, dtype=bool)[:, x + 1 :]  # k > j
+                    _peaks(rows[:, x + 1 :], self.row_peak[x, x + 1 :], below)
+
+    def _check_overflow(self) -> None:
+        bad = np.isinf(self.mid).any(axis=1) | np.isinf(self.row_peak).any(axis=0)
+        if bad.any():
+            e, j = self.entries, int(np.argmax(bad))
+            with np.errstate(over="ignore", divide="ignore"):
+                prods = (e[j, :, None] * e[:, j]) * e
+                i, k = np.argwhere((np.isinf(prods) | np.isinf(1.0 / prods)).T)[0]
+            a, b, c = sorted(int(x) + 1 for x in (i, j, k))
+            raise MatrixError(f"triad ({a}, {b}, {c}): 3-cycle product overflows")
+
+    def scan(self, tol: Tolerances = DEFAULT_TOL) -> TriadScan:
+        """Read the scan; a second row or triad near the peak, or a near reciprocal, is a tie."""
+        e, row_peak = self.entries, self.row_peak
+        best = float(np.fmax.reduce(self.mid, axis=None, initial=1.0))
+        peak = float(row_peak.max(initial=0.0))
+        if peak == 0.0:
+            return TriadScan(best, best <= 1.0 + tol.cons, None, False, 0)
+        rows = np.argwhere((row_peak > 0.0) & (np.abs(row_peak / peak - 1.0) <= tol.cmp))
+        i, j = (int(x) for x in rows[0])
+        vals = e[i, j] * e[j, j + 1 :] * e[j + 1 :, i]
+        hits = np.flatnonzero(np.abs(np.fmax(vals, 1.0 / vals) / peak - 1.0) <= tol.cmp)
+        worst = TriadProduct(i, j, j + 1 + int(hits[0]), float(vals[hits[0]]))
+        low = min(worst.value, worst.reciprocal)
+        tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp
+        return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, self.count)
+
+
+def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima of max(v, 1/v)
+    low = np.fmin.reduce(v, axis=0, initial=math.inf, where=where)
+    np.fmax(np.fmax.reduce(v, axis=0, initial=0.0, where=where), 1.0 / low, out=out)
 
 
 def new_triads_mt(entries: np.ndarray, i: int, k: int, js) -> float:

@@ -6,7 +6,8 @@ value, so the interval's context is the mt without that entry and every
 candidate passes the engine's three checks.  The candidate with the lowest
 resulting measure wins.  The measure never increases; with a unique worst
 triad it strictly decreases, so iteration drives it down one entry change
-at a time.
+at a time.  :func:`reduce` builds its input's :class:`TriadTables` once
+(O(n^3)); a candidate's context and an applied step are O(n^2) updates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .completion import FeasibleInterval, _fill_step
 from .errors import MatrixTooSmallError
 from .graphs import Edge
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, Tolerances
-from .measures import mt, triad_scan
+from .measures import TriadTables
 
 EDGE_RULES = ("best", "paper")
 
@@ -62,22 +63,27 @@ def reduce_step(
     lexicographically smallest edge).  ``edge_rule="paper"`` re-solves only
     the (min, max) entry of the triad.
     """
-    if m.n < 3:
-        raise MatrixTooSmallError(f"need n >= 3, got n = {m.n}")
+    tables = TriadTables(m.entries.copy())
+    step = _step(tables, tol, edge_rule)
+    tables.set(*step.edge, step.new_value)
+    return CompleteReciprocalMatrix(tables.entries), step
+
+
+def _step(tables: TriadTables, tol: Tolerances, edge_rule: str) -> ReductionStep:
+    """:func:`reduce_step` on the tables' matrix, which is left as it is."""
+    if len(tables.entries) < 3:
+        raise MatrixTooSmallError(f"need n >= 3, got n = {len(tables.entries)}")
     if edge_rule not in EDGE_RULES:
         raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
-    scan = triad_scan(m, tol)
+    scan = tables.scan(tol)
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
-    tried = []
+    fills = []
     for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
-        cleared = m.without_entry(a, b)
-        entries = cleared.entries.copy()
-        context = mt(cleared)
-        tried.append((_fill_step(entries, a, b, context, "minimax", tol), entries))
-    fill, entries = min(tried, key=lambda t: (t[0].mt_after, t[0].edge))
-    step = ReductionStep(fill.edge, float(m.entries[fill.edge]), fill.value, fill.interval,
+        entries, context = tables.cleared(a, b)
+        fills.append(_fill_step(entries, a, b, context, "minimax", tol))
+    fill = min(fills, key=lambda f: (f.mt_after, f.edge))
+    return ReductionStep(fill.edge, float(tables.entries[fill.edge]), fill.value, fill.interval,
                          scan.mt, fill.mt_after, scan.tie)
-    return CompleteReciprocalMatrix(entries), step
 
 
 def reduce(
@@ -98,8 +104,8 @@ def reduce(
         raise ValueError(f"target_mt must be >= 1, got {target_mt!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
-    current, mt_initial = m, mt(m)
-    mt_now = mt_initial
+    tables = TriadTables(m.entries.copy())
+    mt_initial = mt_now = tables.scan(tol).mt
     steps: list[ReductionStep] = []
     while True:
         if mt_now <= target_mt * (1.0 + tol.cmp):
@@ -108,11 +114,13 @@ def reduce(
         if len(steps) >= max_steps:
             reason = STOP_MAX_STEPS
             break
-        candidate, step = reduce_step(current, tol, edge_rule)
+        step = _step(tables, tol, edge_rule)
         if step.mt_after * (1.0 + tol.cmp) < mt_now:
-            current, mt_now = candidate, step.mt_after
+            tables.set(*step.edge, step.new_value)
+            mt_now = step.mt_after
             steps.append(step)
             continue
         reason = STOP_TIE if step.tie else STOP_NO_DECREASE
         break
-    return ReductionTrace(tuple(steps), reason, current, mt_initial)
+    result = CompleteReciprocalMatrix(tables.entries)
+    return ReductionTrace(tuple(steps), reason, result, mt_initial)

@@ -750,19 +750,20 @@ class TestWorkDoneOnce:
             builds.clear()
             reduction.reduce_step(m)
             counts.append(len(builds))
-        # One cleared matrix per candidate edge of the worst triad, plus one result.
-        assert counts == [4, 4]
+        # The result only: each candidate clears its pair in a copy of the entries.
+        assert counts == [1, 1]
 
-    def test_reduce_scans_once_plus_four_per_step(self, monkeypatch, rng):
-        scans = self.counted(monkeypatch, measures, "triad_scan", (measures, reduction))
+    def test_reduce_builds_triad_tables_once(self, monkeypatch, rng):
+        # Every full scan builds triad tables, so this counts triad_scan calls too.
+        tables = measures.TriadTables
+        builds = self.counted(monkeypatch, tables, "__init__", (tables,))
         m = cases.random_prm(rng, 12, p=1.0).to_complete()
         reduction.reduce_step(m)
-        assert len(scans) == 4  # the input, then each candidate's cleared matrix
-        steps = self.counted(monkeypatch, reduction, "reduce_step", (reduction,))
-        scans.clear()
+        assert len(builds) == 1  # candidates' contexts are updates, not scans
+        builds.clear()
         trace = reduction.reduce(m, max_steps=4)
-        assert len(trace.steps) == 4 and len(steps) == 4
-        assert len(scans) == 1 + 4 * len(steps)
+        assert len(trace.steps) == 4
+        assert len(builds) == 1  # applied steps update the input's tables
 
     def test_pc_plus_reads_components_without_a_chordality_test(self, monkeypatch):
         calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))

@@ -27,7 +27,7 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
-from triadcomplete.measures import TriadSets, new_triads_mt, triad_scan
+from triadcomplete.measures import TriadSets, TriadTables, new_triads_mt, triad_scan
 from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
@@ -344,6 +344,67 @@ def scaled_prm(rng, g, shift):
     for i, j in sorted(g.edges):
         raw[i, j] = float(cases.log_uniform(rng, 1 / 9, 9)) * 2.0 ** int(rng.integers(-shift, shift + 1))
     return validate(raw)
+
+
+class TestTriadTables:
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(3, 64),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0, 8, 60]),
+        tie_grid=st.booleans(),
+        missing=st.sampled_from([0.0, 0.3]),
+    )
+    def test_updates_equal_a_fresh_scan(self, n, seed, shift, tie_grid, missing):
+        # After each pair change, to a value or to NaN and back, the tables read
+        # exactly what a rescan finds, and a cleared pair's mt is the rescan's.
+        rng = np.random.default_rng(seed)
+        if tie_grid:  # all ones but one entry: every triad through it ties at 4
+            raw = np.ones((n, n))
+            i, j = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            raw[i, j] = 4.0
+        else:
+            raw = cases.log_uniform(rng, 1 / 9, 9, (n, n))
+            raw *= np.ldexp(1.0, rng.integers(-shift, shift + 1, (n, n)))
+        raw[rng.random((n, n)) < missing] = np.nan
+        raw[np.tril_indices(n)] = np.nan  # validate mirrors the upper triangle
+        m = validate(raw)
+        tables = TriadTables(np.array(m.entries))
+        assert tables.scan() == triad_scan(m)
+        for _ in range(12):
+            a, b = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            before = np.array(tables.entries)
+            cleared, context = tables.cleared(a, b)
+            without = PartialReciprocalMatrix(before).without_entry(a, b)
+            assert np.array_equal(cleared, without.entries, equal_nan=True)
+            assert context == mt(without)
+            assert np.array_equal(tables.entries, before, equal_nan=True)
+            if rng.random() < 0.25:
+                value = math.nan
+            elif tie_grid:
+                value = float(rng.choice([0.25, 1.0, 4.0]))
+            else:
+                value = float(cases.log_uniform(rng, 1 / 9, 9)) * 2.0 ** int(rng.integers(-shift, shift + 1))
+            tables.set(a, b, value)
+            now = PartialReciprocalMatrix(tables.entries)
+            assert tables.scan() == triad_scan(now)
+            assert tables.scan(Tolerances(cmp=0.6)) == triad_scan(now, Tolerances(cmp=0.6))
+
+    @pytest.mark.parametrize("big", [1e200, 1e-200])
+    def test_overflowing_change_raises_as_a_scan(self, big):
+        # Setting (3, 5) closes {1, 3, 5} with a product of big**2; a rescan
+        # meets it first at middle 1, which the update did not recompute.
+        raw = np.ones((6, 6))
+        raw[0, 2] = big
+        raw[np.tril_indices(6)] = np.nan
+        tables = TriadTables(np.array(validate(raw).entries))
+        changed = np.array(tables.entries)
+        changed[2, 4], changed[4, 2] = big, 1.0 / big
+        with pytest.raises(MatrixError) as scan_error:
+            triad_scan(PartialReciprocalMatrix(changed))
+        assert str(scan_error.value) == "triad (1, 3, 5): 3-cycle product overflows"
+        with pytest.raises(MatrixError, match=re.escape(str(scan_error.value))):
+            tables.set(2, 4, big)
 
 
 class TestNewTriadsMt:

@@ -3,26 +3,27 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
 from triadcomplete import (
+    DEFAULT_TOL,
     completion,
     max_triad,
     mt,
     oracle,
     reduce,
     reduce_step,
-    reduction,
     validate,
 )
 from triadcomplete.errors import MatrixTooSmallError
-from triadcomplete.measures import triad_scan
+from triadcomplete.measures import TriadTables, triad_scan
 from triadcomplete.oracle import specified_triads
 from triadcomplete.reduction import (
     EDGE_RULES,
     STOP_MAX_STEPS,
+    STOP_NO_DECREASE,
     STOP_TARGET,
     STOP_TIE,
 )
@@ -112,7 +113,8 @@ class TestReduceStep:
     # checks fire here as in tests/test_completion.py.
     def test_empty_interval_check_fires(self, monkeypatch):
         # Against mt = 1 the constraining products of entry (0, 1) leave no value.
-        monkeypatch.setattr(reduction, "mt", lambda m: 1.0)
+        cleared = TriadTables.cleared
+        monkeypatch.setattr(TriadTables, "cleared", lambda t, a, b: (cleared(t, a, b)[0], 1.0))
         with pytest.raises(AssertionError, match=re.escape("empty feasible interval at (0, 1)")):
             reduce_step(cases.five_completed())
 
@@ -147,6 +149,52 @@ class TestReduceStep:
             assert step.mt_after == triad_scan(result).mt
             assert step.interval.mt_context == mt(m.without_entry(*step.edge))
             m = result
+
+
+class TestCarriedTables:
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(3, 64),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0, 8, 60]),
+        tie_grid=st.booleans(),
+        edge_rule=st.sampled_from(EDGE_RULES),
+    )
+    def test_reduce_equals_iterated_reduce_step(self, n, seed, shift, tie_grid, edge_rule):
+        # reduce carries one set of triad tables across its steps; iterating the
+        # public reduce_step rebuilds them each time.  Both must agree exactly.
+        rng = np.random.default_rng(seed)
+        if tie_grid:  # all ones but one entry: every triad through it ties at 4
+            raw = np.ones((n, n))
+            i, j = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            raw[i, j], raw[j, i] = 4.0, 0.25
+        else:
+            raw = np.triu(cases.log_uniform(rng, 1 / 9, 9, (n, n)), 1)
+            raw *= np.ldexp(1.0, rng.integers(-shift, shift + 1, (n, n)))
+            raw[np.tril_indices(n)] = np.nan
+        m = validate(raw).to_complete()
+        trace = reduce(m, 1.0, max_steps=8, edge_rule=edge_rule)
+        current, mt_now, steps = m, triad_scan(m).mt, []
+        while True:  # reduce's acceptance rule, one public step at a time
+            if mt_now <= 1.0 + DEFAULT_TOL.cmp:
+                reason = STOP_TARGET
+                break
+            if len(steps) >= 8:
+                reason = STOP_MAX_STEPS
+                break
+            result, step = reduce_step(current, edge_rule=edge_rule)
+            if step.mt_after * (1.0 + DEFAULT_TOL.cmp) < mt_now:
+                # An untied step strictly lowers mt, by one fresh scan of its result.
+                assert step.tie or triad_scan(result).mt < step.mt_before
+                current, mt_now = result, step.mt_after
+                steps.append(step)
+                continue
+            reason = STOP_TIE if step.tie else STOP_NO_DECREASE
+            break
+        assert trace.mt_initial == triad_scan(m).mt
+        assert trace.steps == tuple(steps)
+        assert trace.stop_reason == reason
+        assert trace.result.entries.tobytes() == current.entries.tobytes()
 
 
 class TestReduce:
