@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComponentNotChordalError, MatrixError, NotPCPlusError
-from .graphs import Edge, _greedy_ordering
+from .errors import MatrixError, NotPCPlusError
+from .graphs import Edge, chordal_ordering
 from .matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
@@ -124,21 +124,6 @@ def _fill(entries: np.ndarray, i, k, value) -> None:
         entries[k, i] = 1.0 / value
 
 
-def _chordal_orderings(m: PartialReciprocalMatrix, lowest_first: bool = False) -> list[Edge]:
-    """A chordal ordering of the entries missing inside the components of m's graph.
-
-    The ordering runs component by component, in matrix indices.  The first
-    component that is not chordal raises :class:`ComponentNotChordalError`.
-    """
-    g = m.graph
-    ordering = []
-    for comp, cycle in zip(g.components, g.chordless_cycles):
-        if cycle is not None:
-            raise ComponentNotChordalError(comp, cycle)
-        ordering += _greedy_ordering(g.adj, comp, lowest_first)
-    return ordering
-
-
 def _join_components(
     entries: np.ndarray,
     comps,
@@ -228,12 +213,18 @@ def _fill_step(
     The value comes from the feasible interval against ``context``.  Three
     checks run under ``python -O`` too: the common neighbors are pairwise
     adjacent, the interval is non-empty and mt is not raised.  The step's
-    ``mt_after`` equals a full rescan bit for bit.
+    ``mt_after`` equals a full rescan bit for bit.  A product
+    ``a[i,j]·a[j,k]`` out of (0, inf), which an earlier fill at an interval
+    end can cause, raises :class:`MatrixError` naming the entry and that j.
     """
     ts = TriadSets.of(entries, i, k)
     # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
     if np.isnan(entries[ts.j][:, ts.j]).any():
         raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
+    if not ts.is_unconstrained and not (0.0 < ts.s_min and ts.s_max < math.inf):
+        j = ts.j[np.argmin((ts.s > 0.0) & (ts.s < math.inf))]
+        i, k = ts.entry
+        raise MatrixError(f"entry ({i + 1}, {k + 1}): product through {j + 1} is out of range")
     interval = FeasibleInterval.from_triad_sets(ts, context)
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
@@ -264,7 +255,7 @@ def complete_mt_preserving(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
-    ordering = _chordal_orderings(m)
+    ordering = chordal_ordering(m.graph)
     entries = np.array(m.entries)
     steps: list[CompletionStep] = []
     context = mt(m)

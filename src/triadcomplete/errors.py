@@ -58,20 +58,6 @@ class EntrySpecifiedError(MatrixError):
         self.i, self.j = i, j
 
 
-class GraphError(ValueError):
-    """Structural problem with a specification graph."""
-
-
-class NotConnectedError(GraphError):
-    """The graph (or a required subgraph) is not connected."""
-
-
-class NotChordalError(GraphError):
-    def __init__(self, cycle) -> None:
-        super().__init__(f"graph is not chordal; chordless cycle {_one_based(cycle, '-')}")
-        self.cycle = tuple(cycle)
-
-
 class CompletionError(ValueError):
     """A completion engine cannot proceed on the given input."""
 

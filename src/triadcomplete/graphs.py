@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NotChordalError, NotConnectedError
+from .errors import ComponentNotChordalError
 
 Edge = tuple[int, int]
 
@@ -65,36 +65,6 @@ class SpecGraph:
         return [(i, j) for i, j in combinations(range(self.n), 2) if j not in self.adj[i]]
 
 
-def _mcs_order(adj, verts) -> list[int]:
-    """Maximum-cardinality search visit order of ``verts``; ties go to the smallest vertex.
-
-    ``verts`` must be closed under ``adj`` (a union of components).
-    """
-    weight = dict.fromkeys(verts, 0)
-    unvisited = set(verts)
-    order: list[int] = []
-    while unvisited:
-        v = min(unvisited, key=lambda u: (-weight[u], u))
-        unvisited.remove(v)
-        order.append(v)
-        for u in adj[v] & unvisited:
-            weight[u] += 1
-    return order
-
-
-def _is_perfect_elimination(adj, elim: list[int]) -> bool:
-    pos = {v: p for p, v in enumerate(elim)}
-    for v in elim:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if len(later) <= 1:
-            continue
-        u0 = min(later, key=pos.__getitem__)
-        for w in later:
-            if w != u0 and w not in adj[u0]:
-                return False
-    return True
-
-
 def bfs_parents(adj, start: int, blocked=frozenset()) -> dict[int, int]:
     """Breadth-first search from ``start``: each reached vertex -> its parent.
 
@@ -136,10 +106,29 @@ def _chordless_cycle(adj, verts) -> tuple[int, ...]:
 
 
 def _chordless_cycle_or_none(adj, verts) -> tuple[int, ...] | None:
-    """A chordless cycle among ascending ``verts`` (a union of components), or None if chordal."""
-    if _is_perfect_elimination(adj, _mcs_order(adj, verts)[::-1]):
-        return None
-    return _chordless_cycle(adj, verts)
+    """A chordless cycle among ascending ``verts`` (a union of components), or None if chordal.
+
+    One maximum-cardinality search (ties to the smallest vertex) checks each
+    vertex as it visits it: its visited neighbours, less the last one
+    visited, must all be adjacent to that last one.  The visit order
+    reversed is then a perfect elimination order, and the first vertex that
+    fails shows there is none (Tarjan & Yannakakis, SIAM J. Comput. 1984).
+    """
+    weight = dict.fromkeys(verts, 0)
+    unvisited = set(verts)
+    visited_at: dict[int, int] = {}
+    while unvisited:
+        v = min(unvisited, key=lambda u: (-weight[u], u))
+        unvisited.remove(v)
+        earlier = adj[v] - unvisited
+        if len(earlier) > 1:
+            last = max(earlier, key=visited_at.__getitem__)
+            if not earlier - {last} <= adj[last]:
+                return _chordless_cycle(adj, verts)
+        visited_at[v] = len(visited_at)
+        for u in adj[v] & unvisited:
+            weight[u] += 1
+    return None
 
 
 def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -160,30 +149,30 @@ def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
     return comps
 
 
-def chordal_ordering(g: SpecGraph, lowest_first: bool = False) -> tuple[Edge, ...]:
-    """Greedy ordering of all non-edges keeping every prefix graph chordal.
+def chordal_ordering(g: SpecGraph) -> tuple[Edge, ...]:
+    """Greedy ordering of the non-edges inside g's components keeping every prefix graph chordal.
 
-    Candidates are scanned highest pair first (the convention that matches the worked
-    examples shipped with the package); ``lowest_first=True`` scans in ascending order
-    instead and generally yields a different, equally valid ordering.  A valid next edge
-    always exists for a chordal graph, so the greedy scan never dead-ends.  For a chordal
-    G, G + uv is chordal iff N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008): one
-    BFS per candidate, none if N(u) ∩ N(v) is empty (G is connected).  ``g`` is tested
-    here; the engines read each component's verdict from ``chordless_cycles``.
+    Components are ordered in turn, each scanned highest pair first (the
+    convention that matches the worked examples shipped with the package);
+    the first component that is not chordal raises
+    :class:`ComponentNotChordalError` with its ``g.chordless_cycles`` witness.
+    A valid next edge always exists for a chordal component, so the greedy
+    scan never dead-ends.  For a chordal G, G + uv is chordal iff
+    N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008): one BFS per
+    candidate, none if N(u) ∩ N(v) is empty (the component is connected).
     """
-    if len(connected_components(g)) != 1:
-        raise NotConnectedError("chordal ordering requires a connected graph")
-    ok, witness = is_chordal(g)
-    if not ok:
-        raise NotChordalError(witness)
-    return _greedy_ordering(g.adj, range(g.n), lowest_first)
+    ordering: list[Edge] = []
+    for comp, cycle in zip(g.components, g.chordless_cycles):
+        if cycle is not None:
+            raise ComponentNotChordalError(comp, cycle)
+        ordering += _greedy_ordering(g.adj, comp)
+    return tuple(ordering)
 
 
-def _greedy_ordering(adj, comp, lowest_first: bool) -> tuple[Edge, ...]:
+def _greedy_ordering(adj, comp) -> list[Edge]:
     """:func:`chordal_ordering`'s scan of component ``comp`` (ascending), known chordal."""
     adj = {v: set(adj[v]) for v in comp}
-    pairs = [(u, v) for u, v in combinations(comp, 2) if v not in adj[u]]
-    candidates = sorted(pairs, reverse=not lowest_first)
+    candidates = [(u, v) for u, v in combinations(comp, 2) if v not in adj[u]][::-1]
     ordering: list[Edge] = []
     while candidates:
         for p, (u, v) in enumerate(candidates):
@@ -195,4 +184,4 @@ def _greedy_ordering(adj, comp, lowest_first: bool) -> tuple[Edge, ...]:
         ordering.append(candidates.pop(p))
         adj[u].add(v)
         adj[v].add(u)
-    return tuple(ordering)
+    return ordering

@@ -9,6 +9,7 @@ that touches it by accident, and the mask of specified entries is derived.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,13 +26,19 @@ from .errors import (
 from .graphs import SpecGraph
 
 
+CMP_FLOOR = 8 * sys.float_info.epsilon
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Relative tolerances used throughout.
 
     ``rec`` guards reciprocity during validation, ``cons`` decides when a
     triad product counts as 1 (consistency), and ``cmp`` is used when
-    comparing measure values and interval endpoints.
+    comparing measure values and interval endpoints.  ``cmp`` is at least
+    ``CMP_FLOOR``: the fill step's checks compare quantities a few roundings
+    apart (about 4 machine epsilons), and below half an epsilon ``1 + cmp``
+    rounds to 1.
     """
 
     rec: float = 1e-9
@@ -41,6 +48,11 @@ class Tolerances:
     def __post_init__(self) -> None:
         if not all(0.0 < t < math.inf for t in (self.rec, self.cons, self.cmp)):
             raise ValueError("tolerances must be finite and strictly positive")
+        if self.cmp < CMP_FLOOR:
+            raise ValueError(
+                f"tolerances: --tol-cmp must be at least {CMP_FLOOR!r} (8 machine epsilons),"
+                f" got {self.cmp!r}"
+            )
 
 
 DEFAULT_TOL = Tolerances()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -289,11 +290,11 @@ class TriadSets:
     def is_unconstrained(self) -> bool:
         return not self.s.size
 
-    @property
+    @cached_property
     def s_min(self) -> float | None:
         return float(self.s.min()) if self.s.size else None
 
-    @property
+    @cached_property
     def s_max(self) -> float | None:
         return float(self.s.max()) if self.s.size else None
 

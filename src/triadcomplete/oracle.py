@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .completion import _chordal_orderings, _fill, _join_components
+from .completion import _fill, _join_components
 from .errors import (
     EntrySpecifiedError,
     NeighborDisagreementError,
@@ -24,6 +24,7 @@ from .errors import (
     NotPCMError,
     TooLargeError,
 )
+from .graphs import chordal_ordering
 from .matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
@@ -163,7 +164,6 @@ def complete_one_entry_consistent(
 def complete_consistent_chordal(
     m: PartialReciprocalMatrix,
     tol: Tolerances = DEFAULT_TOL,
-    lowest_first: bool = False,
     join_scale: float = 1.0,
     join_u: int = 0,
     join_v: int = 0,
@@ -177,7 +177,7 @@ def complete_consistent_chordal(
     """
     if not is_pcm(m, tol):
         raise NotPCMError(f"specified triads are inconsistent (mt = {mt(m)!r})")
-    ordering = _chordal_orderings(m, lowest_first)
+    ordering = chordal_ordering(m.graph)
     entries = np.array(m.entries)
     for i, k in ordering:
         current = PartialReciprocalMatrix(entries)

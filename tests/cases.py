@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -164,6 +165,16 @@ def clique_attached_graph(rng, n, clique_max=4):
     return SpecGraph.from_edges(n, edges)
 
 
+def permuted(m, perm):
+    """P·A·Pᵀ: entry (i, j) of ``m`` moved to (perm[i], perm[j]).
+
+    ``entries[np.ix_(perm, perm)]`` maps a result on these labels back.
+    """
+    entries = np.empty_like(m.entries)
+    entries[np.ix_(perm, perm)] = m.entries
+    return validate(entries)
+
+
 def random_chordal_prm(rng, n, min_missing=0):
     return prm_on_graph(rng, random_connected_chordal_graph(rng, n, min_missing))
 
@@ -262,4 +273,34 @@ def random_sparse_graph(rng, n, parts=1, extra=0.05):
             edges.add(tuple(sorted((int(block[p]), int(block[rng.integers(p)])))))
         for a, b in np.argwhere(np.triu(rng.random((len(block),) * 2) < extra, 1)):
             edges.add(tuple(sorted((int(block[a]), int(block[b])))))
+    return SpecGraph.from_edges(n, edges)
+
+
+GRAPH_KINDS = ("tree", "star", "clique-attached", "gnp")
+
+
+def graph_of_kind(rng, kind, n):
+    """A random graph on n vertices: a tree, a star, a clique-attached chordal graph
+    (cliques up to 8) or G(n, p) with p from 0.02 to 0.6."""
+    if kind == "tree":
+        return SpecGraph.from_edges(n, random_tree_edges(rng, n))
+    if kind == "star":
+        return star_graph(n)
+    if kind == "clique-attached":
+        return clique_attached_graph(rng, n, clique_max=int(rng.integers(1, 9)))
+    return random_graph(rng, n, float(rng.uniform(0.02, 0.6)))
+
+
+def random_graph(rng, n, p):
+    """G(n, p): each pair an edge with probability p."""
+    return SpecGraph.from_edges(n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p])
+
+
+def disjoint_union(rng, n, kinds):
+    """One block per kind (see :func:`graph_of_kind`), on shuffled vertex labels."""
+    edges = []
+    for kind, block in zip(kinds, np.array_split(rng.permutation(n), len(kinds))):
+        if len(block):
+            local = graph_of_kind(rng, kind, len(block))
+            edges += [(int(block[i]), int(block[j])) for i, j in local.edges]
     return SpecGraph.from_edges(n, edges)

@@ -175,17 +175,17 @@ def test_criterion_07_delete_and_recover_uniqueness():
         full = cases.consistent_matrix(cases.random_weights(rng, n))
         g = cases.random_connected_chordal_graph(rng, n, min_missing=1)
         partial = cases.mask_to_graph(full, g)
+        # A relabelled copy is completed along another order; map it back.
+        perm = rng.permutation(n)
         recovered = [
-            complete_consistent_chordal(partial),
-            complete_consistent_chordal(partial, lowest_first=True),
-            complete_consistent_pc_plus(partial),
-            complete_mt_preserving(partial).result,
+            complete_consistent_chordal(partial).entries,
+            complete_consistent_chordal(cases.permuted(partial, perm)).entries[np.ix_(perm, perm)],
+            complete_consistent_pc_plus(partial).entries,
+            complete_mt_preserving(partial).result.entries,
         ]
         for r in recovered:
-            assert np.max(np.abs(r.entries / full.entries - 1.0)) <= 1e-8
-        assert (
-            np.max(np.abs(recovered[0].entries / recovered[1].entries - 1.0)) <= 1e-8
-        )
+            assert np.max(np.abs(r / full.entries - 1.0)) <= 1e-8
+        assert np.max(np.abs(recovered[0] / recovered[1] - 1.0)) <= 1e-8
     for _ in range(100):
         n = int(rng.integers(4, 9))
         partial, full = cases.random_nonchordal_pcplus(rng, n)

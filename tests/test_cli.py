@@ -17,6 +17,7 @@ import cases
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle, reduction
 from triadcomplete.cli import Records, _json, main
 from triadcomplete.fileio import format_matrix, parse_matrix
+from triadcomplete.matrices import validate
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -55,6 +56,21 @@ HUGE_TREE_TEXT = "1,?,?,1e200\n?,1,1e200,1e-200\n?,1e-200,1,?\n1e-200,1e200,?,1\
 HUGE_CLIQUE_TEXT = (
     "1,1e150,1e-100,?\n1e-150,1,1e-100,?\n1e100,1e100,1,1e200\n?,?,1e-200,1\n"
 )
+
+# Valid cells where an earlier fill at an interval end makes a product
+# a[i,j]·a[j,k] through a later unspecified entry leave double range.
+OVERFLOW_A_TEXT = """\
+1,2.8093383529649015e-19,2.1848318629159683e+21,5.674117073494519e-64
+3.559557000119357e+18,1,?,5.339518631222741e+129
+4.577011242711181e-22,?,1,?
+1.7623887329930082e+63,1.8728280001731196e-130,?,1
+"""
+OVERFLOW_B_TEXT = """\
+1,6.539411053412397e+76,?,?
+1.5291896958796922e-77,1,5.487231740227553e-114,1.798258002602326e-49
+?,1.822412552159735e+113,1,2.2207719700094362e-149
+?,5.560937299057548e+48,4.502938678552174e+148,1
+"""
 
 
 @pytest.fixture
@@ -339,6 +355,42 @@ class TestUsage:
                 assert main(["check", ok, flag, value]) == 2, (flag, value)
                 assert "tolerances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("check", FIVE_TEXT), ("complete", FIVE_TEXT), ("reduce", BLOCK_TEXT),
+    ])
+    def test_comparison_tolerance_below_the_floor_exits_two(self, write, capsys, command, text):
+        # Below the floor the fill step's checks would compare bits, not values.
+        floor = matrices.CMP_FLOOR
+        assert floor == 8 * sys.float_info.epsilon
+        path = write("m.csv", text)
+        for value in ("1e-16", repr(floor / 2)):
+            assert main([command, path, "--tol-cmp", value]) == 2
+            err = capsys.readouterr().err
+            assert "--tol-cmp" in err and "tolerances" in err and "Traceback" not in err
+        assert main([command, path, "--tol-cmp", repr(floor)]) in (0, 1)
+        capsys.readouterr()
+
+    def test_comparison_tolerance_at_the_floor_passes_every_check(self, write, capsys, rng):
+        # At 1e-16 some of these fills died on the measure-increase check.
+        tol = ["--tol-cmp", repr(matrices.CMP_FLOOR)]
+        partial = [str(p) for p in sorted(DATA.glob("*.csv"))]
+        for _ in range(30):
+            g = cases.disjoint_union(rng, int(rng.integers(4, 17)), ("clique-attached",))
+            m = cases.prm_on_graph(rng, g)
+            partial.append(write("chordal.csv", format_matrix(m)))
+            for selection in completion.SELECTIONS:
+                for path in partial:
+                    assert main(["complete", path, "--mode", "mt-preserving",
+                                 "--selection", selection, *tol]) in (0, 1, 2)
+            partial.pop()
+            capsys.readouterr()
+        full = [str(p) for p in sorted(DATA.glob("*.csv"))]
+        full.append(write("full.csv", format_matrix(cases.perturbed_consistent(rng, 12)[0])))
+        for edge in reduction.EDGE_RULES:
+            for path in full:
+                assert main(["reduce", path, "--edge", edge, *tol]) in (0, 1, 2)
+            capsys.readouterr()
+
     def test_bad_reduce_target_exits_two(self, write, capsys):
         path = write("block.csv", BLOCK_TEXT)
         for value in ("nan", "0.5"):
@@ -445,6 +497,44 @@ class TestUsage:
         steps = {tuple(s["edge"]): s for s in doc["completion"]["steps"]}
         assert steps[1, 5]["interval"]["hi"] is None
         assert not steps[1, 5]["interval"]["unconstrained"]
+
+    @pytest.mark.parametrize(
+        "text, selection, code, located",
+        [
+            (OVERFLOW_A_TEXT, "lo", 2, "entry (2, 3): product through 4 is out of range"),
+            (OVERFLOW_A_TEXT, "hi", 0, ""),
+            (OVERFLOW_A_TEXT, "midpoint", 0, ""),
+            (OVERFLOW_B_TEXT, "lo", 2, "triad (1, 2, 3): 3-cycle product overflows"),
+            (OVERFLOW_B_TEXT, "hi", 2, "entry (1, 3): product through 4 is out of range"),
+            (OVERFLOW_B_TEXT, "midpoint", 2, "entry (1, 3): product through 4 is out of range"),
+        ],
+    )
+    def test_overflowing_product_through_an_unspecified_entry(
+        self, write, capsys, text, selection, code, located
+    ):
+        # An earlier fill at an interval end makes a product through the
+        # next unspecified entry overflow or underflow.
+        path = write("m.csv", text)
+        assert main(["complete", path, "--mode", "mt-preserving", "--selection", selection]) == code
+        err = capsys.readouterr().err
+        assert located in err and "Traceback" not in err
+
+    def test_wide_magnitudes_exit_zero_one_or_two(self, write, capsys):
+        # Chordal patterns with entries 10^U(-150, 150): every call returns.
+        rng = np.random.default_rng(1500)
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            g = cases.disjoint_union(rng, n, ("clique-attached",) * int(rng.integers(1, 3)))
+            raw = np.full((n, n), np.nan)
+            np.fill_diagonal(raw, 1.0)
+            for i, j in g.edges:
+                raw[i, j] = 10.0 ** rng.uniform(-150, 150)
+                raw[j, i] = 1.0 / raw[i, j]
+            path = write("wide.csv", format_matrix(validate(raw)))
+            for selection in completion.SELECTIONS:
+                assert main(["complete", path, "--mode", "mt-preserving",
+                             "--selection", selection]) in (0, 1, 2)
+            capsys.readouterr()
 
     @pytest.mark.parametrize(
         "argv, text, message",

@@ -2,6 +2,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cases
 from cases import add_edge, has_edge
@@ -12,9 +14,13 @@ from triadcomplete import (
     is_chordal,
     validate,
 )
-from triadcomplete.completion import _chordal_orderings
-from triadcomplete.errors import NotChordalError, NotConnectedError
-from triadcomplete.graphs import bfs_parents
+from triadcomplete.errors import ComponentNotChordalError
+from triadcomplete.graphs import _chordless_cycle_or_none, bfs_parents
+
+try:
+    import networkx as nx
+except ImportError:  # the oracle property below skips
+    nx = None
 
 
 def brute_is_chordal(g):
@@ -40,11 +46,11 @@ def brute_is_chordal(g):
     return True
 
 
-def reference_ordering(g, lowest_first=False):
-    """The greedy scan with a full chordality test of every candidate."""
+def reference_ordering(g):
+    """The greedy scan, highest pair first, with a full chordality test of every candidate."""
     ordering = []
     while g.non_edges():
-        candidates = sorted(g.non_edges(), reverse=not lowest_first)
+        candidates = sorted(g.non_edges(), reverse=True)
         e = next(e for e in candidates if is_chordal(add_edge(g, *e))[0])
         ordering.append(e)
         g = add_edge(g, *e)
@@ -55,7 +61,7 @@ def spanning_tree(g):
     """BFS spanning tree from vertex 0, neighbors visited in ascending order."""
     parent = bfs_parents(g.adj, 0)
     if len(parent) != g.n:
-        raise NotConnectedError("spanning tree requires a connected graph")
+        raise ValueError("spanning tree requires a connected graph")
     return SpecGraph.from_edges(g.n, [(p, v) for v, p in parent.items() if v != p])
 
 
@@ -82,6 +88,11 @@ def relabelled_chordless_cycles(g):
     return tuple(cycles)
 
 
+def relabelled(g, perm):
+    """``g`` with vertex v renamed ``perm[v]``."""
+    return SpecGraph.from_edges(g.n, [(int(perm[i]), int(perm[j])) for i, j in g.edges])
+
+
 def mixed_component_graph(rng, n, parts):
     """``parts`` connected blocks on shuffled labels, each chordal or a tree plus extra edges."""
     edges = []
@@ -103,11 +114,14 @@ def two_component_graph(rng, n1, n2):
     return SpecGraph.from_edges(n1 + n2, [(label[i], label[j]) for i, j in edges])
 
 
-def random_graph(rng, n, p):
-    edges = {
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    }
-    return SpecGraph.from_edges(n, edges)
+def assert_chordless_cycle(g, witness):
+    assert len(witness) >= 4 and len(set(witness)) == len(witness)
+    closed = witness + (witness[0],)
+    cycle_edges = {tuple(sorted(p)) for p in zip(closed, closed[1:])}
+    assert all(has_edge(g, a, b) for a, b in zip(closed, closed[1:]))
+    for a, b in combinations(witness, 2):
+        if tuple(sorted((a, b))) not in cycle_edges:
+            assert not has_edge(g, a, b)
 
 
 class TestFromMatrix:
@@ -155,24 +169,37 @@ class TestIsChordal:
     def test_witness_is_a_chordless_cycle(self, rng):
         found = 0
         while found < 25:
-            g = random_graph(rng, int(rng.integers(4, 9)), 0.45)
+            g = cases.random_graph(rng, int(rng.integers(4, 9)), 0.45)
             ok, witness = is_chordal(g)
             if ok:
                 continue
             found += 1
-            assert len(witness) >= 4
-            closed = witness + (witness[0],)
-            cycle_edges = {tuple(sorted(p)) for p in zip(closed, closed[1:])}
-            assert all(has_edge(g, a, b) for a, b in zip(closed, closed[1:]))
-            for a, b in combinations(witness, 2):
-                if tuple(sorted((a, b))) not in cycle_edges:
-                    assert not has_edge(g, a, b)
+            assert_chordless_cycle(g, witness)
 
     def test_agrees_with_brute_force(self, rng):
         for _ in range(150):
             n = int(rng.integers(3, 8))
-            g = random_graph(rng, n, float(rng.uniform(0.2, 0.9)))
+            g = cases.random_graph(rng, n, float(rng.uniform(0.2, 0.9)))
             assert is_chordal(g)[0] == brute_is_chordal(g)
+
+    @pytest.mark.skipif(nx is None, reason="the oracle is networkx.is_chordal")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        kinds=st.lists(st.sampled_from(cases.GRAPH_KINDS), min_size=1, max_size=3),
+    )
+    def test_agrees_with_networkx_past_brute_force(self, seed, n, kinds):
+        rng = np.random.default_rng(seed)
+        g = cases.disjoint_union(rng, n, kinds)
+        reference = nx.Graph(g.edges)
+        reference.add_nodes_from(range(n))
+        for comp in g.components:
+            witness = _chordless_cycle_or_none(g.adj, comp)
+            assert (witness is None) == nx.is_chordal(reference.subgraph(comp))
+            if witness is not None:
+                assert set(witness) <= set(comp)
+                assert_chordless_cycle(g, witness)
 
     def test_components_tested_in_place_equal_relabelled_tests(self, rng):
         chordal = nonchordal = 0
@@ -206,7 +233,6 @@ class TestChordalOrdering:
     def test_five_by_five_default_order(self):
         g = SpecGraph.from_matrix(cases.five_partial())
         assert chordal_ordering(g) == ((1, 4), (0, 4))
-        assert chordal_ordering(g, lowest_first=True) == ((0, 4), (1, 4))
 
     def test_path_graph(self):
         g = SpecGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -214,12 +240,20 @@ class TestChordalOrdering:
 
     def test_not_chordal_rejected(self):
         g = SpecGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        with pytest.raises(NotChordalError):
+        with pytest.raises(ComponentNotChordalError) as exc:
             chordal_ordering(g)
+        assert exc.value.component == (0, 1, 2, 3)
+        assert exc.value.cycle == is_chordal(g)[1] == (0, 1, 2, 3)
 
-    def test_not_connected_rejected(self):
-        with pytest.raises(NotConnectedError):
-            chordal_ordering(SpecGraph.from_edges(4, [(0, 1), (2, 3)]))
+    def test_disconnected_graph_ordered_component_by_component(self):
+        # Components {0, 2, 4} and {1, 3, 5} are paths on interleaved labels.
+        g = SpecGraph.from_edges(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
+        assert chordal_ordering(g) == ((0, 4), (1, 5))
+        # The first component that is not chordal is named, after a chordal one.
+        g = SpecGraph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+        with pytest.raises(ComponentNotChordalError) as exc:
+            chordal_ordering(g)
+        assert exc.value.component == (2, 3, 4, 5)
 
     def test_every_prefix_stays_chordal(self, rng):
         for _ in range(25):
@@ -235,24 +269,25 @@ class TestChordalOrdering:
 
     def test_equals_full_chordality_test_per_candidate(self, rng):
         # The single-edge separator criterion must accept exactly the edge a
-        # full chordality test accepts, so the greedy order is unchanged.
+        # full chordality test accepts, so the greedy order is unchanged.  A
+        # random relabelling of each graph shows the scan other candidate
+        # sequences, so more separator decisions are checked.
         for _ in range(30):
             g = cases.random_connected_chordal_graph(rng, int(rng.integers(4, 13)))
-            for lowest_first in (False, True):
-                assert chordal_ordering(g, lowest_first) == reference_ordering(g, lowest_first)
+            for h in (g, relabelled(g, rng.permutation(g.n))):
+                assert chordal_ordering(h) == reference_ordering(h)
         # Two components on shuffled labels: the engines' ordering is each
         # component's reference ordering in turn, mapped to matrix indices.
         for _ in range(10):
             g = two_component_graph(rng, int(rng.integers(2, 11)), int(rng.integers(2, 11)))
             m = cases.prm_on_graph(rng, g)
             assert list(m.graph.components) == connected_components(g)
-            for lowest_first in (False, True):
-                expected = [
-                    (comp[a], comp[b])
-                    for comp in connected_components(g)
-                    for a, b in reference_ordering(induced_by_edge_walk(g, comp), lowest_first)
-                ]
-                assert _chordal_orderings(m, lowest_first) == expected
+            expected = tuple(
+                (comp[a], comp[b])
+                for comp in connected_components(g)
+                for a, b in reference_ordering(induced_by_edge_walk(g, comp))
+            )
+            assert chordal_ordering(m.graph) == expected
 
     def test_chord_forcing_at_each_step(self, rng):
         # Common neighbors of a chordality-preserving new edge must be
@@ -283,7 +318,7 @@ class TestSpanningTree:
         assert spanning_tree(g).edges == frozenset({(0, 1), (0, 2)})
 
     def test_not_connected(self):
-        with pytest.raises(NotConnectedError):
+        with pytest.raises(ValueError):
             spanning_tree(SpecGraph.from_edges(3, [(0, 1)]))
 
     def test_tree_properties(self, rng):
