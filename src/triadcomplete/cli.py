@@ -20,21 +20,13 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .completion import (
-    SELECTIONS,
-    CompletionReport,
-    complete_consistent_pc_plus,
-    complete_mt_preserving,
-)
+from .completion import SELECTIONS, complete_consistent_pc_plus, complete_mt_preserving
 from .errors import (
-    CompletionError,
-    MatrixFileError,
-    MatrixTooSmallError,
-    NoConsistentCompletionError,
+    CompletionError, MatrixFileError, MatrixTooSmallError, NoConsistentCompletionError
 )
-from .fileio import load_matrix, format_matrix
+from .fileio import format_rows, load_matrix
 from .matrices import PartialReciprocalMatrix, Tolerances
-from .measures import TriadScan, is_pc_plus, mt, triad_scan
+from .measures import TriadScan, is_pc_plus, is_pcm, mt, triad_scan
 from .reduction import EDGE_RULES, reduce
 
 
@@ -46,20 +38,25 @@ def _one_based(indices) -> list[int]:
     return [int(v) + 1 for v in indices]
 
 
+class JsonText(list):
+    """A :class:`Records` column of values already written as JSON text, one string per row."""
+
+
 @dataclass(frozen=True)
 class Records:
     """A list of dicts with the same keys, held by column.
 
-    ``columns[key]`` is an array whose first axis runs over the rows (a row
-    of a 2-D column is a list) or one value shared by every row; at least
-    one column is an array.  Iterating yields the rows as dicts; :func:`_json`
-    writes the same list from one row template, so no per-row dict is built.
+    ``columns[key]`` is an array whose first axis runs over the rows (a row of
+    a 2-D column is a list), a :class:`JsonText`, or one value shared by every
+    row, and not every column is shared.  Iterating yields the rows as dicts;
+    :func:`_json` writes them from one row template, building no per-row dict.
     """
 
     columns: dict
 
     def __iter__(self):
-        lists = [c.tolist() if type(c) is np.ndarray else repeat(c) for c in self.columns.values()]
+        lists = [c.tolist() if type(c) is np.ndarray else c if type(c) is JsonText else repeat(c)
+                 for c in self.columns.values()]
         return (dict(zip(self.columns, row)) for row in zip(*lists))
 
 
@@ -69,8 +66,7 @@ def _json(value, pad: str = "\n") -> str:
     ``pad`` is the newline and indent that precede this value's closing
     bracket; its items sit one level (two spaces) deeper.  Numpy arrays are
     written as their ``tolist()`` and :class:`Records` as the list of their rows;
-    those with only integers or finite floats are filled into one
-    %-template, and a row of strings is one join.
+    both are filled into one %-template, and a row of strings is one join.
     """
     kind = type(value)
     if kind is str:
@@ -89,10 +85,13 @@ def _json(value, pad: str = "\n") -> str:
             return "{}"
         items = [_json_string(k) + ": " + _json(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list or kind is tuple:
+    if isinstance(value, (list, tuple)):  # and a file's Cells
         if not value:
             return "[]"
         if set(map(type, value)) == {str}:
+            text = "".join(value)
+            if len(_json_string(text)) == len(text) + 2:  # escaping always lengthens
+                return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + pad + "]"
             items = map(_json_string, value)
         else:
             items = [_json(v, inner) for v in value]
@@ -129,38 +128,31 @@ def _slots(shape: tuple[int, ...], slot: str, pad: str) -> str:
 
 
 def _json_records(records: Records, pad: str) -> str:
-    """``_json(list(records), pad)``, from one row template when every column is plain."""
-    arrays = [c for c in records.columns.values() if type(c) is np.ndarray]
-    if not all(map(_slot, arrays)):
-        return _json(list(records), pad)
-    size = len(arrays[0])
+    """``_json(list(records), pad)`` from one row template: a column's values fill its
+    %-slots, or a ``%s`` with each row's text if it is :class:`JsonText` or has no slot."""
+    size = next(len(c) for c in records.columns.values() if type(c) in (np.ndarray, JsonText))
     if not size:
         return "[]"
     inner, field = pad + "  ", pad + "    "
-    fields = []
+    fields, values = [], []
     for key, column in records.columns.items():
-        if type(column) is np.ndarray:
-            text = _slots(column.shape[1:], _slot(column), field)
+        slot = _slot(column) if type(column) is np.ndarray else None
+        if slot:
+            text = _slots(column.shape[1:], slot, field)
+            values.append(column.reshape(size, -1).astype(object))
+        elif type(column) in (np.ndarray, JsonText):
+            texts = column if type(column) is JsonText else [_json(v, field) for v in column.tolist()]
+            text = "%s"
+            values.append(np.array(texts, dtype=object).reshape(size, 1))
         else:
             text = _json(column, field).replace("%", "%%")
         fields.append(_json_string(key).replace("%", "%%") + ": " + text)
     row = "{" + field + ("," + field).join(fields) + inner + "}"
-    values = np.concatenate([a.reshape(size, -1).astype(object) for a in arrays], axis=1)
     template = "[" + inner + ("," + inner).join([row] * size) + pad + "]"
-    return template % tuple(values.ravel().tolist())
+    return template % tuple(np.concatenate(values, axis=1).ravel().tolist())
 
 
-def _interval_doc(interval) -> dict:
-    return {
-        "lo": interval.lo,
-        "hi": interval.hi,
-        "minimax": interval.minimax,
-        "mt_context": interval.mt_context,
-        "unconstrained": interval.unconstrained,
-    }
-
-
-def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> dict:
+def _classify(m: PartialReciprocalMatrix, tol: Tolerances, pcm: bool) -> dict:
     all_chordal = not any(m.graph.chordless_cycles)
     pc_plus, witness_edge = is_pc_plus(m, tol)
     return {
@@ -172,10 +164,10 @@ def _classify(m: PartialReciprocalMatrix, tol: Tolerances, scan: TriadScan) -> d
             for comp, cycle in zip(m.graph.components, m.graph.chordless_cycles)
         ],
         "all_components_chordal": all_chordal,
-        "pcm": scan.pcm,
+        "pcm": pcm,
         "pc_plus": pc_plus,
         "pc_plus_witness_edge": _one_based(witness_edge) if witness_edge else None,
-        "consistent_completion_exists": (scan.pcm and all_chordal) or pc_plus,
+        "consistent_completion_exists": (pcm and all_chordal) or pc_plus,
     }
 
 
@@ -222,7 +214,7 @@ def _print_human(report: dict) -> None:
         print(f"mode: {comp['mode']}")
         for step in comp["steps"]:
             i, j = step["edge"]
-            line = f"filled ({i},{j}) = {_fmt(step['value'])}"
+            line = f"filled ({i},{j}) = {_fmt(float(step['value']))}"
             interval = step["interval"]
             if interval and not interval["unconstrained"]:
                 line += f"  interval [{_fmt(interval['lo'])}, {_fmt(interval['hi'])}]"
@@ -248,7 +240,7 @@ def _print_human(report: dict) -> None:
 
 def cmd_check(m, tokens, tol, args) -> tuple[dict, int]:
     scan = triad_scan(m, tol)
-    cls = _classify(m, tol, scan)
+    cls = _classify(m, tol, scan.pcm)
     code = 0 if cls["consistent_completion_exists"] else 1
     return {"classification": cls, "measures": _measures_doc(scan)}, code
 
@@ -261,22 +253,19 @@ def cmd_measure(m, tokens, tol, args) -> tuple[dict, int]:
     }, 0
 
 
-def _completion_steps_doc(report: CompletionReport) -> list[dict]:
+def _steps_doc(steps) -> list[dict]:
+    """Completion or reduction steps as their fields in order, the edge one-based."""
     return [
-        {
-            "edge": _one_based(step.edge),
-            "interval": _interval_doc(step.interval),
-            "value": step.value,
-            "mt_before": step.mt_before,
-            "mt_after": step.mt_after,
-        }
-        for step in report.steps
+        {**vars(step), "edge": _one_based(step.edge),
+         "interval": {**vars(step.interval), "unconstrained": step.interval.unconstrained}}
+        for step in steps
     ]
 
 
-def _filled_entries_doc(pairs: np.ndarray, after) -> Records:
-    """Steps of a consistent completion: the one-based ``pairs`` and their values in ``after``."""
-    values = after.entries[pairs[:, 0] - 1, pairs[:, 1] - 1]
+def _filled_entries_doc(pairs: np.ndarray, rows: list[list[str]]) -> Records:
+    """Steps of a consistent completion: the one-based ``pairs`` and their cells in ``rows``."""
+    i, j = (pairs - 1).T.tolist()
+    values = JsonText(map(list.__getitem__, map(rows.__getitem__, i), j))
     return Records({"edge": pairs, "interval": None, "value": values})
 
 
@@ -289,8 +278,7 @@ def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
         raise MatrixFileError("--join-cols expects two comma-separated one-based indices")
     if min(join_u, join_v) < 1:
         raise MatrixFileError(f"--join-cols {args.join_cols}: indices start at 1")
-    scan = triad_scan(m, tol)
-    cls = _classify(m, tol, scan)
+    cls = _classify(m, tol, is_pcm(m, tol))  # one MT pass, which the engines reuse
     # Blocks are merged left to right, so u indexes the first block at the
     # first join and v indexes every later block.
     sizes = [len(comp) for comp in m.graph.components]
@@ -318,82 +306,59 @@ def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
             raise NoConsistentCompletionError(
                 "input is neither PC+ nor a chordal PCM; no consistent completion exists"
             )
-        steps_doc = _filled_entries_doc(cls["unspecified_pairs"], result)
     else:
         completion = complete_mt_preserving(m, selection=args.selection, tol=tol, **join)
         result = completion.result
         engine = f"mt-preserving/{args.selection}"
-        steps_doc = _completion_steps_doc(completion)
-        joins = [
-            {
-                "block_a": _one_based(j.block_a),
-                "block_b": _one_based(j.block_b),
-                "u_vertex": j.u_vertex + 1,
-                "v_vertex": j.v_vertex + 1,
-                "scale": j.scale,
-            }
-            for j in completion.joins
-        ]
-    sections = {
+        steps_doc = _steps_doc(completion.steps)
+        joins = [{"block_a": _one_based(j.block_a), "block_b": _one_based(j.block_b),
+                  "u_vertex": j.u_vertex + 1, "v_vertex": j.v_vertex + 1, "scale": j.scale}
+                 for j in completion.joins]
+    rows = format_rows(result, tokens)
+    if mode == "consistent":  # the steps' values are the filled cells' text
+        steps_doc = _filled_entries_doc(cls["unspecified_pairs"], rows)
+    return {
         "classification": cls,
         "completion": {
             "mode": mode,
             "engine": engine,
             "steps": steps_doc,
             "joins": joins,
-            "mt_before": scan.mt,
+            "mt_before": mt(m),
             "mt_after": mt(result),
         },
-    }
-    _add_matrix(sections, result, tokens, args.out)
-    return sections, 0
+        **_matrix_sections(rows, args.out),
+    }, 0
 
 
 def cmd_reduce(m, tokens, tol, args) -> tuple[dict, int]:
     if not m.is_complete():
         raise MatrixFileError("reduce requires a complete matrix")
-    trace = reduce(
-        m.to_complete(),
-        target_mt=args.target_mt,
-        max_steps=args.max_steps,
-        tol=tol,
-        edge_rule=args.edge,
-    )
-    sections = {
+    trace = reduce(m.to_complete(), target_mt=args.target_mt, max_steps=args.max_steps, tol=tol,
+                   edge_rule=args.edge)
+    return {
         "reduction": {
-            "steps": [
-                {
-                    "edge": _one_based(step.edge),
-                    "old_value": step.old_value,
-                    "new_value": step.new_value,
-                    "interval": _interval_doc(step.interval),
-                    "mt_before": step.mt_before,
-                    "mt_after": step.mt_after,
-                    "tie": step.tie,
-                }
-                for step in trace.steps
-            ],
+            "steps": _steps_doc(trace.steps),
             "stop_reason": trace.stop_reason,
             "mt_initial": trace.mt_initial,
             "mt_final": trace.mt_final,
         },
-    }
-    _add_matrix(sections, trace.result, tokens, args.out)
-    reached = trace.mt_final <= args.target_mt * (1.0 + tol.cmp)
-    return sections, 0 if reached else 1
+        **_matrix_sections(format_rows(trace.result, tokens), args.out),
+    }, 0 if trace.mt_final <= args.target_mt * (1.0 + tol.cmp) else 1
 
 
-def _add_matrix(sections: dict, m: PartialReciprocalMatrix, tokens, out: str | None) -> None:
-    """Format ``m`` once: the report's rows and the ``--out`` file share the text."""
-    text = format_matrix(m, tokens)
-    sections["matrix"] = [row.split(",") for row in text.splitlines()]
+def _matrix_sections(rows: list[list[str]], out: str | None) -> dict:
+    """The report's ``matrix`` rows, cells formatted once; with ``out``, also that file's lines."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        sections["matrix_written"] = True
+            handle.writelines([",".join(row) + "\n" for row in rows])
+    return {"matrix": rows, "matrix_written": True} if out else {"matrix": rows}
 
 
-def _add_common(sp) -> None:
+def _add_command(sub, func, help: str) -> argparse.ArgumentParser:
+    """The subcommand that runs ``func``, ``cmd_<name>``, with the arguments every command takes."""
+    sp = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+    sp.set_defaults(func=func)
     sp.add_argument("path", help="matrix file (CSV cells; '?' = unspecified; '#' comments)")
     sp.add_argument("--tol-rec", type=float, default=1e-9, help="reciprocity tolerance")
     sp.add_argument("--tol-cons", type=float, default=1e-9, help="consistency tolerance")
@@ -401,6 +366,7 @@ def _add_common(sp) -> None:
     sp.add_argument(
         "--trace", action="store_true", help="emit a machine-readable JSON report on stdout"
     )
+    return sp
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -412,18 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="classify a matrix file")
-    _add_common(check)
-    check.set_defaults(func=cmd_check)
-
-    complete = sub.add_parser("complete", help="fill the unspecified entries")
-    _add_common(complete)
-    complete.add_argument(
-        "--mode",
-        choices=("auto", "consistent", "mt-preserving"),
-        default="auto",
-        help="auto picks consistent when possible, else mt-preserving",
-    )
+    _add_command(sub, cmd_check, "classify a matrix file")
+    complete = _add_command(sub, cmd_complete, "fill the unspecified entries")
+    complete.add_argument("--mode", choices=("auto", "consistent", "mt-preserving"), default="auto",
+                          help="auto picks consistent when possible, else mt-preserving")
     complete.add_argument(
         "--selection",
         choices=SELECTIONS,
@@ -431,16 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="value picked inside each feasible interval (mt-preserving mode)",
     )
     complete.add_argument("--join-k", type=float, default=1.0, help="cross-block scale")
-    complete.add_argument(
-        "--join-cols",
-        default="1,1",
-        help="one-based column choice within each joined block, as 'u,v'",
-    )
+    complete.add_argument("--join-cols", default="1,1",
+                          help="one-based column choice within each joined block, as 'u,v'")
     complete.add_argument("--out", help="write the completed matrix to this file")
-    complete.set_defaults(func=cmd_complete)
 
-    red = sub.add_parser("reduce", help="reduce the measure of a complete matrix")
-    _add_common(red)
+    red = _add_command(sub, cmd_reduce, "reduce the measure of a complete matrix")
     red.add_argument("--target-mt", type=float, default=1.0, help="stop once MT is at most this")
     red.add_argument("--max-steps", type=int, default=32, help="entry-change budget")
     red.add_argument(
@@ -452,12 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         "re-solves only the triad's (min,max) entry",
     )
     red.add_argument("--out", help="write the repaired matrix to this file")
-    red.set_defaults(func=cmd_reduce)
 
-    measure = sub.add_parser("measure", help="report MT, K and the worst triad")
-    _add_common(measure)
-    measure.set_defaults(func=cmd_measure)
-
+    _add_command(sub, cmd_measure, "report MT, K and the worst triad")
     return parser
 
 
@@ -470,8 +419,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         tol = Tolerances(rec=args.tol_rec, cons=args.tol_cons, cmp=args.tol_cmp)
-        m, tokens = load_matrix(args.path, tol)
-        sections, code = args.func(m, tokens, tol, args)
+        # Nothing here keeps the input, so it is freed before the report is written.
+        sections, code = args.func(*load_matrix(args.path, tol), tol, args)
         report = {"command": args.command, "input": args.path, **sections}
         if args.trace:
             print(_json(report))

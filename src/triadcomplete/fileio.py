@@ -1,16 +1,18 @@
 """Matrix file parsing and formatting.
 
-The on-disk format is a comma-separated text table, one row per line.
-Cells are positive decimals, fractions like ``10/3``, or ``?`` for an
-unspecified entry; lines starting with ``#`` are comments.  Unspecified
-cells must come in symmetric pairs.
+The on-disk format is a comma-separated text table, one row per line; ``#``
+lines are comments.  A cell, stripped of whitespace, is ``?`` (unspecified, in
+symmetric pairs) or a number in one ASCII grammar on every Python version: a
+signed ``p/q`` of digit strings, or a signed decimal with an optional exponent.
+``inf`` and ``nan`` are refused as not finite; any other cell cannot be parsed.
+Each cell is parsed once, into the grid that :class:`Cells` keep, and
+:func:`format_rows` keeps a token where that value equals the entry it writes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,52 +20,63 @@ from .errors import MatrixError, MatrixFileError
 from .matrices import DEFAULT_TOL, PartialReciprocalMatrix, Tolerances, validate
 
 UNSPECIFIED = "?"
-_RATIO = re.compile("[0-9]+/[0-9]+")
+_SPACE = re.compile(r"\s")  # what str.strip() strips
+# The one cell grammar, ASCII only: a signed ratio p/q, a signed decimal with an
+# optional exponent, or an inf/nan spelling that parsing refuses as not finite.
+_CELL = re.compile(
+    r"([+-]?[0-9]+)/([0-9]+)|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|(?i:[+-]?(?:inf(?:inity)?|nan))"
+)
+
+
+class Cells(list):
+    """A file's cell tokens, row by row, and ``values``: their parsed grid, NaN for ``?``."""
 
 
 def _token_value(token: str) -> float:
-    """The value of a specified cell, bit for bit ``float(Fraction(token))``.
+    """The value of a specified cell; a token outside the cell grammar raises ``ValueError``.
 
-    A plain ``p/q`` skips ``Fraction``: its ``__float__`` is the correctly
-    rounded int division ``p / q``, which gcd reduction does not change.
+    A ratio is the correctly rounded int division ``p / q``, bit for bit
+    ``float(Fraction(token))``, since gcd reduction does not change it.
     """
-    if "/" not in token:
-        return float(token)
-    if _RATIO.fullmatch(token):
-        p, q = token.split("/")
-        return int(p) / int(q)
-    return float(Fraction(token))
+    match = _CELL.fullmatch(token)
+    if match is None:
+        raise ValueError(f"not a cell: {token!r}")
+    p, q = match.groups()
+    return int(p) / int(q) if q else float(token)
 
 
-def _parse_cell(token: str, line: int, col: int) -> float:
-    if token == UNSPECIFIED:
-        return math.nan
-    try:
-        value = _token_value(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MatrixFileError(f"cannot parse cell {token!r}", line, col) from exc
-    except OverflowError:  # an int ratio beyond double range
-        value = math.inf
-    if not math.isfinite(value):
-        raise MatrixFileError(f"cell {token!r} is not a finite number", line, col)
-    return value
+def _parse_row(row: list[str], line: int) -> list[float]:
+    """One row's values, NaN for ``?``; its first bad cell raises, located."""
+    values = [math.nan] * len(row)
+    for j, token in enumerate(row):
+        if token == UNSPECIFIED:
+            continue
+        try:
+            values[j] = _token_value(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MatrixFileError(f"cannot parse cell {token!r}", line, j + 1) from exc
+        except OverflowError:  # an int ratio beyond double range
+            values[j] = math.inf
+        if not math.isfinite(values[j]):
+            raise MatrixFileError(f"cell {token!r} is not a finite number", line, j + 1)
+    return values
 
 
-def parse_matrix(
-    text: str, tol: Tolerances = DEFAULT_TOL
-) -> tuple[PartialReciprocalMatrix, list[list[str]]]:
-    """Parse file text into a validated matrix plus the raw cell tokens.
+def parse_matrix(text: str, tol: Tolerances = DEFAULT_TOL) -> tuple[PartialReciprocalMatrix, Cells]:
+    """Parse file text into a validated matrix plus its :class:`Cells`.
 
-    The token grid is returned so writers can preserve fractional spellings
-    for entries that survive unchanged.
+    Each cell is parsed once; the cells let writers keep the spelling of
+    entries that survive unchanged.
     """
-    tokens: list[list[str]] = []
+    tokens = Cells()
     line_numbers: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens.append([cell.strip() for cell in stripped.split(",")])
+        cells = stripped.split(",")
+        tokens.append([cell.strip() for cell in cells] if _SPACE.search(stripped) else cells)
         line_numbers.append(lineno)
     if not tokens:
         raise MatrixFileError("no matrix rows found")
@@ -71,9 +84,8 @@ def parse_matrix(
     for row, lineno in zip(tokens, line_numbers):
         if len(row) != n:
             raise MatrixFileError(f"expected {n} cells, found {len(row)}", lineno)
-    values = np.array(
-        [[_parse_cell(tok, line_numbers[i], j + 1) for j, tok in enumerate(row)]
-         for i, row in enumerate(tokens)]
+    tokens.values = values = np.array(
+        [_parse_row(row, lineno) for row, lineno in zip(tokens, line_numbers)]
     )
     unspecified = np.isnan(values)
     lone = np.argwhere(np.triu(unspecified != unspecified.T, 1))  # row-major order
@@ -94,25 +106,30 @@ def parse_matrix(
     return prm, tokens
 
 
-def format_matrix(
-    m: PartialReciprocalMatrix, source_tokens: list[list[str]] | None = None
-) -> str:
-    """Render a matrix back to file text; floats round-trip exactly.
+def format_rows(m: PartialReciprocalMatrix, source: Cells | None = None) -> list[list[str]]:
+    """Each row's cell text; a float is written by ``repr``, so it round-trips exactly.
 
-    When ``source_tokens`` is given, cells whose value is unchanged keep
-    their original spelling (fractions in particular).
+    With ``source``, the cells of the file ``m`` came from, a cell whose parsed
+    value equals its entry keeps its spelling (fractions in particular), and
+    ``repr`` runs only on the cells that change.
     """
-    source = source_tokens or []
-    lines = []
-    for i, (values, specified) in enumerate(zip(m.entries.tolist(), m.mask.tolist())):
-        cells = [repr(v) if known else UNSPECIFIED for v, known in zip(values, specified)]
-        for j, token in enumerate(source[i][: m.n] if i < len(source) else ()):
-            if token != UNSPECIFIED and specified[j] and _token_value(token) == values[j]:
-                cells[j] = token
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    e, rows = m.entries, []
+    for i in range(m.n):
+        if source is None:
+            cells, redo = [UNSPECIFIED] * m.n, np.arange(m.n)
+        else:  # NaN compares unequal, so every '?' cell and every unspecified entry is redone
+            cells, redo = list(source[i]), np.flatnonzero(source.values[i] != e[i])
+        for j, text in zip(redo.tolist(), map(repr, e[i, redo].tolist())):
+            cells[j] = UNSPECIFIED if text == "nan" else text
+        rows.append(cells)
+    return rows
 
 
-def load_matrix(path, tol: Tolerances = DEFAULT_TOL) -> tuple[PartialReciprocalMatrix, list[list[str]]]:
+def format_matrix(m: PartialReciprocalMatrix, source: Cells | None = None) -> str:
+    """Render a matrix back to file text: the rows of :func:`format_rows`, one per line."""
+    return "".join([",".join(row) + "\n" for row in format_rows(m, source)])
+
+
+def load_matrix(path, tol: Tolerances = DEFAULT_TOL) -> tuple[PartialReciprocalMatrix, Cells]:
     with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
         return parse_matrix(handle.read(), tol)

@@ -93,6 +93,13 @@ class PartialReciprocalMatrix:
         return SpecGraph.from_matrix(self)
 
     @cached_property
+    def mt(self) -> float:
+        """:func:`measures.mt`, from one :func:`measures.mt_pass` on first read."""
+        from .measures import mt_pass  # measures imports this module
+
+        return mt_pass(self)
+
+    @cached_property
     def _weights(self) -> dict[int, np.ndarray]:
         return {}
 

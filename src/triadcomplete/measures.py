@@ -97,14 +97,11 @@ class TriadTables:
 
     def __init__(self, entries: np.ndarray) -> None:
         e, n = entries, entries.shape[0]
-        e_t, prods = np.ascontiguousarray(e.T), np.empty((n, n))
         self.entries, self.mid, self.row_peak = e, np.empty((n, n)), np.zeros((n, n))
         with np.errstate(over="ignore", divide="ignore"):
-            for j in range(n):
-                np.multiply(e[j, :, None], e_t[j], out=prods)
-                prods *= e
-                np.fmax.reduce(prods, axis=0, out=self.mid[j])
-                _peaks(prods[j + 1 :, :j], self.row_peak[:j, j])
+            for j, ks, prods in _middle_products(e):
+                np.fmax.reduce(prods, axis=0, out=self.mid[j], initial=math.nan)  # rows may be 0
+                _peaks(prods[np.searchsorted(ks, j, "right") :, :j], self.row_peak[:j, j])
         self._check_overflow()
         upper = np.triu(~np.isnan(e), 1).astype(float)  # count i < j < k, with (k, i) from e.T
         self.count = int(np.vdot(upper @ upper, ~np.isnan(e.T)))
@@ -164,6 +161,21 @@ class TriadTables:
         return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, self.count)
 
 
+def _middle_products(e: np.ndarray):
+    """Each middle j, the ascending k with ``e[j, k]`` specified, and ``prods_j`` on those rows.
+
+    Its other rows are NaN; the rows are formed ``[k, i]`` in one buffer that the next j reuses.
+    """
+    e_t, buf = np.ascontiguousarray(e.T), np.empty(e.shape)
+    for j in range(e.shape[0]):
+        ks = np.flatnonzero(~np.isnan(e[j]))
+        rows = slice(None) if len(ks) == len(e) else ks  # a full row needs no copies
+        prods = buf[: len(ks)]
+        np.multiply(e[j, rows, None], e_t[j], out=prods)
+        prods *= e[rows]
+        yield j, ks, prods
+
+
 def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima of max(v, 1/v)
     low = np.fmin.reduce(v, axis=0, initial=math.inf, where=where)
     np.fmax(np.fmax.reduce(v, axis=0, initial=0.0, where=where), 1.0 / low, out=out)
@@ -189,8 +201,23 @@ def new_triads_mt(entries: np.ndarray, i: int, k: int, js) -> float:
 
 
 def mt(m: PartialReciprocalMatrix) -> float:
-    """Maximum oriented 3-cycle product over fully specified triads; 1.0 if there are none."""
-    return triad_scan(m).mt
+    """Maximum oriented 3-cycle product over fully specified triads (1.0 if none); see ``m.mt``."""
+    return m.mt
+
+
+def mt_pass(m: PartialReciprocalMatrix) -> float:
+    """Bitwise ``triad_scan(m).mt``: the scan's products, reduced to the largest and smallest.
+
+    If the largest, or the smallest's reciprocal, is infinite, :func:`triad_scan` raises.
+    """
+    top, low = 1.0, math.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        for _, _, prods in _middle_products(m.entries):
+            top = np.fmax.reduce(prods, axis=None, initial=top)
+            low = np.fmin.reduce(prods, axis=None, initial=low)
+        if top == math.inf or 1.0 / low == math.inf:
+            return triad_scan(m).mt
+    return float(top)
 
 
 def is_pcm(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -198,9 +225,9 @@ def is_pcm(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     Oriented products come in reciprocal pairs, so the maximum being 1
     forces all of them to 1; testing ``mt`` is equivalent to checking every
-    fully specified principal submatrix for consistency.
+    fully specified principal submatrix for consistency (the rule of ``TriadScan.pcm``).
     """
-    return triad_scan(m, tol).pcm
+    return mt(m) <= 1.0 + tol.cons
 
 
 def is_consistent(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -332,4 +359,4 @@ def max_triad(
 
 def koczkodaj_index(m: PartialReciprocalMatrix) -> float:
     """Triad-based index 1 - 1/mt, in [0, 1); 0 exactly for (partially) consistent data."""
-    return triad_scan(m).koczkodaj
+    return 1.0 - 1.0 / mt(m)

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import cases
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle, reduction
-from triadcomplete.cli import Records, _json, main
+from triadcomplete.cli import JsonText, Records, _json, main
 from triadcomplete.fileio import format_matrix, parse_matrix
 from triadcomplete.matrices import validate
 
@@ -618,6 +618,8 @@ def _sanitised(value):
         return _sanitised(value.tolist())
     if isinstance(value, Records):
         arrays = {k: c.tolist() for k, c in value.columns.items() if isinstance(c, np.ndarray)}
+        arrays.update({k: list(map(json.loads, c)) for k, c in value.columns.items()
+                       if isinstance(c, JsonText)})
         size = len(next(iter(arrays.values())))
         rows = [{k: arrays[k][r] if k in arrays else c for k, c in value.columns.items()}
                 for r in range(size)]
@@ -644,12 +646,14 @@ _dtypes = st.sampled_from([np.int64, np.float64, np.bool_])
 
 
 def _columns(size: int):
-    """Arrays over ``size`` rows: values, one-based pairs, or rows of any width."""
+    """Arrays over ``size`` rows: values, one-based pairs, or rows of any width; or number text."""
     widths = st.sampled_from([(), (2,), (0,), (3,)])
+    numbers = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     return (
         hnp.arrays(np.int64, (size, 2), elements=st.integers(1, 200))
         | widths.flatmap(lambda w: hnp.arrays(_dtypes, (size, *w), elements=None))
         | widths.flatmap(lambda w: hnp.arrays(np.float64, (size, *w), elements=_floats))
+        | st.lists(numbers, min_size=size, max_size=size).map(lambda v: JsonText(map(json.dumps, v)))
     )
 
 
@@ -702,6 +706,7 @@ class TestTraceEmitter:
                 {"edge": pairs, "interval": None, "value": np.array([math.inf, math.nan])}
             ),
             "empty": Records({"edge": pairs[:0], "value": np.zeros(0)}),
+            "text": Records({"edge": pairs, "value": JsonText(["0.5", "3e+22"]), "%": "%s"}),
             "percent": Records({"%d": pairs[:, 0], "note": "100% %r", "%": {"%s": [1]}}),
             "tokens": ["1", "7/3", "?"],
         }
@@ -757,7 +762,7 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("argv", [["complete"], ["reduce"]])
     def test_one_format_per_out_command(self, write, capsys, monkeypatch, tmp_path, argv):
         path = write("m.csv", CYCLE_FIXED_TEXT if argv == ["complete"] else BLOCK_TEXT)
-        calls = self.counted(monkeypatch, fileio, "format_matrix", (fileio, cli))
+        calls = self.counted(monkeypatch, fileio, "format_rows", (fileio, cli))
         out = tmp_path / "out.csv"
         main([argv[0], path, "--trace", "--out", str(out)])
         doc = json.loads(capsys.readouterr().out)
@@ -854,6 +859,38 @@ class TestWorkDoneOnce:
         trace = reduction.reduce(m, max_steps=4)
         assert len(trace.steps) == 4
         assert len(builds) == 1  # applied steps update the input's tables
+
+    @pytest.mark.parametrize(
+        "text, engine",
+        [
+            (CYCLE_FIXED_TEXT, "consistent-pc-plus"),
+            ("1,2,?,?\n1/2,1,3,?\n?,1/3,1,5\n?,?,1/5,1\n", "consistent-chordal"),
+            ((DATA / "partial_5x5.csv").read_text(), "mt-preserving/minimax"),
+            ((DATA / "two_blocks_8x8.csv").read_text(), "mt-preserving/minimax"),
+        ],
+        ids=["pc-plus", "chordal-pcm", "mt-preserving", "mt-preserving-joined"],
+    )
+    def test_complete_makes_one_mt_pass_per_matrix(
+        self, write, capsys, monkeypatch, tmp_path, text, engine
+    ):
+        # No triad tables: the classification's MT pass is the engine's first
+        # context and the report's mt_before, and the result gets one pass.
+        specified = sum(token != "?" for row in parse_matrix(text)[1] for token in row)
+        tables = measures.TriadTables
+        builds = self.counted(monkeypatch, tables, "__init__", (tables,))
+        passes = self.counted(monkeypatch, measures, "mt_pass", (measures,))
+        parsed = self.counted(monkeypatch, fileio, "_token_value", (fileio,))
+        path = write("m.csv", text)
+        assert main(["complete", path, "--trace", "--out", str(tmp_path / "out.csv")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["completion"]["engine"] == engine
+        assert builds == []
+        assert len(passes) == 2 and passes[0][0] is not passes[1][0]
+        assert doc["completion"]["mt_before"] == measures.triad_scan(passes[0][0]).mt
+        assert doc["completion"]["mt_after"] == measures.triad_scan(passes[1][0]).mt
+        # Each specified cell is parsed once, when the file is read, and never
+        # again when the result is formatted.
+        assert len(parsed) == specified
 
     def test_pc_plus_reads_components_without_a_chordality_test(self, monkeypatch):
         calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import cases
 from triadcomplete import validate
 from triadcomplete.errors import MatrixFileError
-from triadcomplete.fileio import _token_value, format_matrix, parse_matrix
+from triadcomplete.fileio import _token_value, format_matrix, format_rows, parse_matrix
 
 FIVE_TEXT = """\
 # demo matrix, two unspecified comparisons
@@ -105,12 +105,73 @@ class TestTokenValue:
 
     @pytest.mark.parametrize("token", ["7/-3", "7/0", "1_0/3", "+7/3", "7/3.0"])
     def test_other_spellings_keep_value_or_message(self, token):
-        try:
-            want = float(Fraction(token))
-        except (ValueError, ZeroDivisionError):
+        # The cell grammar decides, not the running Python's Fraction: only a
+        # signed p/q of ASCII digits is a ratio (3.11's Fraction takes 1_0/3).
+        want = {"+7/3": 7 / 3}.get(token)
+        if want is None:
             with pytest.raises(MatrixFileError) as exc:
                 parse_matrix(f"1,{token}\n1,1\n")
             assert str(exc.value) == f"line 1, col 2: cannot parse cell {token!r}"
             return
         m, _ = parse_matrix(f"1,{token}\n{1 / want!r},1\n")
         assert m.entries[0, 1].hex() == want.hex()
+
+
+class TestCellGrammar:
+    @pytest.mark.parametrize(
+        "token", ["3 / 4", "1_000", "1_0/3", "\u0661", "\uff13", "\uff13/4", "0x10", "1e", ".", "", "--2",
+                  "2/+3", "7/3/2", "infinit", "1 2"],
+    )
+    def test_outside_the_grammar_cannot_parse(self, token):
+        # 3 / 4 parses under 3.12's Fraction only, 1_0/3 under 3.11's and 3.12's,
+        # and float() takes underscores and non-ASCII digits on every version.
+        with pytest.raises(MatrixFileError) as exc:
+            parse_matrix(f"1,2\n1/2,{token}\n")
+        assert str(exc.value) == f"line 2, col 2: cannot parse cell {token!r}"
+
+    @pytest.mark.parametrize(
+        "token, want",
+        [("2", 2.0), ("+2", 2.0), ("2.", 2.0), (".5", 0.5), ("+.5", 0.5), ("0.25", 0.25),
+         ("1E3", 1e3), ("1e+03", 1e3), ("2.5e-1", 0.25), ("007/3", 7 / 3), ("+7/3", 7 / 3),
+         ("7/003", 7 / 3), ("1" + "0" * 400 + "/" + "3" + "0" * 400, 1 / 3)],
+    )
+    def test_ascii_spellings_parse_to_their_value(self, token, want):
+        m, cells = parse_matrix(f"1,{token}\n{1 / want!r},1\n")
+        assert m.entries[0, 1].hex() == want.hex()
+        assert cells.values[0, 1].hex() == want.hex() and cells[0][1] == token
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "NaN", "+nan", "1e999", "10" * 200 + "/3"])
+    def test_non_finite_spellings_keep_their_message(self, token):
+        with pytest.raises(MatrixFileError) as exc:
+            parse_matrix(f"1,{token}\n1,1\n")
+        assert str(exc.value) == f"line 1, col 2: cell {token!r} is not a finite number"
+
+    @pytest.mark.parametrize("token", ["-2", "-7/3", "0/5", "0"])
+    def test_signs_and_zeros_reach_validation(self, token):
+        with pytest.raises(MatrixFileError, match="must be positive") as exc:
+            parse_matrix(f"1,{token}\n1,1\n")
+        assert (exc.value.line, exc.value.col) == (1, 2)
+
+    def test_the_first_bad_cell_in_row_order_is_named(self):
+        with pytest.raises(MatrixFileError) as exc:
+            parse_matrix("1,1e999,?\n1,1,1_0\n?,1,1\n")
+        assert str(exc.value) == "line 1, col 2: cell '1e999' is not a finite number"
+
+
+class TestFormatOnce:
+    def test_kept_cells_are_the_equal_parsed_ones(self, rng):
+        # A token is kept exactly where its parsed value equals the entry, and
+        # repr runs on the other specified cells only.
+        m, cells = parse_matrix(FIVE_TEXT)
+        filled = m.with_entry(1, 4, cases.SQRT6 / 6).with_entry(0, 4, 3.0)
+        rows = format_rows(filled, cells)
+        for i in range(5):
+            for j in range(5):
+                same = cells.values[i, j] == filled.entries[i, j]
+                assert rows[i][j] == (cells[i][j] if same else repr(float(filled.entries[i, j])))
+        assert format_matrix(filled, cells) == "".join(",".join(r) + "\n" for r in rows)
+
+    def test_unspecified_entries_stay_unspecified(self):
+        m, cells = parse_matrix(FIVE_TEXT)
+        assert format_rows(m, cells) == [list(row) for row in cells]
+        assert format_rows(m)[0][4] == "?"

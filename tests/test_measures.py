@@ -27,7 +27,7 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
-from triadcomplete.measures import TriadSets, TriadTables, new_triads_mt, triad_scan
+from triadcomplete.measures import TriadSets, TriadTables, mt_pass, new_triads_mt, triad_scan
 from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
@@ -346,6 +346,20 @@ def scaled_prm(rng, g, shift):
     return validate(raw)
 
 
+def tables_prm(rng, n, shift, tie_grid, missing):
+    """Random entries scaled by 2**e, |e| <= shift, or a grid of ties; a ``missing`` share NaN."""
+    if tie_grid:  # all ones but one entry: every triad through it ties at 4
+        raw = np.ones((n, n))
+        i, j = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        raw[i, j] = 4.0
+    else:
+        raw = cases.log_uniform(rng, 1 / 9, 9, (n, n))
+        raw *= np.ldexp(1.0, rng.integers(-shift, shift + 1, (n, n)))
+    raw[rng.random((n, n)) < missing] = np.nan
+    raw[np.tril_indices(n)] = np.nan  # validate mirrors the upper triangle
+    return validate(raw)
+
+
 class TestTriadTables:
     @settings(max_examples=30)
     @given(
@@ -359,16 +373,7 @@ class TestTriadTables:
         # After each pair change, to a value or to NaN and back, the tables read
         # exactly what a rescan finds, and a cleared pair's mt is the rescan's.
         rng = np.random.default_rng(seed)
-        if tie_grid:  # all ones but one entry: every triad through it ties at 4
-            raw = np.ones((n, n))
-            i, j = sorted(int(x) for x in rng.choice(n, 2, replace=False))
-            raw[i, j] = 4.0
-        else:
-            raw = cases.log_uniform(rng, 1 / 9, 9, (n, n))
-            raw *= np.ldexp(1.0, rng.integers(-shift, shift + 1, (n, n)))
-        raw[rng.random((n, n)) < missing] = np.nan
-        raw[np.tril_indices(n)] = np.nan  # validate mirrors the upper triangle
-        m = validate(raw)
+        m = tables_prm(rng, n, shift, tie_grid, missing)
         tables = TriadTables(np.array(m.entries))
         assert tables.scan() == triad_scan(m)
         for _ in range(12):
@@ -405,6 +410,62 @@ class TestTriadTables:
         assert str(scan_error.value) == "triad (1, 3, 5): 3-cycle product overflows"
         with pytest.raises(MatrixError, match=re.escape(str(scan_error.value))):
             tables.set(2, 4, big)
+
+
+class TestMtPass:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 64),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0, 8, 60]),
+        tie_grid=st.booleans(),
+        missing=st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def test_equals_the_full_scan_bit_for_bit(self, n, seed, shift, tie_grid, missing):
+        m = tables_prm(np.random.default_rng(seed), n, shift, tie_grid, missing)
+        want = triad_scan(m).mt
+        assert mt_pass(m).hex() == want.hex()
+        assert mt(m).hex() == want.hex() and mt(m) is mt(m)  # one pass, kept on the matrix
+        assert koczkodaj_index(m) == triad_scan(m).koczkodaj
+        assert is_pcm(m) == triad_scan(m).pcm
+
+    def test_a_vertex_with_no_specified_entry(self):
+        # Built directly: vertex 2 has no specified entry, not even its diagonal,
+        # so as a middle it forms no products at all.
+        entries = np.full((4, 4), 2.0)
+        entries[1, :] = entries[:, 1] = np.nan
+        m = PartialReciprocalMatrix(entries)
+        scan = triad_scan(m)
+        assert scan.mt == mt_pass(m) == 8.0 and scan.count == 1
+        assert (scan.worst.i, scan.worst.j, scan.worst.k) == (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (1e200, 1e200),  # the product overflows
+            (1e154, 1e154),  # 1e308: finite
+            (1e-200, 1e-200),  # underflows to 0
+            (1e-160, 1e-160),  # a subnormal 1e-320, whose reciprocal overflows
+            (1e-154, 1e-154),  # a subnormal 1e-308, whose reciprocal is finite
+        ],
+    )
+    def test_raises_exactly_when_the_scan_does(self, pair):
+        # Built directly, so the reverse orientation of the triad stays at 1 and
+        # only the one product leaves range.
+        entries = np.ones((4, 4))
+        entries[1, 2], entries[2, 3] = pair
+        validated = validate([[1, pair[0], 1 / pair[1]], [None, 1, pair[1]], [None, None, 1]])
+        for m in (PartialReciprocalMatrix(entries), validated):
+            try:
+                want = triad_scan(m).mt
+            except MatrixError as scan_error:
+                with pytest.raises(MatrixError) as pass_error:
+                    mt_pass(m)
+                assert str(pass_error.value) == str(scan_error)
+            else:
+                assert mt_pass(m).hex() == want.hex()
+        with pytest.raises(MatrixError, match=r"triad \(1, 2, 3\)"):
+            mt_pass(validate([[1, 1e200, 1e-200], [None, 1, 1e200], [None, None, 1]]))
 
 
 class TestNewTriadsMt:
