@@ -17,7 +17,10 @@ run both sides from the same directory with the same relative paths.
 36 per workload that ``perfbench/run.py`` times), written by
 ``perfbench/workloads.py`` into a temporary directory and run from there
 under relative names such as ``consistent-large-07.csv``.  It imports
-that module without changing it, and it needs networkx.
+that module without changing it, and it needs networkx.  Four seeded
+chordal files follow them (``CHORDAL``: a star at n=96, a tree at n=48, a
+clique-attached graph at n=64 and two components of 32), so the chordal
+ordering and the fill are digested at sizes the benchmark never reaches.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -96,6 +101,52 @@ def write_instances(seed: int, directory: str) -> list[str]:
     return names
 
 
+# Chordal patterns past the benchmark's sizes: name -> (kind, size) per component.
+CHORDAL = {
+    "chordal-star-96.csv": [("star", 96)],
+    "chordal-tree-48.csv": [("tree", 48)],
+    "chordal-clique-64.csv": [("clique", 64)],
+    "chordal-two-32.csv": [("clique", 32), ("tree", 32)],
+}
+
+
+def _chordal_edges(rng, kind: str, n: int) -> list[tuple[int, int]]:
+    """A star on vertex 0, a random tree, or a clique-attached graph: each new vertex joins
+    one to four vertices of an earlier clique, so the graph stays chordal."""
+    if kind == "star":
+        return [(0, v) for v in range(1, n)]
+    if kind == "tree":
+        return [(int(rng.integers(v)), v) for v in range(1, n)]
+    cliques, edges = [(0,)], []
+    for v in range(1, n):
+        base = cliques[int(rng.integers(len(cliques)))]
+        part = rng.choice(base, int(rng.integers(1, min(len(base), 4) + 1)), replace=False)
+        edges += [(int(u), v) for u in part]
+        cliques.append((*part.tolist(), v))
+    return edges
+
+
+def write_chordal(seed: int, directory: str) -> list[str]:
+    """Write the ``CHORDAL`` files for ``seed`` into ``directory``; return their names.
+
+    Components sit on shuffled labels and every specified pair is p/q, q/p with p, q in 1..9.
+    """
+    rng = np.random.default_rng(seed)
+    for name, parts in CHORDAL.items():
+        n = sum(size for _, size in parts)
+        label, edges, start = rng.permutation(n).tolist(), [], 0
+        for kind, size in parts:
+            local = _chordal_edges(rng, kind, size)
+            edges += [(label[start + u], label[start + v]) for u, v in local]
+            start += size
+        cells = [["1" if i == j else "?" for j in range(n)] for i in range(n)]
+        for u, v in edges:
+            p, q = rng.integers(1, 10, 2).tolist()
+            cells[u][v], cells[v][u] = f"{p}/{q}", f"{q}/{p}"
+        Path(directory, name).write_text("".join(",".join(row) + "\n" for row in cells))
+    return list(CHORDAL)
+
+
 def digest(paths: list[str], out: str) -> None:
     """Print one digest line per command of ``commands`` on each path."""
     for path in paths:
@@ -120,7 +171,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             instances = os.path.join(work, "instances")
             os.mkdir(instances)
-            names = write_instances(args.seed, instances)
+            names = write_instances(args.seed, instances) + write_chordal(args.seed, instances)
             home = os.getcwd()
             os.chdir(instances)
             try:

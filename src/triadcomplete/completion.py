@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatrixError, NotPCPlusError
-from .graphs import Edge, chordal_ordering
+from .graphs import Edge, chordal_ordering, members
 from .matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
@@ -120,8 +120,7 @@ def _fill(entries: np.ndarray, i, k, value) -> None:
         i, k, value = (np.broadcast_to(a, ok.shape).flat[first] for a in (i, k, value))
         raise MatrixError(f"entry ({i + 1}, {k + 1}): filled value {float(value)!r} is out of range")
     entries[i, k] = value
-    with np.errstate(over="ignore"):
-        entries[k, i] = 1.0 / value
+    entries[k, i] = 1.0 / value
 
 
 def _join_components(
@@ -151,7 +150,7 @@ def _join_components(
         rows, cols = np.array(merged), np.array(comp)
         with np.errstate(over="ignore"):
             block = np.multiply.outer(scale * entries[rows, r], entries[s, cols])
-        _fill(entries, rows[:, None], cols, block)
+            _fill(entries, rows[:, None], cols, block)
         joins.append(BlockJoin(tuple(merged), tuple(comp), r, s, scale))
         merged = sorted(merged + list(comp))
     return joins
@@ -206,31 +205,35 @@ def join_blocks(
 
 
 def _fill_step(
-    entries: np.ndarray, i, k, context: float, selection: str, tol: Tolerances
+    entries: np.ndarray, bits: list[int], i, k, context: float, selection: str, tol: Tolerances
 ) -> CompletionStep:
-    """Fill the unspecified (NaN) (i, k) of ``entries`` in place; ``context`` is its mt before.
+    """Fill the NaN (i, k), i < k, of ``entries`` in place; ``context`` is its mt before.
 
-    The value comes from the feasible interval against ``context``.  Three
-    checks run under ``python -O`` too: the common neighbors are pairwise
-    adjacent, the interval is non-empty and mt is not raised.  The step's
-    ``mt_after`` equals a full rescan bit for bit.  A product
-    ``a[i,j]·a[j,k]`` out of (0, inf), which an earlier fill at an interval
-    end can cause, raises :class:`MatrixError` naming the entry and that j.
+    ``bits`` (as ``SpecGraph.bits``) gives the common neighbors J and gains {i, k}; a[i,J], a[J,k],
+    a[k,J] and a[J,i] are gathered once, under the caller's ``np.errstate``.  The value comes from
+    the feasible interval against ``context``.  Three checks run under ``python -O`` too: the
+    common neighbors are pairwise adjacent, the interval is non-empty and mt is not raised.  The
+    step's ``mt_after`` equals a full rescan bit for bit.  A product ``a[i,j]·a[j,k]`` out of
+    (0, inf), which an earlier fill at an interval end can cause, raises :class:`MatrixError`
+    naming the entry and that j.
     """
-    ts = TriadSets.of(entries, i, k)
+    common = bits[i] & bits[k]
+    js = np.array(members(common), dtype=np.intp)
     # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-    if np.isnan(entries[ts.j][:, ts.j]).any():
+    if not all(bits[j] & common == common for j in js.tolist()):
         raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
+    near = entries[i, js], entries[js, k], entries[k, js], entries[js, i]
+    ts = TriadSets((i, k), js, near[0] * near[1])
     if not ts.is_unconstrained and not (0.0 < ts.s_min and ts.s_max < math.inf):
-        j = ts.j[np.argmin((ts.s > 0.0) & (ts.s < math.inf))]
-        i, k = ts.entry
+        j = js[np.argmin((ts.s > 0.0) & (ts.s < math.inf))]
         raise MatrixError(f"entry ({i + 1}, {k + 1}): product through {j + 1} is out of range")
     interval = FeasibleInterval.from_triad_sets(ts, context)
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
     value = select_value(interval, selection)
     _fill(entries, i, k, value)
-    after = max(context, new_triads_mt(entries, i, k, ts.j))
+    bits[i], bits[k] = bits[i] | 1 << k, bits[k] | 1 << i
+    after = max(context, new_triads_mt(entries, i, k, *near))
     if not after <= context * (1.0 + tol.cmp):
         raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
     return CompletionStep((i, k), interval, value, context, after)
@@ -255,12 +258,12 @@ def complete_mt_preserving(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
-    ordering = chordal_ordering(m.graph)
-    entries = np.array(m.entries)
+    entries, bits = np.array(m.entries), list(m.graph.bits)
     steps: list[CompletionStep] = []
     context = mt(m)
-    for i, k in ordering:
-        steps.append(_fill_step(entries, i, k, context, selection, tol))
-        context = steps[-1].mt_after
+    with np.errstate(over="ignore", divide="ignore"):
+        for i, k in chordal_ordering(m.graph):
+            steps.append(_fill_step(entries, bits, i, k, context, selection, tol))
+            context = steps[-1].mt_after
     joins = _join_components(entries, m.graph.components, join_scale, join_u, join_v)
     return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries))

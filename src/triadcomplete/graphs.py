@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -51,6 +52,11 @@ class SpecGraph:
         """Edges where matrix ``m`` is specified off the diagonal; ``m.graph`` keeps it."""
         mask = m.mask & ~np.eye(m.n, dtype=bool)
         return cls(tuple(frozenset(np.flatnonzero(row).tolist()) for row in mask))
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Closed neighbourhoods as int bitsets: bit u of ``bits[v]`` is set iff u == v or u ~ v."""
+        return tuple(sum((1 << u for u in nb), 1 << v) for v, nb in enumerate(self.adj))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -139,49 +145,68 @@ def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
 
 def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
     """Sorted vertex sets of the components, by minimum; ``SpecGraph.components`` keeps them."""
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n):
-        if start not in seen:
-            comp = bfs_parents(g.adj, start)
-            seen.update(comp)
-            comps.append(tuple(sorted(comp)))
+    comps, left = [], (1 << g.n) - 1
+    while left:
+        comp = _reach(g.bits, (left & -left).bit_length() - 1)
+        comps.append(tuple(members(comp)))
+        left &= ~comp
     return comps
 
 
 def chordal_ordering(g: SpecGraph) -> tuple[Edge, ...]:
     """Greedy ordering of the non-edges inside g's components keeping every prefix graph chordal.
 
-    Components are ordered in turn, each scanned highest pair first (the
-    convention that matches the worked examples shipped with the package);
-    the first component that is not chordal raises
-    :class:`ComponentNotChordalError` with its ``g.chordless_cycles`` witness.
-    A valid next edge always exists for a chordal component, so the greedy
-    scan never dead-ends.  For a chordal G, G + uv is chordal iff
-    N(u) ∩ N(v) separates u from v (Ibarra, ACM TALG 2008): one BFS per
-    candidate, none if N(u) ∩ N(v) is empty (the component is connected).
+    Components are ordered in turn, each scanned highest pair first (the convention that
+    matches the worked examples shipped with the package); the first component that is not
+    chordal raises :class:`ComponentNotChordalError` with its ``g.chordless_cycles`` witness.
+    A valid next edge always exists for a chordal component, so the greedy scan never
+    dead-ends.  For a chordal G, G + uv is chordal iff N(u) ∩ N(v) separates u from v (Ibarra,
+    ACM TALG 2008): a BFS over ``g.bits``, none if N(u) ∩ N(v) is empty (the component is
+    connected) or has not grown since the candidate was rejected (other edges only add paths).
     """
     ordering: list[Edge] = []
     for comp, cycle in zip(g.components, g.chordless_cycles):
         if cycle is not None:
             raise ComponentNotChordalError(comp, cycle)
-        ordering += _greedy_ordering(g.adj, comp)
+        ordering += _greedy_ordering(list(g.bits), comp)
     return tuple(ordering)
 
 
-def _greedy_ordering(adj, comp) -> list[Edge]:
-    """:func:`chordal_ordering`'s scan of component ``comp`` (ascending), known chordal."""
-    adj = {v: set(adj[v]) for v in comp}
-    candidates = [(u, v) for u, v in combinations(comp, 2) if v not in adj[u]][::-1]
+def _greedy_ordering(bits: list[int], comp) -> list[Edge]:
+    """:func:`chordal_ordering`'s scan of chordal ``comp`` (ascending); each edge taken joins
+    ``bits``.  ``cuts[p]`` is the N(u) ∩ N(v) candidate p was last rejected with (-1: untested)."""
+    candidates = [(u, v) for u, v in combinations(comp, 2) if not bits[u] >> v & 1][::-1]
+    cuts = [-1] * len(candidates)
     ordering: list[Edge] = []
     while candidates:
         for p, (u, v) in enumerate(candidates):
-            common = adj[u] & adj[v]
-            if common and v not in bfs_parents(adj, u, blocked=common):
-                break
+            common = bits[u] & bits[v]
+            if common != cuts[p]:
+                if common and not _reach(bits, u, common, 1 << v) >> v & 1:
+                    break
+                cuts[p] = common
         else:
             raise AssertionError("no chordality-preserving edge found")
         ordering.append(candidates.pop(p))
-        adj[u].add(v)
-        adj[v].add(u)
+        del cuts[p]
+        bits[u], bits[v] = bits[u] | 1 << v, bits[v] | 1 << u
     return ordering
+
+
+def _reach(bits: list[int], u: int, cut: int = 0, stop: int = 0) -> int:
+    """The bitset of vertices a breadth-first search from u reaches without entering ``cut``,
+    a level at a time; it ends after the first level that meets ``stop``."""
+    seen = frontier = 1 << u
+    while frontier and not frontier & stop:
+        frontier = reduce(or_, map(bits.__getitem__, members(frontier))) & ~(seen | cut)
+        seen |= frontier
+    return seen
+
+
+def members(bits: int) -> list[int]:
+    """The vertices of bitset ``bits``, ascending."""
+    out = []
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return out

@@ -103,6 +103,10 @@ class PartialReciprocalMatrix:
     def _weights(self) -> dict[int, np.ndarray]:
         return {}
 
+    @cached_property
+    def _pc_plus(self) -> dict[float, tuple]:  # measures.is_pc_plus's verdicts by tol.cons
+        return {}
+
     def component_weights(self, c: int) -> np.ndarray:
         """Spanning-tree weights of ``graph.components[c]`` in its vertex order, computed once.
 

@@ -7,7 +7,7 @@ to 1 when no triad is fully specified).  :func:`triad_scan` reads the
 :class:`TriadTables` that the one full scan builds in O(n^3) and a changed
 pair updates in O(n^2); on the fill path :func:`new_triads_mt` forms the six
 oriented products of each new triad, all grouped ``(a * b) * c`` alike and so
-bitwise a rescan; :meth:`TriadSets.of` forms ``a[i,j] * a[j,k]`` around (i, k).
+bitwise a rescan; :class:`TriadSets` holds ``a[i,j] * a[j,k]`` around (i, k).
 """
 
 from __future__ import annotations
@@ -181,22 +181,21 @@ def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima
     np.fmax(np.fmax.reduce(v, axis=0, initial=0.0, where=where), 1.0 / low, out=out)
 
 
-def new_triads_mt(entries: np.ndarray, i: int, k: int, js) -> float:
-    """Largest oriented product of the triads {i, j, k}, j in ``js``, once ``entries[i, k]`` is set.
+def new_triads_mt(entries: np.ndarray, i: int, k: int, ij, jk, kj, ji) -> float:
+    """Largest oriented product of the triads {i, j, k}, j in J, once ``entries[i, k]`` is set.
 
-    With ``js`` the common neighbors these are all the new triads, so the mt
-    after the fill is ``max(mt before, this)``.  Each product is formed as
-    ``(e[p,m] * e[m,q]) * e[q,p]``, m the middle vertex, as in :func:`triad_scan`,
-    so the two agree bit for bit; on overflow a full scan names the triad.
+    ``ij, jk, kj, ji`` are ``entries`` at [i, J], [J, k], [k, J] and [J, i].  With J the common
+    neighbors these are all the new triads, so the mt after the fill is ``max(mt before, this)``.
+    Each product is ``(e[p,m] * e[m,q]) * e[q,p]``, m the middle, as in :func:`triad_scan`, so
+    the two agree bit for bit; an overflow (the caller's ``np.errstate`` lets it through) hands
+    over to a full scan, which names the triad.
     """
-    ij, jk, kj, ji = entries[i, js], entries[js, k], entries[k, js], entries[js, i]
     x, y = entries[i, k], entries[k, i]
-    with np.errstate(over="ignore", divide="ignore"):
-        p = np.concatenate(((ij * jk) * y, (kj * ji) * x, (ji * x) * kj,  # middle j, j, i
-                            (y * ij) * jk, (x * kj) * ji, (jk * y) * ij))  # middle i, k, k
-        top, low = p.max(initial=1.0), p.min(initial=1.0)
-        if top == math.inf or 1.0 / low == math.inf:
-            return triad_scan(PartialReciprocalMatrix(entries)).mt
+    p = np.concatenate(((ij * jk) * y, (kj * ji) * x, (ji * x) * kj,  # middle j, j, i
+                        (y * ij) * jk, (x * kj) * ji, (jk * y) * ij))  # middle i, k, k
+    top, low = p.max(initial=1.0), p.min(initial=1.0)
+    if top == math.inf or 1.0 / low == math.inf:
+        return triad_scan(PartialReciprocalMatrix(entries)).mt
     return float(top)
 
 
@@ -267,13 +266,14 @@ def is_pc_plus(
     entry is compared against w[i] / w[j]; tree entries agree by
     construction, so any violation shows up on a non-tree edge.  Returns
     that edge as a witness (the tree path between its endpoints plus the
-    edge itself closes a violating cycle).
+    edge itself closes a violating cycle).  ``m`` keeps the verdict per ``tol.cons``.
     """
-    for c, comp in enumerate(m.graph.components):
-        edge = tree_violation(m, comp, m.component_weights(c), tol)
-        if edge is not None:
-            return False, edge
-    return True, None
+    if tol.cons not in m._pc_plus:
+        edges = (tree_violation(m, comp, m.component_weights(c), tol)
+                 for c, comp in enumerate(m.graph.components))
+        edge = next((edge for edge in edges if edge is not None), None)
+        m._pc_plus[tol.cons] = edge is None, edge
+    return m._pc_plus[tol.cons]
 
 
 def tree_violation(
@@ -301,17 +301,6 @@ class TriadSets:
     entry: Edge
     j: np.ndarray
     s: np.ndarray
-
-    @classmethod
-    def of(cls, entries: np.ndarray, i: int, k: int) -> TriadSets:
-        """Triad sets of the unspecified (NaN) entry (i, k), read from a matrix's entries."""
-        i, k = (i, k) if i < k else (k, i)
-        if not math.isnan(entries[i, k]):
-            raise EntrySpecifiedError(i, k)
-        with np.errstate(over="ignore"):
-            s = entries[i] * entries[:, k]  # NaN where a factor is unspecified
-        js = np.flatnonzero(~np.isnan(s))
-        return cls((i, k), js, s[js])
 
     @property
     def is_unconstrained(self) -> bool:
@@ -341,7 +330,12 @@ class TriadSets:
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:
     """Collect the triad sets relevant to filling the unspecified entry (i, k)."""
-    return TriadSets.of(m.entries, i, k)
+    i, k = (i, k) if i < k else (k, i)
+    if m.mask[i, k]:
+        raise EntrySpecifiedError(i, k)
+    js = np.flatnonzero(m.mask[i] & m.mask[k])
+    with np.errstate(over="ignore"):
+        return TriadSets((i, k), js, m.entries[i, js] * m.entries[js, k])
 
 
 def max_triad(

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .completion import FeasibleInterval, _fill_step
 from .errors import MatrixTooSmallError
 from .graphs import Edge
@@ -77,10 +79,13 @@ def _step(tables: TriadTables, tol: Tolerances, edge_rule: str) -> ReductionStep
         raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
     scan = tables.scan(tol)
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
-    fills = []
-    for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
-        entries, context = tables.cleared(a, b)
-        fills.append(_fill_step(entries, a, b, context, "minimax", tol))
+    fills, n = [], len(tables.entries)
+    with np.errstate(over="ignore", divide="ignore"):
+        for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
+            entries, context = tables.cleared(a, b)
+            bits = [(1 << n) - 1] * n  # the complete graph less {a, b}
+            bits[a], bits[b] = bits[a] ^ 1 << b, bits[b] ^ 1 << a
+            fills.append(_fill_step(entries, bits, a, b, context, "minimax", tol))
     fill = min(fills, key=lambda f: (f.mt_after, f.edge))
     return ReductionStep(fill.edge, float(tables.entries[fill.edge]), fill.value, fill.interval,
                          scan.mt, fill.mt_after, scan.tie)

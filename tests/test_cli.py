@@ -892,6 +892,14 @@ class TestWorkDoneOnce:
         # again when the result is formatted.
         assert len(parsed) == specified
 
+    def test_pc_plus_test_once_per_consistent_complete(self, capsys, monkeypatch):
+        # The classification's PC+ verdict is the engine's precondition, so
+        # the one component's weights are compared with its entries once.
+        calls = self.counted(monkeypatch, measures, "tree_violation", (measures,))
+        assert main(["complete", str(DATA / "cycle_4x4_repaired.csv"), "--trace"]) == 0
+        assert json.loads(capsys.readouterr().out)["completion"]["engine"] == "consistent-pc-plus"
+        assert len(calls) == 1
+
     def test_pc_plus_reads_components_without_a_chordality_test(self, monkeypatch):
         calls = self.counted(monkeypatch, graphs, CHORDALITY_TEST, self.holders(CHORDALITY_TEST))
         m, _ = parse_matrix(CYCLE_FIXED_TEXT)

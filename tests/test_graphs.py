@@ -1,3 +1,4 @@
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -11,6 +12,7 @@ from triadcomplete import (
     SpecGraph,
     chordal_ordering,
     connected_components,
+    graphs,
     is_chordal,
     validate,
 )
@@ -54,6 +56,33 @@ def reference_ordering(g):
         e = next(e for e in candidates if is_chordal(add_edge(g, *e))[0])
         ordering.append(e)
         g = add_edge(g, *e)
+    return tuple(ordering)
+
+
+def restart_scan_ordering(g):
+    """The greedy scan of a connected chordal g with no memo: after every accepted edge it
+    restarts from the highest pair and tests each candidate's N(u) ∩ N(v) by a set-based
+    breadth-first search."""
+    adj = [set(nb) for nb in g.adj]
+    candidates = sorted(((u, v) for u, v in combinations(range(g.n), 2) if v not in adj[u]),
+                        reverse=True)
+    ordering = []
+    while candidates:
+        for u, v in candidates:
+            common = adj[u] & adj[v]
+            seen, queue = {u}, deque([u])
+            while queue:
+                for w in adj[queue.popleft()] - common - seen:
+                    seen.add(w)
+                    queue.append(w)
+            if common and v not in seen:
+                break
+        else:
+            raise AssertionError("no chordality-preserving edge found")
+        ordering.append((u, v))
+        candidates.remove((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
     return tuple(ordering)
 
 
@@ -288,6 +317,37 @@ class TestChordalOrdering:
                 for a, b in reference_ordering(induced_by_edge_walk(g, comp))
             )
             assert chordal_ordering(m.graph) == expected
+
+    @pytest.mark.parametrize("kind", ["tree", "star", "clique-attached"])
+    def test_equals_restart_scan_at_scale(self, kind):
+        # Past the brute-force chordality oracle: the memoised scan accepts the
+        # same edges as restarting from the top with a fresh separator search
+        # of every candidate.  One graph in two is relabelled, which shows the
+        # scan other candidate sequences.
+        rng = np.random.default_rng(["tree", "star", "clique-attached"].index(kind))
+        for index in range(8):
+            n = int(rng.integers(3, 41))
+            g = cases.graph_of_kind(rng, kind, n)
+            if index % 2:
+                g = relabelled(g, rng.permutation(n))
+            assert chordal_ordering(g) == restart_scan_ordering(g)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_separator_tests_per_accepted_edge_stay_within_n(self, monkeypatch, n):
+        # A complexity guard: a rejected candidate is searched again only once
+        # its separator has grown, so random trees cost at most n separator
+        # tests per accepted edge.  Re-testing every rejected candidate after
+        # each accepted edge took about 85 per edge at n = 64.  The count
+        # includes the one search of the components.
+        calls = []
+        reach = graphs._reach
+        monkeypatch.setattr(graphs, "_reach", lambda *a: calls.append(a) or reach(*a))
+        for seed in range(3):
+            g = SpecGraph.from_edges(n, cases.random_tree_edges(np.random.default_rng(seed), n))
+            calls.clear()
+            ordering = chordal_ordering(g)
+            assert len(ordering) == n * (n - 1) // 2 - (n - 1)
+            assert 0 < len(calls) <= n * len(ordering)
 
     def test_chord_forcing_at_each_step(self, rng):
         # Common neighbors of a chordality-preserving new edge must be

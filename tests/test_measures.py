@@ -128,6 +128,14 @@ class TestIsPcPlus:
         violating = [p for cyc, p in products.items() if set(witness) <= set(cyc)]
         assert violating and all(abs(p - 1.0) > 1e-9 for p in violating)
 
+    def test_verdict_kept_per_consistency_tolerance(self):
+        # The cycle product is 5/6, so a loose tolerance passes PC+ and the
+        # default fails it; each matrix keeps one verdict per tolerance.
+        m, loose = validate(cases.CYCLE_PCM), Tolerances(cons=0.5)
+        for _ in range(2):
+            assert is_pc_plus(m, loose) == (True, None)
+            assert is_pc_plus(m) == (False, (2, 3))
+
     def test_corrected_entry_restores_pc_plus(self):
         assert is_pc_plus(validate(cases.CYCLE_PC_PLUS)) == (True, None)
 
@@ -489,7 +497,8 @@ class TestNewTriadsMt:
             js = np.flatnonzero(mask[i] & mask[k])
             entries[i, k], entries[k, i] = step.value, 1.0 / step.value
             mask[i, k] = mask[k, i] = True
-            context = max(context, new_triads_mt(entries, i, k, js))
+            near = entries[i, js], entries[js, k], entries[k, js], entries[js, i]
+            context = max(context, new_triads_mt(entries, i, k, *near))
             assert context == mt(PartialReciprocalMatrix(entries))
 
     @pytest.mark.parametrize("big", [1e200, 1e-200])
@@ -502,8 +511,9 @@ class TestNewTriadsMt:
         entries = np.array(m.entries)
         entries[1, 3] = entries[3, 1] = 1.0
         message = re.escape("triad (2, 4, 5): 3-cycle product overflows")
-        with pytest.raises(MatrixError, match=message):
-            new_triads_mt(entries, 1, 3, np.array([4]))
+        near = entries[1, [4]], entries[[4], 3], entries[3, [4]], entries[[4], 1]
+        with pytest.raises(MatrixError, match=message), np.errstate(over="ignore", divide="ignore"):
+            new_triads_mt(entries, 1, 3, *near)
 
 
 def rotations(cycle):

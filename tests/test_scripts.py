@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from triadcomplete import load_matrix
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -73,6 +75,22 @@ def test_cli_digest_is_stable():
         " ".join(argv) for csv in csvs for argv in cli_digest.commands(csv)
     ]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_cli_digest_writes_seeded_chordal_files(tmp_path):
+    cli_digest = load_cli_digest()
+    names = cli_digest.write_chordal(7, tmp_path)
+    assert sorted(names) == sorted(p.name for p in tmp_path.iterdir())
+    sizes = []
+    for name in names:
+        m = load_matrix(tmp_path / name)[0]
+        assert not any(m.graph.chordless_cycles) and not m.is_complete()
+        sizes.append([len(comp) for comp in m.graph.components])
+    assert sizes == [[96], [48], [64], [32, 32]]
+    again = tmp_path / "again"
+    again.mkdir()
+    assert cli_digest.write_chordal(7, again) == names
+    assert all((tmp_path / name).read_text() == (again / name).read_text() for name in names)
 
 
 def test_cli_digest_writes_the_benchmark_instances(tmp_path):
