@@ -1,15 +1,16 @@
 """Specification-graph algorithms.
 
 The graph of a partial matrix has an edge {i, j} exactly where the
-off-diagonal entry (i, j) is specified.  Chordality of this graph is what
-makes one-entry-at-a-time completion possible, so the module centres on a
-chordality test with a chordless-cycle witness and on orderings of the
-missing edges that keep every intermediate graph chordal.
+off-diagonal entry (i, j) is specified.  It is stored as one int bitset per
+vertex, its closed neighbourhood, and every algorithm here runs on those
+bitsets.  Chordality of this graph is what makes one-entry-at-a-time
+completion possible, so the module centres on a chordality test with a
+chordless-cycle witness and on orderings of the missing edges that keep
+every intermediate graph chordal.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -24,39 +25,35 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class SpecGraph:
-    """Undirected graph on vertices 0..n-1; ``adj[v]`` is the set of v's neighbors."""
+    """Undirected graph on vertices 0..n-1; bit u of ``bits[v]`` is set iff u == v or u ~ v."""
 
-    adj: tuple[frozenset[int], ...]
+    bits: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.bits)
 
     @property
     def edges(self) -> frozenset[Edge]:
         """The edges as (min, max) pairs."""
-        return frozenset((i, j) for i, nb in enumerate(self.adj) for j in nb if i < j)
+        return frozenset((i, j) for i, b in enumerate(self.bits) for j in members(b) if i < j)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> SpecGraph:
-        adj: list[set[int]] = [set() for _ in range(n)]
+        bits = [1 << v for v in range(n)]
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ValueError(f"invalid edge ({i}, {j}) for {n} vertices")
-            adj[i].add(j)
-            adj[j].add(i)
-        return cls(tuple(map(frozenset, adj)))
+            bits[i] |= 1 << j
+            bits[j] |= 1 << i
+        return cls(tuple(bits))
 
     @classmethod
     def from_matrix(cls, m) -> SpecGraph:
-        """Edges where matrix ``m`` is specified off the diagonal; ``m.graph`` keeps it."""
-        mask = m.mask & ~np.eye(m.n, dtype=bool)
-        return cls(tuple(frozenset(np.flatnonzero(row).tolist()) for row in mask))
-
-    @cached_property
-    def bits(self) -> tuple[int, ...]:
-        """Closed neighbourhoods as int bitsets: bit u of ``bits[v]`` is set iff u == v or u ~ v."""
-        return tuple(sum((1 << u for u in nb), 1 << v) for v, nb in enumerate(self.adj))
+        """Edges where matrix ``m`` is specified off the diagonal, each mask row packed into one
+        int with bit v set even where the diagonal is NaN; ``m.graph`` keeps it."""
+        rows = np.packbits(m.mask, axis=1, bitorder="little")
+        return cls(tuple(int.from_bytes(r, "little") | 1 << v for v, r in enumerate(rows)))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -65,31 +62,29 @@ class SpecGraph:
     @cached_property
     def chordless_cycles(self) -> tuple[tuple[int, ...] | None, ...]:
         """Per component, a chordless cycle in this graph's labels, or None when it is chordal."""
-        return tuple(_chordless_cycle_or_none(self.adj, comp) for comp in self.components)
+        return tuple(_chordless_cycle_or_none(self.bits, comp) for comp in self.components)
 
     def non_edges(self) -> list[Edge]:
-        return [(i, j) for i, j in combinations(range(self.n), 2) if j not in self.adj[i]]
+        return [(i, j) for i, j in combinations(range(self.n), 2) if not self.bits[i] >> j & 1]
 
 
-def bfs_parents(adj, start: int, blocked=frozenset()) -> dict[int, int]:
-    """Breadth-first search from ``start``: each reached vertex -> its parent.
+def bfs_parents(bits, start: int, blocked: int = 0) -> dict[int, int]:
+    """Breadth-first search from ``start`` over ``bits``: each reached vertex -> its parent.
 
     The dict is in visit order and maps ``start`` to itself.  Neighbors are
-    visited in ascending order and vertices in ``blocked`` are never entered,
-    so the search, and every tree or path read off it, is deterministic.
+    visited in ascending order and vertices in bitset ``blocked`` are never
+    entered, so the search, and every tree or path read off it, is deterministic.
     """
-    parent = {start: start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in sorted(adj[v]):
-            if u not in parent and u not in blocked:
-                parent[u] = v
-                queue.append(u)
+    parent, queue, seen = {start: start}, [start], blocked | 1 << start
+    for v in queue:
+        fresh = members(bits[v] & ~seen)
+        seen |= bits[v]
+        parent.update(dict.fromkeys(fresh, v))
+        queue += fresh
     return parent
 
 
-def _chordless_cycle(adj, verts) -> tuple[int, ...]:
+def _chordless_cycle(bits, verts) -> tuple[int, ...]:
     """Some chordless cycle of length >= 4 among ascending ``verts``; caller guarantees one exists.
 
     For every vertex v and non-adjacent pair u, w of its neighbors, a
@@ -98,11 +93,10 @@ def _chordless_cycle(adj, verts) -> tuple[int, ...]:
     Every scan runs in ascending order, so the cycle is deterministic.
     """
     for v in verts:
-        nb = sorted(adj[v])
-        for u, w in combinations(nb, 2):
-            if w in adj[u]:
+        for u, w in combinations(members(bits[v] ^ 1 << v), 2):
+            if bits[u] >> w & 1:
                 continue
-            parent = bfs_parents(adj, u, blocked={v} | (set(nb) - {u, w}))
+            parent = bfs_parents(bits, u, blocked=bits[v] & ~(1 << u | 1 << w))
             if w in parent:
                 path = [w]
                 while path[-1] != u:
@@ -111,35 +105,36 @@ def _chordless_cycle(adj, verts) -> tuple[int, ...]:
     raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
-def _chordless_cycle_or_none(adj, verts) -> tuple[int, ...] | None:
-    """A chordless cycle among ascending ``verts`` (a union of components), or None if chordal.
+def _chordless_cycle_or_none(bits, verts) -> tuple[int, ...] | None:
+    """A chordless cycle in the component of ascending ``verts``, or None if it is chordal.
 
     One maximum-cardinality search (ties to the smallest vertex) checks each
-    vertex as it visits it: its visited neighbours, less the last one
-    visited, must all be adjacent to that last one.  The visit order
-    reversed is then a perfect elimination order, and the first vertex that
-    fails shows there is none (Tarjan & Yannakakis, SIAM J. Comput. 1984).
+    vertex as it visits it: its visited neighbours must all be adjacent to
+    the last of them visited.  The visit order reversed is then a perfect
+    elimination order, and the first vertex that fails shows there is none
+    (Tarjan & Yannakakis, SIAM J. Comput. 1984).
     """
-    weight = dict.fromkeys(verts, 0)
-    unvisited = set(verts)
-    visited_at: dict[int, int] = {}
-    while unvisited:
-        v = min(unvisited, key=lambda u: (-weight[u], u))
-        unvisited.remove(v)
-        earlier = adj[v] - unvisited
-        if len(earlier) > 1:
-            last = max(earlier, key=visited_at.__getitem__)
-            if not earlier - {last} <= adj[last]:
-                return _chordless_cycle(adj, verts)
+    weight = dict.fromkeys(verts, 0)  # the unvisited vertices -> their visited neighbours
+    visited, visited_at = 0, {}
+    while weight:
+        v = min(weight, key=lambda u: (-weight[u], u))
+        del weight[v]
+        earlier = bits[v] & visited
+        if earlier:
+            last = max(members(earlier), key=visited_at.__getitem__)
+            if earlier & ~bits[last]:
+                return _chordless_cycle(bits, verts)
         visited_at[v] = len(visited_at)
-        for u in adj[v] & unvisited:
+        visited |= 1 << v
+        for u in members(bits[v] & ~visited):
             weight[u] += 1
     return None
 
 
 def is_chordal(g: SpecGraph) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test with a chordless-cycle witness; ``SpecGraph.chordless_cycles`` keeps it."""
-    witness = _chordless_cycle_or_none(g.adj, range(g.n))
+    """Chordality test; the witness is the first component's ``g.chordless_cycles`` entry that
+    is not None, the cycle :func:`chordal_ordering` raises with."""
+    witness = next(filter(None, g.chordless_cycles), None)
     return witness is None, witness
 
 

@@ -250,7 +250,7 @@ def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
     """
     root = min(component)
     weights = {}
-    for j, i in bfs_parents(m.graph.adj, root).items():
+    for j, i in bfs_parents(m.graph.bits, root).items():
         weights[j] = 1.0 if i == j else weights[i] / float(m.entries[i, j])
         if not 0.0 < weights[j] < math.inf:
             raise MatrixError(f"entry ({root + 1}, {j + 1}): implied value is out of range")

@@ -31,7 +31,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadProduct, is_pcm, mt, triad_sets_for_entry
+from .measures import TriadProduct, is_pcm, mt
 
 MAX_CYCLE_N = 8
 
@@ -146,19 +146,20 @@ def complete_one_entry_consistent(
 ) -> float:
     """The unique value for (i, k) that keeps the data consistent.
 
-    Requires at least one common specified neighbor j; the value is
-    a[i, j] * a[j, k] for the smallest such j, and all neighbors must agree
-    on it within ``tol.cons``.
+    Requires at least one common specified neighbor j (never i or k, as (i, k)
+    is unspecified); the value is a[i, j] * a[j, k] for the smallest such j,
+    and all neighbors must agree on it within ``tol.cons``.
     """
     i, k = (i, k) if i < k else (k, i)
-    ts = triad_sets_for_entry(m, i, k)
-    if ts.is_unconstrained:
+    e, mask = m.entries, m.mask
+    if mask[i, k]:
+        raise EntrySpecifiedError(i, k)
+    products = [float(e[i, j]) * float(e[j, k]) for j in range(m.n) if mask[i, j] and mask[j, k]]
+    if not products:
         raise NoCommonNeighborError(i, k)
-    x, *rest = ts.s.tolist()
-    for s in rest:
-        if abs(s / x - 1.0) > tol.cons:
-            raise NeighborDisagreementError(i, k, ts.s.tolist())
-    return x
+    if any(abs(s / products[0] - 1.0) > tol.cons for s in products):
+        raise NeighborDisagreementError(i, k, products)
+    return products[0]
 
 
 def complete_consistent_chordal(

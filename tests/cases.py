@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -75,8 +76,18 @@ def five_completed():
     )
 
 
+@lru_cache(maxsize=64)
+def adjacency(g):
+    """Each vertex's neighbour set, read from ``g.edges`` alone (no bitset arithmetic)."""
+    adj = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return tuple(map(frozenset, adj))
+
+
 def has_edge(g, i, j):
-    return j in g.adj[i]
+    return j in adjacency(g)[i]
 
 
 def add_edge(g, i, j):
@@ -216,7 +227,7 @@ def perturbed_consistent(rng, n, factor=9.0):
 def _graph_distance(g, a, b):
     from collections import deque
 
-    adj = g.adj
+    adj = adjacency(g)
     dist = {a: 0}
     queue = deque([a])
     while queue:

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+# Test modules get pytest's assert rewriting; the shared helpers in cases.py
+# need it too, or ``python -O`` strips their checks.
+pytest.register_assert_rewrite("cases")
+
 settings.register_profile(
     "suite",
     deadline=None,

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
-from cases import add_edge, has_edge
+from cases import add_edge, adjacency, has_edge
 from triadcomplete import (
+    PartialReciprocalMatrix,
     SpecGraph,
     chordal_ordering,
     connected_components,
@@ -63,7 +64,7 @@ def restart_scan_ordering(g):
     """The greedy scan of a connected chordal g with no memo: after every accepted edge it
     restarts from the highest pair and tests each candidate's N(u) ∩ N(v) by a set-based
     breadth-first search."""
-    adj = [set(nb) for nb in g.adj]
+    adj = [set(nb) for nb in adjacency(g)]
     candidates = sorted(((u, v) for u, v in combinations(range(g.n), 2) if v not in adj[u]),
                         reverse=True)
     ordering = []
@@ -88,7 +89,7 @@ def restart_scan_ordering(g):
 
 def spanning_tree(g):
     """BFS spanning tree from vertex 0, neighbors visited in ascending order."""
-    parent = bfs_parents(g.adj, 0)
+    parent = bfs_parents(g.bits, 0)
     if len(parent) != g.n:
         raise ValueError("spanning tree requires a connected graph")
     return SpecGraph.from_edges(g.n, [(p, v) for v, p in parent.items() if v != p])
@@ -98,7 +99,8 @@ def common_specified_neighbors(g, i, k):
     """All j adjacent to both i and k, ascending."""
     if i == k:
         raise ValueError("vertices must be distinct")
-    return tuple(sorted(g.adj[i] & g.adj[k]))
+    adj = adjacency(g)
+    return tuple(sorted(adj[i] & adj[k]))
 
 
 def induced_by_edge_walk(g, vertices):
@@ -176,6 +178,19 @@ class TestFromMatrix:
             assert g == SpecGraph.from_edges(n, zip(rows.tolist(), cols.tolist()))
             assert g.n == n and len(g.edges) == len(rows)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 128, 129])
+    def test_equals_edges_of_mask_across_byte_and_word_boundaries(self, rng, n):
+        m = cases.random_prm(rng, n, p=0.5)
+        rows, cols = np.nonzero(np.triu(m.mask, 1))
+        expected = SpecGraph.from_edges(n, zip(rows.tolist(), cols.tolist()))
+        assert SpecGraph.from_matrix(m) == expected
+
+    def test_nan_diagonal_still_gives_closed_neighbourhoods(self):
+        entries = np.array(validate(cases.CYCLE_PCM).entries)
+        np.fill_diagonal(entries, np.nan)
+        g = SpecGraph.from_matrix(PartialReciprocalMatrix(entries))
+        assert g == SpecGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
 
 class TestIsChordal:
     def test_trees_are_chordal(self, rng):
@@ -224,11 +239,30 @@ class TestIsChordal:
         reference = nx.Graph(g.edges)
         reference.add_nodes_from(range(n))
         for comp in g.components:
-            witness = _chordless_cycle_or_none(g.adj, comp)
+            witness = _chordless_cycle_or_none(g.bits, comp)
             assert (witness is None) == nx.is_chordal(reference.subgraph(comp))
             if witness is not None:
                 assert set(witness) <= set(comp)
                 assert_chordless_cycle(g, witness)
+
+    def test_witness_is_the_cycle_chordal_ordering_raises_with(self, rng):
+        # One decision per graph: the whole graph's witness is its first
+        # non-chordal component's, even when a later component holds a
+        # cycle through smaller labels.
+        first = SpecGraph.from_edges(9, [(0, 5), (5, 6), (6, 7), (7, 8), (5, 8),
+                                         (1, 2), (2, 3), (3, 4), (1, 4)])
+        assert is_chordal(first) == (False, (5, 6, 7, 8))
+        nonchordal = 0
+        for g in [first] + [mixed_component_graph(rng, n, int(rng.integers(2, 5)))
+                            for n in rng.integers(8, 31, size=60).tolist()]:
+            ok, witness = is_chordal(g)
+            if ok:
+                continue
+            nonchordal += 1
+            with pytest.raises(ComponentNotChordalError) as exc:
+                chordal_ordering(g)
+            assert witness == exc.value.cycle == next(c for c in g.chordless_cycles if c)
+        assert nonchordal >= 20
 
     def test_components_tested_in_place_equal_relabelled_tests(self, rng):
         chordal = nonchordal = 0

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from triadcomplete import SpecGraph
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "triadcomplete"
 
@@ -88,4 +91,17 @@ def test_commands_return_sections_and_main_writes_them():
                 name == "print" and fn.name.startswith("cmd_")
             ):
                 found.append(f"{fn.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_graph_is_its_bitsets():
+    # ``SpecGraph.bits`` is the one graph representation: no second stored
+    # field, and no module reads a neighbour-set view (``.adj``) of the graph.
+    assert [f.name for f in fields(SpecGraph)] == ["bits"]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "adj"
+    ]
     assert found == []
