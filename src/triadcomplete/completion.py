@@ -16,6 +16,7 @@ Three regimes are covered:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadSets, is_pc_plus, mt, new_triads_mt, triad_sets_for_entry
+from .measures import is_pc_plus, mt, new_triads_mt, triad_sets_for_entry
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -38,9 +39,10 @@ class FeasibleInterval:
     """Values for one unspecified entry that leave the mt measure unchanged.
 
     ``lo = s_max / mt`` and ``hi = mt * s_min``; the minimax point
-    ``sqrt(s_max * s_min)`` minimizes the largest new oriented triad
-    product, achieving ``sqrt(s_max / s_min)``.  With no constraining
-    neighbor the interval is the sentinel (0, inf) with minimax 1.
+    ``sqrt(s_max * s_min)`` (rooted factor by factor when the product is
+    not a normal double) minimizes the largest new oriented triad product,
+    achieving ``sqrt(s_max / s_min)``.  With no constraining neighbor the
+    interval is the sentinel (0, inf) with minimax 1.
     """
 
     lo: float
@@ -53,11 +55,14 @@ class FeasibleInterval:
         return self.lo == 0.0 and self.hi == math.inf
 
     @classmethod
-    def from_triad_sets(cls, ts: TriadSets, context: float) -> FeasibleInterval:
-        """Interval for ``ts.entry`` against the measure ``context``."""
-        if ts.is_unconstrained:
+    def of(cls, s_min: float | None, s_max: float | None, context: float) -> FeasibleInterval:
+        """Interval for products ``a[i,j] * a[j,k]`` in [s_min, s_max], or None for no neighbor."""
+        if s_min is None:
             return cls(0.0, math.inf, 1.0, context)
-        return cls(ts.s_max / context, context * ts.s_min, ts.minimax, context)
+        product = s_max * s_min
+        normal = sys.float_info.min <= product < math.inf  # else lost bits, or no root
+        minimax = math.sqrt(product) if normal else math.sqrt(s_max) * math.sqrt(s_min)
+        return cls(s_max / context, context * s_min, minimax, context)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,8 @@ def feasible_interval(m: PartialReciprocalMatrix, i: int, k: int) -> FeasibleInt
     is the only missing one); non-emptiness is then guaranteed because any
     two constraining products differ by at most mt**2.
     """
-    return FeasibleInterval.from_triad_sets(triad_sets_for_entry(m, i, k), mt(m))
+    ts = triad_sets_for_entry(m, i, k)
+    return FeasibleInterval.of(ts.s_min, ts.s_max, mt(m))
 
 
 def select_value(interval: FeasibleInterval, selection: str) -> float:
@@ -118,9 +124,13 @@ def _fill(entries: np.ndarray, i, k, value) -> None:
     if not ok.all():
         first = int(np.argmin(ok))
         i, k, value = (np.broadcast_to(a, ok.shape).flat[first] for a in (i, k, value))
-        raise MatrixError(f"entry ({i + 1}, {k + 1}): filled value {float(value)!r} is out of range")
+        raise _out_of_range(int(i), int(k), float(value))
     entries[i, k] = value
     entries[k, i] = 1.0 / value
+
+
+def _out_of_range(i: int, k: int, value: float) -> MatrixError:
+    return MatrixError(f"entry ({i + 1}, {k + 1}): filled value {value!r} is out of range")
 
 
 def _join_components(
@@ -209,31 +219,35 @@ def _fill_step(
 ) -> CompletionStep:
     """Fill the NaN (i, k), i < k, of ``entries`` in place; ``context`` is its mt before.
 
-    ``bits`` (as ``SpecGraph.bits``) gives the common neighbors J and gains {i, k}; a[i,J], a[J,k],
-    a[k,J] and a[J,i] are gathered once, under the caller's ``np.errstate``.  The value comes from
-    the feasible interval against ``context``.  Three checks run under ``python -O`` too: the
-    common neighbors are pairwise adjacent, the interval is non-empty and mt is not raised.  The
-    step's ``mt_after`` equals a full rescan bit for bit.  A product ``a[i,j]·a[j,k]`` out of
-    (0, inf), which an earlier fill at an interval end can cause, raises :class:`MatrixError`
-    naming the entry and that j.
+    ``bits`` (as ``SpecGraph.bits``) gives the common neighbors J and gains {i, k}.  Rows and
+    columns i and k are read once as Python floats; all else is float arithmetic, which rounds as
+    numpy's float64 does, so the bytes are a numpy step's.  The value comes from the interval
+    against ``context``.  Three checks run under ``python -O`` too: the common neighbors are
+    pairwise adjacent, the interval is non-empty and mt is not raised (``mt_after`` is a rescan's
+    bits).  A product ``a[i,j]·a[j,k]`` that is not a normal double (an interval-end fill can make
+    one; a subnormal one has lost bits) raises :class:`MatrixError` naming the entry and that j.
     """
     common = bits[i] & bits[k]
-    js = np.array(members(common), dtype=np.intp)
+    js = members(common)
     # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-    if not all(bits[j] & common == common for j in js.tolist()):
+    if not all(bits[j] & common == common for j in js):
         raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
-    near = entries[i, js], entries[js, k], entries[k, js], entries[js, i]
-    ts = TriadSets((i, k), js, near[0] * near[1])
-    if not ts.is_unconstrained and not (0.0 < ts.s_min and ts.s_max < math.inf):
-        j = js[np.argmin((ts.s > 0.0) & (ts.s < math.inf))]
+    rows = entries[i].tolist(), entries[:, k].tolist(), entries[k].tolist(), entries[:, i].tolist()
+    ij, jk, kj, ji = ([row[j] for j in js] for row in rows)
+    s = [a * b for a, b in zip(ij, jk)]
+    s_min, s_max = (min(s), max(s)) if s else (None, None)
+    if s and not (sys.float_info.min <= s_min and s_max < math.inf):
+        j = next(j for j, p in zip(js, s) if not sys.float_info.min <= p < math.inf)
         raise MatrixError(f"entry ({i + 1}, {k + 1}): product through {j + 1} is out of range")
-    interval = FeasibleInterval.from_triad_sets(ts, context)
+    interval = FeasibleInterval.of(s_min, s_max, context)
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
     value = select_value(interval, selection)
-    _fill(entries, i, k, value)
+    if not 0.0 < value < math.inf:
+        raise _out_of_range(i, k, value)
+    entries[i, k], entries[k, i] = value, 1.0 / value
     bits[i], bits[k] = bits[i] | 1 << k, bits[k] | 1 << i
-    after = max(context, new_triads_mt(entries, i, k, *near))
+    after = max(context, new_triads_mt(entries, value, ij, jk, kj, ji))
     if not after <= context * (1.0 + tol.cmp):
         raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
     return CompletionStep((i, k), interval, value, context, after)
@@ -261,9 +275,8 @@ def complete_mt_preserving(
     entries, bits = np.array(m.entries), list(m.graph.bits)
     steps: list[CompletionStep] = []
     context = mt(m)
-    with np.errstate(over="ignore", divide="ignore"):
-        for i, k in chordal_ordering(m.graph):
-            steps.append(_fill_step(entries, bits, i, k, context, selection, tol))
-            context = steps[-1].mt_after
+    for i, k in chordal_ordering(m.graph):
+        steps.append(_fill_step(entries, bits, i, k, context, selection, tol))
+        context = steps[-1].mt_after
     joins = _join_components(entries, m.graph.components, join_scale, join_u, join_v)
     return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries))

@@ -6,16 +6,15 @@ is consistent, and it applies unchanged to partial matrices (defaulting
 to 1 when no triad is fully specified).  :func:`triad_scan` reads the
 :class:`TriadTables` that the one full scan builds in O(n^3) and a changed
 pair updates in O(n^2); on the fill path :func:`new_triads_mt` forms the six
-oriented products of each new triad, all grouped ``(a * b) * c`` alike and so
-bitwise a rescan; :class:`TriadSets` holds ``a[i,j] * a[j,k]`` around (i, k).
+oriented products of each new triad in float arithmetic, all grouped
+``(a * b) * c`` alike and so bitwise a rescan (a Python float multiply rounds
+as a numpy float64 one); :class:`TriadSets` holds ``a[i,j] * a[j,k]`` around (i, k).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -181,22 +180,26 @@ def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima
     np.fmax(np.fmax.reduce(v, axis=0, initial=0.0, where=where), 1.0 / low, out=out)
 
 
-def new_triads_mt(entries: np.ndarray, i: int, k: int, ij, jk, kj, ji) -> float:
-    """Largest oriented product of the triads {i, j, k}, j in J, once ``entries[i, k]`` is set.
+def new_triads_mt(entries: np.ndarray, x: float, ij, jk, kj, ji) -> float:
+    """Largest oriented product of the triads {i, j, k}, j in J, once (i, k) holds x, (k, i) 1 / x.
 
-    ``ij, jk, kj, ji`` are ``entries`` at [i, J], [J, k], [k, J] and [J, i].  With J the common
+    ``ij, jk, kj, ji`` list the floats at [i, J], [J, k], [k, J] and [J, i]; with J the common
     neighbors these are all the new triads, so the mt after the fill is ``max(mt before, this)``.
-    Each product is ``(e[p,m] * e[m,q]) * e[q,p]``, m the middle, as in :func:`triad_scan`, so
-    the two agree bit for bit; an overflow (the caller's ``np.errstate`` lets it through) hands
-    over to a full scan, which names the triad.
+    Each product is ``(e[p,m] * e[m,q]) * e[q,p]``, m the middle, as in :func:`triad_scan`, and a
+    Python float multiply rounds as numpy's, so the two agree bit for bit.  An overflow (or an
+    underflow to 0) hands over to a full scan of ``entries``, which names the triad.
     """
-    x, y = entries[i, k], entries[k, i]
-    p = np.concatenate(((ij * jk) * y, (kj * ji) * x, (ji * x) * kj,  # middle j, j, i
-                        (y * ij) * jk, (x * kj) * ji, (jk * y) * ij))  # middle i, k, k
-    top, low = p.max(initial=1.0), p.min(initial=1.0)
-    if top == math.inf or 1.0 / low == math.inf:
+    y = 1.0 / x
+    top = low = 1.0
+    for a, b, c, d in zip(ij, jk, kj, ji):  # middle j, j, i, then i, k, k
+        for p in ((a * b) * y, (c * d) * x, (d * x) * c, (y * a) * b, (x * c) * d, (b * y) * a):
+            if p > top:
+                top = p
+            elif p < low:
+                low = p
+    if top == math.inf or low == 0.0 or 1.0 / low == math.inf:
         return triad_scan(PartialReciprocalMatrix(entries)).mt
-    return float(top)
+    return top
 
 
 def mt(m: PartialReciprocalMatrix) -> float:
@@ -306,26 +309,13 @@ class TriadSets:
     def is_unconstrained(self) -> bool:
         return not self.s.size
 
-    @cached_property
+    @property
     def s_min(self) -> float | None:
         return float(self.s.min()) if self.s.size else None
 
-    @cached_property
+    @property
     def s_max(self) -> float | None:
         return float(self.s.max()) if self.s.size else None
-
-    @property
-    def minimax(self) -> float:
-        """``sqrt(s_max * s_min)``, rooted factor by factor when the product is not a normal double.
-
-        A subnormal product has lost bits, so its root would too; an infinite one has no root.
-        """
-        if not self.s.size:
-            return 1.0
-        product = self.s_max * self.s_min
-        if product == math.inf or product < sys.float_info.min:
-            return math.sqrt(self.s_max) * math.sqrt(self.s_min)
-        return math.sqrt(product)
 
 
 def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:

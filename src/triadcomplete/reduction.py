@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .completion import FeasibleInterval, _fill_step
 from .errors import MatrixTooSmallError
 from .graphs import Edge
@@ -80,12 +78,11 @@ def _step(tables: TriadTables, tol: Tolerances, edge_rule: str) -> ReductionStep
     scan = tables.scan(tol)
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
     fills, n = [], len(tables.entries)
-    with np.errstate(over="ignore", divide="ignore"):
-        for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
-            entries, context = tables.cleared(a, b)
-            bits = [(1 << n) - 1] * n  # the complete graph less {a, b}
-            bits[a], bits[b] = bits[a] ^ 1 << b, bits[b] ^ 1 << a
-            fills.append(_fill_step(entries, bits, a, b, context, "minimax", tol))
+    for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
+        entries, context = tables.cleared(a, b)
+        bits = [(1 << n) - 1] * n  # the complete graph less {a, b}
+        bits[a], bits[b] = bits[a] ^ 1 << b, bits[b] ^ 1 << a
+        fills.append(_fill_step(entries, bits, a, b, context, "minimax", tol))
     fill = min(fills, key=lambda f: (f.mt_after, f.edge))
     return ReductionStep(fill.edge, float(tables.entries[fill.edge]), fill.value, fill.interval,
                          scan.mt, fill.mt_after, scan.tie)

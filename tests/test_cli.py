@@ -72,6 +72,17 @@ OVERFLOW_B_TEXT = """\
 ?,5.560937299057548e+48,4.502938678552174e+148,1
 """
 
+# A chordal file whose product through neighbour 1 of entry (2, 5),
+# 1e-160 * 1e-155, is subnormal: it has lost digits, so an interval built on
+# it is off by more than the comparison tolerance.
+SUBNORMAL_PRODUCT_TEXT = """\
+1.0,1e+160,2.3559101637743e-69,5.458812476514266e-100,1e-155
+1e-160,1.0,?,2.9624030222948465e-79,?
+4.244644024956979e+68,?,1.0,?,?
+1.8319002609127027e+99,3.375637927972889e+78,?,1.0,?
+1e+155,?,?,?,1.0
+"""
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -518,6 +529,26 @@ class TestUsage:
         assert main(["complete", path, "--mode", "mt-preserving", "--selection", selection]) == code
         err = capsys.readouterr().err
         assert located in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "selection, located",
+        [
+            ("minimax", "entry (2, 5): product through 1 is out of range"),
+            ("midpoint", "entry (2, 5): product through 1 is out of range"),
+            ("lo", "triad (1, 4, 5): 3-cycle product overflows"),
+            ("hi", "entry (2, 5): product through 1 is out of range"),
+        ],
+        ids=["minimax", "midpoint", "lo", "hi"],
+    )
+    def test_subnormal_product_through_an_unspecified_entry(
+        self, write, capsys, selection, located
+    ):
+        # The fill step refuses a product that is not a normal double, as it
+        # refuses 0 and inf; 'hi' once died here on the empty-interval check.
+        path = write("m.csv", SUBNORMAL_PRODUCT_TEXT)
+        assert main(["complete", path, "--selection", selection]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {located}\n"
 
     def test_wide_magnitudes_exit_zero_one_or_two(self, write, capsys):
         # Chordal patterns with entries 10^U(-150, 150): every call returns.

@@ -1,10 +1,11 @@
 import math
 import re
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cases
@@ -73,6 +74,19 @@ class TestCompleteOneEntry:
     def test_specified_entry_rejected(self):
         with pytest.raises(EntrySpecifiedError):
             complete_one_entry_consistent(cases.five_partial(), 0, 1)
+
+    def test_returns_the_smallest_neighbors_product(self):
+        # Neighbors 2, 3 and 4 (one-based) give 6, 6 (1 + 4e-10) and
+        # 6 (1 - 3e-10), which agree within tol.cons; the value is the first.
+        raw = np.full((5, 5), np.nan)
+        np.fill_diagonal(raw, 1.0)
+        raw[0, 1:4] = 2.0, 3.0, 1.5
+        raw[1:4, 4] = 3.0, 2.0 * (1 + 4e-10), 4.0 * (1 - 3e-10)
+        m = validate(raw)
+        products = [float(raw[0, j] * raw[j, 4]) for j in (1, 2, 3)]
+        assert products[0] == 6.0 and len(set(products)) == 3
+        assert complete_one_entry_consistent(m, 0, 4) == 6.0
+        assert complete_one_entry_consistent(m, 4, 0) == 6.0
 
 
 class TestCompleteConsistentChordal:
@@ -437,6 +451,54 @@ class TestCompleteMtPreserving:
                 assert mt(report.result) == pytest.approx(base, rel=1e-9)
                 for step in report.steps:
                     assert step.mt_after <= step.mt_before * (1 + 1e-9)
+
+    def test_step_interval_equals_library_interval(self, rng):
+        # The engine's float step and feasible_interval's numpy route share
+        # only FeasibleInterval.of; each step's interval must be the one the
+        # library gives for the matrix before that step, bit for bit.
+        prms = [cases.prm_on_graph(rng, cases.clique_attached_graph(rng, int(rng.integers(3, 25))))
+                for _ in range(6)]
+        prms += [cases.random_chordal_prm(rng, int(rng.integers(4, 9)), min_missing=1)
+                 for _ in range(6)]
+        prms.append(cases.random_two_component_chordal_prm(rng))
+        for prm in prms:
+            for selection in SELECTIONS:
+                current = prm
+                for step in complete_mt_preserving(prm, selection=selection).steps:
+                    want = feasible_interval(current, *step.edge)
+                    assert [x.hex() for x in astuple(step.interval)] == [
+                        x.hex() for x in astuple(want)
+                    ]
+                    current = current.with_entry(*step.edge, step.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        kind=st.sampled_from(("tree", "star", "clique-attached")),
+    )
+    @example(seed=361, n=8, kind="clique-attached")
+    @example(seed=376, n=5, kind="clique-attached")
+    @example(seed=751, n=7, kind="clique-attached")
+    def test_extreme_magnitudes_return_or_raise_matrix_error(self, seed, n, kind):
+        # Entries 10^U(-300, 300) drive the fill step's float arithmetic to
+        # overflow, underflow and subnormal products: each run completes or
+        # raises MatrixError, never a failed check or a division by zero.
+        # The examples once failed the empty-interval check on a subnormal
+        # product.
+        rng = np.random.default_rng(seed)
+        g = cases.graph_of_kind(rng, kind, n)
+        raw = np.full((n, n), np.nan)
+        np.fill_diagonal(raw, 1.0)
+        for i, j in g.edges:
+            raw[i, j] = 10.0 ** rng.uniform(-300, 300)
+            raw[j, i] = 1.0 / raw[i, j]
+        m = validate(raw)
+        for selection in SELECTIONS:
+            try:
+                complete_mt_preserving(m, selection=selection)
+            except MatrixError:
+                pass
 
     def test_after_fill_check_equals_full_rescan(self, rng):
         # Each step's measure comes from a scan of the filled entry's clique;

@@ -27,7 +27,8 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
-from triadcomplete.measures import TriadSets, TriadTables, mt_pass, new_triads_mt, triad_scan
+from triadcomplete.completion import FeasibleInterval
+from triadcomplete.measures import TriadTables, mt_pass, new_triads_mt, triad_scan
 from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
@@ -235,24 +236,24 @@ class TestTriadSetsForEntry:
 
 
 class TestMinimax:
+    # The minimax rule lives in the one interval constructor, which the
+    # engine's step and the library's feasible_interval both call.
     @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4))
     def test_plain_root_unless_the_product_leaves_range(self, s):
-        ts = TriadSets((0, 1), np.arange(len(s)), np.array(s))
+        minimax = FeasibleInterval.of(min(s), max(s), 1.0).minimax
         hi, lo = max(s), min(s)
         if sys.float_info.min <= hi * lo < math.inf:
-            assert ts.minimax == math.sqrt(hi * lo)
+            assert minimax == math.sqrt(hi * lo)
         else:
-            assert ts.minimax == math.sqrt(hi) * math.sqrt(lo)
-            assert 0.0 < ts.minimax < math.inf
+            assert minimax == math.sqrt(hi) * math.sqrt(lo)
+            assert 0.0 < minimax < math.inf
 
     def test_huge_products(self):
-        ts = TriadSets((0, 2), np.array([1]), np.array([1e155]))
-        assert ts.minimax == 1.0000000000000001e155
+        assert FeasibleInterval.of(1e155, 1e155, 1.0).minimax == 1.0000000000000001e155
 
     def test_subnormal_products(self):
         # 1e-160 squared is subnormal: its root would be 9.99994433575849e-161.
-        ts = TriadSets((0, 2), np.array([1]), np.array([1e-160]))
-        assert ts.minimax == 1e-160
+        assert FeasibleInterval.of(1e-160, 1e-160, 1.0).minimax == 1e-160
 
 
 class TestMaxTriadAndKoczkodaj:
@@ -497,23 +498,25 @@ class TestNewTriadsMt:
             js = np.flatnonzero(mask[i] & mask[k])
             entries[i, k], entries[k, i] = step.value, 1.0 / step.value
             mask[i, k] = mask[k, i] = True
-            near = entries[i, js], entries[js, k], entries[k, js], entries[js, i]
-            context = max(context, new_triads_mt(entries, i, k, *near))
+            near = (entries[a, b].tolist() for a, b in ((i, js), (js, k), (k, js), (js, i)))
+            context = max(context, new_triads_mt(entries, step.value, *near))
             assert context == mt(PartialReciprocalMatrix(entries))
 
     @pytest.mark.parametrize("big", [1e200, 1e-200])
     def test_overflow_names_the_triad(self, big):
         # Filling (2, 4) closes the triad {2, 4, 5}, whose product overflows
-        # (or underflows to 0); the triad {1, 2, 5} is finite.
+        # (or underflows to 0, whose reciprocal a Python float cannot take);
+        # the triad {1, 2, 5} is finite.  The kernel gets Python floats, as
+        # the engine passes them.
         raw = np.full((5, 5), np.nan)
         raw[0, 1], raw[0, 4], raw[1, 4], raw[3, 4] = 2.0, 3.0, big, 1 / big
         m = validate(raw)
         entries = np.array(m.entries)
         entries[1, 3] = entries[3, 1] = 1.0
         message = re.escape("triad (2, 4, 5): 3-cycle product overflows")
-        near = entries[1, [4]], entries[[4], 3], entries[3, [4]], entries[[4], 1]
-        with pytest.raises(MatrixError, match=message), np.errstate(over="ignore", divide="ignore"):
-            new_triads_mt(entries, 1, 3, *near)
+        near = ([float(entries[a, b])] for a, b in ((1, 4), (4, 3), (3, 4), (4, 1)))
+        with pytest.raises(MatrixError, match=message):
+            new_triads_mt(entries, 1.0, *near)
 
 
 def rotations(cycle):
