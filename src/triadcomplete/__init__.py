@@ -35,7 +35,6 @@ from .matrices import (
 )
 from .measures import (
     TriadProduct,
-    TriadSets,
     is_consistent,
     is_pc_plus,
     is_pcm,
@@ -44,7 +43,6 @@ from .measures import (
     mt,
     rank_one_vector,
     tree_weights,
-    triad_sets_for_entry,
 )
 from .reduction import (
     ReductionStep,
@@ -68,7 +66,6 @@ __all__ = [
     "SpecGraph",
     "Tolerances",
     "TriadProduct",
-    "TriadSets",
     "chordal_ordering",
     "complete_consistent_pc_plus",
     "complete_mt_preserving",
@@ -92,6 +89,5 @@ __all__ = [
     "reduce_step",
     "select_value",
     "tree_weights",
-    "triad_sets_for_entry",
     "validate",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixError, NotPCPlusError
+from .errors import EntrySpecifiedError, MatrixError, NotPCPlusError
 from .graphs import Edge, chordal_ordering, members
 from .matrices import (
     DEFAULT_TOL,
@@ -29,7 +29,7 @@ from .matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import is_pc_plus, mt, new_triads_mt, triad_sets_for_entry
+from .measures import is_pc_plus, mt, new_triads_mt
 
 SELECTIONS = ("minimax", "midpoint", "lo", "hi")
 
@@ -93,14 +93,21 @@ class CompletionReport:
 
 
 def feasible_interval(m: PartialReciprocalMatrix, i: int, k: int) -> FeasibleInterval:
-    """Interval of values for entry (i, k) that keep mt at its current value.
+    """Interval of values for entry (i, k), i < k, that keep mt at its current value.
 
-    Meaningful when adding {i, k} is a chordal-ordering step (or the entry
-    is the only missing one); non-emptiness is then guaranteed because any
-    two constraining products differ by at most mt**2.
+    The fill step's interval (:func:`_interval`), from the common neighbors in ``m.graph`` and
+    ``mt(m)``; (k, i) gives the same.  Meaningful when adding {i, k} is a chordal-ordering step
+    (or the entry is the only missing one); non-emptiness is then guaranteed because any two
+    constraining products differ by at most mt**2.  An index outside ``0..n-1`` or on the
+    diagonal raises :class:`MatrixError` as ``with_entry`` does, a specified entry
+    :class:`EntrySpecifiedError`, and a product out of normal range the fill step's error.
     """
-    ts = triad_sets_for_entry(m, i, k)
-    return FeasibleInterval.of(ts.s_min, ts.s_max, mt(m))
+    m._check_pair(i, k, "fill")
+    i, k = (i, k) if i < k else (k, i)
+    bits = m.graph.bits
+    if bits[i] >> k & 1:
+        raise EntrySpecifiedError(i, k)
+    return _interval(m.entries, i, k, members(bits[i] & bits[k]), mt(m))[0]
 
 
 def select_value(interval: FeasibleInterval, selection: str) -> float:
@@ -214,24 +221,14 @@ def join_blocks(
     return CompleteReciprocalMatrix(entries)
 
 
-def _fill_step(
-    entries: np.ndarray, bits: list[int], i, k, context: float, selection: str, tol: Tolerances
-) -> CompletionStep:
-    """Fill the NaN (i, k), i < k, of ``entries`` in place; ``context`` is its mt before.
+def _interval(entries: np.ndarray, i: int, k: int, js: list[int], context: float):
+    """Interval of the NaN (i, k) against ``context``, and the lists [i, J], [J, k], [k, J], [J, i].
 
-    ``bits`` (as ``SpecGraph.bits``) gives the common neighbors J and gains {i, k}.  Rows and
-    columns i and k are read once as Python floats; all else is float arithmetic, which rounds as
-    numpy's float64 does, so the bytes are a numpy step's.  The value comes from the interval
-    against ``context``.  Three checks run under ``python -O`` too: the common neighbors are
-    pairwise adjacent, the interval is non-empty and mt is not raised (``mt_after`` is a rescan's
-    bits).  A product ``a[i,j]·a[j,k]`` that is not a normal double (an interval-end fill can make
-    one; a subnormal one has lost bits) raises :class:`MatrixError` naming the entry and that j.
+    J is ``js``, the common neighbors.  Rows and columns i and k are read once as Python floats;
+    all else is float arithmetic, which rounds as numpy's float64 does.  A product
+    ``a[i,j]·a[j,k]`` that is not a normal double (an interval-end fill can make one; a
+    subnormal one has lost bits) raises :class:`MatrixError` naming the entry and that j.
     """
-    common = bits[i] & bits[k]
-    js = members(common)
-    # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
-    if not all(bits[j] & common == common for j in js):
-        raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
     rows = entries[i].tolist(), entries[:, k].tolist(), entries[k].tolist(), entries[:, i].tolist()
     ij, jk, kj, ji = ([row[j] for j in js] for row in rows)
     s = [a * b for a, b in zip(ij, jk)]
@@ -239,7 +236,26 @@ def _fill_step(
     if s and not (sys.float_info.min <= s_min and s_max < math.inf):
         j = next(j for j, p in zip(js, s) if not sys.float_info.min <= p < math.inf)
         raise MatrixError(f"entry ({i + 1}, {k + 1}): product through {j + 1} is out of range")
-    interval = FeasibleInterval.of(s_min, s_max, context)
+    return FeasibleInterval.of(s_min, s_max, context), (ij, jk, kj, ji)
+
+
+def _fill_step(
+    entries: np.ndarray, bits: list[int], i, k, context: float, selection: str, tol: Tolerances
+) -> CompletionStep:
+    """Fill the NaN (i, k), i < k, of ``entries`` in place; ``context`` is its mt before.
+
+    ``bits`` (as ``SpecGraph.bits``) gives the common neighbors J and gains {i, k}.  The value
+    comes from :func:`_interval`, the step's one numpy read, and the rest is float arithmetic,
+    so the bytes are a numpy step's.  Three checks run under ``python -O`` too: the common
+    neighbors are pairwise adjacent, the interval is non-empty and mt is not raised
+    (``mt_after`` is a rescan's bits).
+    """
+    common = bits[i] & bits[k]
+    js = members(common)
+    # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
+    if not all(bits[j] & common == common for j in js):
+        raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
+    interval, (ij, jk, kj, ji) = _interval(entries, i, k, js, context)
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
     value = select_value(interval, selection)

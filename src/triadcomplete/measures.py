@@ -8,7 +8,7 @@ to 1 when no triad is fully specified).  :func:`triad_scan` reads the
 pair updates in O(n^2); on the fill path :func:`new_triads_mt` forms the six
 oriented products of each new triad in float arithmetic, all grouped
 ``(a * b) * c`` alike and so bitwise a rescan (a Python float multiply rounds
-as a numpy float64 one); :class:`TriadSets` holds ``a[i,j] * a[j,k]`` around (i, k).
+as a numpy float64 one).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EntrySpecifiedError, MatrixError, NotConsistentError
+from .errors import MatrixError, NotConsistentError
 from .graphs import Edge, bfs_parents
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
 
@@ -290,42 +290,6 @@ def tree_violation(
         ratio = m.entries[np.ix_(comp, comp)] * wv / wv[:, None]  # unspecified: NaN
     off = np.argwhere(np.triu(np.abs(ratio - 1.0) > tol.cons, 1))
     return (comp[off[0, 0]], comp[off[0, 1]]) if len(off) else None
-
-
-@dataclass(frozen=True, eq=False)
-class TriadSets:
-    """Triad bookkeeping around one unspecified entry (i, k).
-
-    ``j`` holds every common specified neighbor, ascending, and ``s`` the
-    products a[i,j] * a[j,k] over them; these are exactly the triad products
-    through (i, k) once divided by the candidate value x.
-    """
-
-    entry: Edge
-    j: np.ndarray
-    s: np.ndarray
-
-    @property
-    def is_unconstrained(self) -> bool:
-        return not self.s.size
-
-    @property
-    def s_min(self) -> float | None:
-        return float(self.s.min()) if self.s.size else None
-
-    @property
-    def s_max(self) -> float | None:
-        return float(self.s.max()) if self.s.size else None
-
-
-def triad_sets_for_entry(m: PartialReciprocalMatrix, i: int, k: int) -> TriadSets:
-    """Collect the triad sets relevant to filling the unspecified entry (i, k)."""
-    i, k = (i, k) if i < k else (k, i)
-    if m.mask[i, k]:
-        raise EntrySpecifiedError(i, k)
-    js = np.flatnonzero(m.mask[i] & m.mask[k])
-    with np.errstate(over="ignore"):
-        return TriadSets((i, k), js, m.entries[i, js] * m.entries[js, k])
 
 
 def max_triad(

@@ -1,12 +1,12 @@
 """Reference implementations, used by the test suite.
 
-The brute-force measures, triad enumeration and intervals recompute from
-first principles and deliberately share no enumeration code with the
-production modules, so agreement between the two is meaningful
-evidence.  The consistent chordal engine fills one entry at a time with
-the value its common neighbors force; the product path gets the same
-completion from the mt-preserving engine (every feasible interval
-collapses at mt = 1), and the tests compare the two.
+The brute-force measures, triad enumeration, S sets and intervals
+recompute from first principles and deliberately share no enumeration
+code with the production modules, so agreement between the two is
+meaningful evidence.  The consistent chordal engine fills one entry at
+a time with the value its common neighbors force; the product path gets
+the same completion from the mt-preserving engine (every feasible
+interval collapses at mt = 1), and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -100,6 +100,18 @@ def brute_cycle_products(m: PartialReciprocalMatrix) -> list[tuple[tuple[int, ..
     return out
 
 
+def constraint_products(m: PartialReciprocalMatrix, i: int, k: int) -> list[tuple[int, float]]:
+    """The paper's S set for the unspecified entry (i, k): each common neighbor j, ascending, and s.
+
+    s = a[i, j] * a[j, k], formed from Python floats; once (i, k) holds x, the triads through it
+    are s / x and x / s.  A specified (i, k) raises :class:`EntrySpecifiedError`.
+    """
+    e, mask = m.entries, m.mask
+    if mask[i, k]:
+        raise EntrySpecifiedError(i, k)
+    return [(j, float(e[i, j]) * float(e[j, k])) for j in range(m.n) if mask[i, j] and mask[j, k]]
+
+
 @dataclass(frozen=True)
 class EmpiricalInterval:
     lo: float | None
@@ -123,16 +135,11 @@ def grid_interval(
     with s = a[i, j] * a[j, k].  Grid points whose measure stays within
     ``tol_cmp`` of the reference are reported as [min, max].
     """
-    if m.mask[i, k]:
-        raise EntrySpecifiedError(i, k)
+    products = constraint_products(m, i, k)
     reference = brute_mt(m)
     xs = grid.values()
     worst = np.ones_like(xs)
-    e, mask = m.entries, m.mask
-    for j in range(m.n):
-        if j in (i, k) or not (mask[i, j] and mask[j, k]):
-            continue
-        s = float(e[i, j]) * float(e[j, k])
+    for _, s in products:
         np.maximum(worst, np.maximum(s / xs, xs / s), out=worst)
     mt_by_x = np.maximum(worst, reference)
     feasible = xs[mt_by_x <= reference * (1.0 + tol_cmp)]
@@ -151,10 +158,7 @@ def complete_one_entry_consistent(
     and all neighbors must agree on it within ``tol.cons``.
     """
     i, k = (i, k) if i < k else (k, i)
-    e, mask = m.entries, m.mask
-    if mask[i, k]:
-        raise EntrySpecifiedError(i, k)
-    products = [float(e[i, j]) * float(e[j, k]) for j in range(m.n) if mask[i, j] and mask[j, k]]
+    products = [s for _, s in constraint_products(m, i, k)]
     if not products:
         raise NoCommonNeighborError(i, k)
     if any(abs(s / products[0] - 1.0) > tol.cons for s in products):

@@ -8,9 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
-from triadcomplete import SpecGraph, is_chordal, validate
+from triadcomplete import SpecGraph, is_chordal, oracle, validate
 from triadcomplete.completion import FeasibleInterval
-from triadcomplete.measures import TriadSets
 
 SQRT6 = math.sqrt(6.0)
 
@@ -49,6 +48,18 @@ CYCLE_PC_PLUS = [
     [None, 3, 1, 5],
     [3 / 10, None, 1 / 5, 1],
 ]
+
+# A chordal file whose product through neighbour 1 of entry (2, 5),
+# 1e-160 * 1e-155, is subnormal: it has lost digits, so an interval built on
+# it is off by more than the comparison tolerance.
+SUBNORMAL_PRODUCT_TEXT = """\
+1.0,1e+160,2.3559101637743e-69,5.458812476514266e-100,1e-155
+1e-160,1.0,?,2.9624030222948465e-79,?
+4.244644024956979e+68,?,1.0,?,?
+1.8319002609127027e+99,3.375637927972889e+78,?,1.0,?
+1e+155,?,?,?,1.0
+"""
+
 
 # Complete 3x3 block used in block-join tests; its only triad product is 2.
 BLOCK_THREE = [
@@ -95,11 +106,10 @@ def add_edge(g, i, j):
     return SpecGraph.from_edges(g.n, g.edges | {(i, j)})
 
 
-def c0_products(ts: TriadSets, x: float) -> list[tuple[tuple[int, int, int], float]]:
-    """Oriented 3-cycle products through ``ts.entry`` once it is set to x."""
-    i, k = ts.entry
+def c0_products(m, i, k, x: float) -> list[tuple[tuple[int, int, int], float]]:
+    """Oriented 3-cycle products through the unspecified (i, k) of ``m`` once it is set to x."""
     out = []
-    for j, s in zip(ts.j.tolist(), ts.s.tolist()):
+    for j, s in oracle.constraint_products(m, i, k):
         out.append(((i, j, k), s / x))
         out.append(((k, j, i), x / s))
     return out

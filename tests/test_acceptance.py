@@ -24,7 +24,6 @@ from triadcomplete import (
     join_blocks,
     mt,
     reduce,
-    triad_sets_for_entry,
     validate,
 )
 from triadcomplete.errors import ComponentNotChordalError, NotPCPlusError
@@ -33,6 +32,7 @@ from triadcomplete.oracle import (
     brute_cycle_products,
     brute_mt,
     complete_consistent_chordal,
+    constraint_products,
     grid_interval,
 )
 
@@ -93,8 +93,8 @@ def test_criterion_02_first_interval_and_minimax():
     tol = 1e-9
     a = cases.sub_four()
     assert mt(a) == pytest.approx(2.0, rel=tol)
-    ts = triad_sets_for_entry(a, 0, 3)
-    assert sorted(ts.s.tolist()) == pytest.approx([1 / 4, 2 / 3], rel=tol)
+    products = constraint_products(a, 0, 3)
+    assert sorted(s for _, s in products) == pytest.approx([1 / 4, 2 / 3], rel=tol)
     fi = feasible_interval(a, 0, 3)
     assert fi.lo == pytest.approx(1 / 3, rel=tol)
     assert fi.hi == pytest.approx(1 / 2, rel=tol)
@@ -108,8 +108,8 @@ def test_criterion_03_second_interval_and_preserved_measure():
     n_partial = cases.five_partial()
     b = n_partial.with_entry(1, 4, SQRT6 / 6)
     assert mt(b) == pytest.approx(4.0, rel=tol)
-    ts = triad_sets_for_entry(b, 0, 4)
-    assert sorted(ts.s.tolist()) == pytest.approx([1 / 2, 1.0, SQRT6], rel=tol)
+    products = constraint_products(b, 0, 4)
+    assert sorted(s for _, s in products) == pytest.approx([1 / 2, 1.0, SQRT6], rel=tol)
     fi = feasible_interval(b, 0, 4)
     assert fi.lo == pytest.approx(SQRT6 / 4, rel=tol)
     assert fi.hi == pytest.approx(2.0, rel=tol)
@@ -160,10 +160,10 @@ def test_criterion_06_product_spread_bound_at_every_step():
         current = prm
         ordering = chordal_ordering(SpecGraph.from_matrix(prm))
         for i, k in ordering:
-            ts = triad_sets_for_entry(current, i, k)
-            context = mt(current)
-            assert ts.s_max <= context**2 * ts.s_min * (1 + 1e-12)
-            current = current.with_entry(i, k, math.sqrt(ts.s_max * ts.s_min))
+            # lo = s_max / mt and hi = mt * s_min, so lo <= hi is s_max <= mt^2 * s_min.
+            fi = feasible_interval(current, i, k)
+            assert fi.lo <= fi.hi * (1 + 1e-12)
+            current = current.with_entry(i, k, fi.minimax)
             checked += 1
     _passed(6, f"s_max <= mt^2 * s_min held at all {checked} fill steps")
 

@@ -72,18 +72,6 @@ OVERFLOW_B_TEXT = """\
 ?,5.560937299057548e+48,4.502938678552174e+148,1
 """
 
-# A chordal file whose product through neighbour 1 of entry (2, 5),
-# 1e-160 * 1e-155, is subnormal: it has lost digits, so an interval built on
-# it is off by more than the comparison tolerance.
-SUBNORMAL_PRODUCT_TEXT = """\
-1.0,1e+160,2.3559101637743e-69,5.458812476514266e-100,1e-155
-1e-160,1.0,?,2.9624030222948465e-79,?
-4.244644024956979e+68,?,1.0,?,?
-1.8319002609127027e+99,3.375637927972889e+78,?,1.0,?
-1e+155,?,?,?,1.0
-"""
-
-
 @pytest.fixture
 def write(tmp_path):
     def _write(name, text):
@@ -545,7 +533,7 @@ class TestUsage:
     ):
         # The fill step refuses a product that is not a normal double, as it
         # refuses 0 and inf; 'hi' once died here on the empty-interval check.
-        path = write("m.csv", SUBNORMAL_PRODUCT_TEXT)
+        path = write("m.csv", cases.SUBNORMAL_PRODUCT_TEXT)
         assert main(["complete", path, "--selection", selection]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {located}\n"

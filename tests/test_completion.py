@@ -23,9 +23,9 @@ from triadcomplete import (
     join_blocks,
     mt,
     oracle,
+    parse_matrix,
     reduce,
     tree_weights,
-    triad_sets_for_entry,
     validate,
 )
 from triadcomplete.completion import SELECTIONS, FeasibleInterval, select_value
@@ -372,11 +372,29 @@ class TestFeasibleInterval:
 
     def test_underflowing_products_still_constrain(self):
         # a[1,2] * a[2,3] underflows to 0: entry (1, 3) has a common neighbor,
-        # so it is not filled with 1.0 as if nothing constrained it.
+        # so it is refused by name, not filled with 1.0 as if nothing
+        # constrained it, by the library and the engine alike.
         m = validate([[1, 1e-200, None], [1e200, 1, 1e-200], [None, 1e200, 1]])
-        assert not feasible_interval(m, 0, 2).unconstrained
+        with pytest.raises(MatrixError, match=r"entry \(1, 3\): product through 2"):
+            feasible_interval(m, 0, 2)
         with pytest.raises(MatrixError, match=r"entry \(1, 3\)"):
             complete_mt_preserving(m)
+
+    def test_subnormal_product_refused(self):
+        # The product through vertex 1 (one-based) of entry (2, 5) is the
+        # subnormal 1e-315: the library refuses it with the fill step's message.
+        m, _ = parse_matrix(cases.SUBNORMAL_PRODUCT_TEXT)
+        message = "entry (2, 5): product through 1 is out of range"
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            feasible_interval(m, 1, 4)
+
+    @pytest.mark.parametrize("i, k", [(-4, 2), (0, -2), (-1, 1), (0, 9)])
+    def test_index_outside_matrix_rejected(self, i, k):
+        # A negative index would wrap to another entry; each is refused by name,
+        # as with_entry refuses it.
+        message = f"entry ({i + 1}, {k + 1}) is outside the 4x4 matrix"
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            feasible_interval(validate(cases.CYCLE_PCM), i, k)
 
     def test_endpoints_exact_outside_increases(self, rng):
         for _ in range(20):
@@ -392,11 +410,11 @@ class TestFeasibleInterval:
 
     def test_minimax_point_minimizes_new_products(self):
         # grid search over the new oriented products around the interval
-        ts = triad_sets_for_entry(cases.five_partial(), 1, 4)
-        fi = feasible_interval(cases.five_partial(), 1, 4)
+        m = cases.five_partial()
+        fi = feasible_interval(m, 1, 4)
         xs = np.geomspace(fi.lo / 4, fi.hi * 4, 4001)
         worst = np.array(
-            [max(v for _, v in cases.c0_products(ts, float(x))) for x in xs]
+            [max(v for _, v in cases.c0_products(m, 1, 4, float(x))) for x in xs]
         )
         best = float(xs[np.argmin(worst)])
         assert best == pytest.approx(fi.minimax, rel=2e-3)
@@ -453,9 +471,10 @@ class TestCompleteMtPreserving:
                     assert step.mt_after <= step.mt_before * (1 + 1e-9)
 
     def test_step_interval_equals_library_interval(self, rng):
-        # The engine's float step and feasible_interval's numpy route share
-        # only FeasibleInterval.of; each step's interval must be the one the
-        # library gives for the matrix before that step, bit for bit.
+        # Both call one interval helper, but each picks its own J and context:
+        # the step from its running bitsets and the last step's mt_after, the
+        # library from the matrix before that step.  They must pick the same,
+        # so each step's interval is the library's, bit for bit.
         prms = [cases.prm_on_graph(rng, cases.clique_attached_graph(rng, int(rng.integers(3, 25))))
                 for _ in range(6)]
         prms += [cases.random_chordal_prm(rng, int(rng.integers(4, 9)), min_missing=1)

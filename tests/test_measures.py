@@ -22,7 +22,6 @@ from triadcomplete import (
     mt,
     oracle,
     tree_weights,
-    triad_sets_for_entry,
     connected_components,
     validate,
 )
@@ -196,31 +195,31 @@ class TestTreeWeights:
 
 
 class TestTriadSetsForEntry:
+    # The paper's S sets around one unspecified entry, from the reference
+    # oracle.constraint_products; the library's interval is checked against
+    # them in test_completion.py and test_acceptance.py.
     def test_five_by_five_second_row_entry(self):
-        ts = triad_sets_for_entry(cases.five_partial(), 1, 4)
-        assert sorted(ts.s.tolist()) == pytest.approx([1 / 4, 2 / 3], rel=1e-12)
-        assert ts.s_max == pytest.approx(2 / 3, rel=1e-12)
-        assert ts.s_min == pytest.approx(1 / 4, rel=1e-12)
+        products = oracle.constraint_products(cases.five_partial(), 1, 4)
+        assert [j for j, _ in products] == [2, 3]
+        assert sorted(s for _, s in products) == pytest.approx([1 / 4, 2 / 3], rel=1e-12)
 
     def test_five_by_five_top_entry_after_fill(self):
         b = cases.five_partial().with_entry(1, 4, cases.SQRT6 / 6)
-        ts = triad_sets_for_entry(b, 0, 4)
-        assert sorted(ts.s.tolist()) == pytest.approx(
+        products = oracle.constraint_products(b, 0, 4)
+        assert sorted(s for _, s in products) == pytest.approx(
             [1 / 2, 1.0, cases.SQRT6], rel=1e-12
         )
 
     def test_no_common_neighbor_flagged(self):
         m = validate([[1, 2, None], [0.5, 1, None], [None, None, 1]])
-        ts = triad_sets_for_entry(m, 0, 2)
-        assert ts.is_unconstrained and ts.s_min is None and ts.s_max is None
+        assert oracle.constraint_products(m, 0, 2) == []
 
     def test_specified_entry_rejected(self):
         with pytest.raises(EntrySpecifiedError):
-            triad_sets_for_entry(cases.five_partial(), 0, 1)
+            oracle.constraint_products(cases.five_partial(), 0, 1)
 
     def test_c0_products_pair_up(self):
-        ts = triad_sets_for_entry(cases.five_partial(), 1, 4)
-        prods = dict(cases.c0_products(ts, 0.5))
+        prods = dict(cases.c0_products(cases.five_partial(), 1, 4, 0.5))
         assert prods[(1, 2, 4)] == pytest.approx((2 / 3) / 0.5, rel=1e-12)
         assert prods[(4, 2, 1)] == pytest.approx(0.5 / (2 / 3), rel=1e-12)
 
@@ -230,14 +229,14 @@ class TestTriadSetsForEntry:
         for _ in range(60):
             n = int(rng.integers(4, 8))
             m = cases.random_prm(rng, n, p=1.0).without_entry(0, n - 1)
-            ts = triad_sets_for_entry(m, 0, n - 1)
-            bound = mt(m) ** 2 * ts.s_min
-            assert ts.s_max <= bound * (1 + 1e-12)
+            s = [v for _, v in oracle.constraint_products(m, 0, n - 1)]
+            bound = mt(m) ** 2 * min(s)
+            assert max(s) <= bound * (1 + 1e-12)
 
 
 class TestMinimax:
-    # The minimax rule lives in the one interval constructor, which the
-    # engine's step and the library's feasible_interval both call.
+    # The minimax rule lives in FeasibleInterval.of, which the one interval
+    # helper calls for the engine's step and the library's feasible_interval.
     @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4))
     def test_plain_root_unless_the_product_leaves_range(self, s):
         minimax = FeasibleInterval.of(min(s), max(s), 1.0).minimax

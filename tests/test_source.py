@@ -105,3 +105,36 @@ def test_graph_is_its_bitsets():
         if isinstance(node, ast.Attribute) and node.attr == "adj"
     ]
     assert found == []
+
+
+def _called_names(fn):
+    return {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def test_one_interval_path():
+    # The interval for an entry is built in one function: the engine's fill
+    # step and the library's feasible_interval both call it, and only it
+    # calls FeasibleInterval.of.
+    path = SRC / "completion.py"
+    fns = {
+        node.name: node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    builders = [name for name, fn in fns.items() if "FeasibleInterval.of" in _called_names(fn)]
+    assert len(builders) == 1
+    for caller in ("feasible_interval", "_fill_step"):
+        assert builders[0] in _called_names(fns[caller])
+
+
+def test_no_second_triad_set_route():
+    # The products a[i,j]·a[j,k] around an entry are formed by the interval
+    # helper; the reference S sets live in oracle.constraint_products.
+    removed = ("TriadSets", "triad_sets_for_entry")
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in removed
+    ]
+    assert found == []
