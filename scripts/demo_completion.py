@@ -24,10 +24,10 @@ from triadcomplete import (
     is_pc_plus,
     is_pcm,
     join_blocks,
-    koczkodaj_index,
     load_matrix,
     mt,
     reduce,
+    triad_scan,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -49,7 +49,7 @@ def main() -> None:
     graph = SpecGraph.from_matrix(partial)
     print(f"chordal: {is_chordal(graph)[0]}, PCM: {is_pcm(partial)}, "
           f"PC+: {is_pc_plus(partial)[0]}")
-    print(f"MT = {mt(partial):.6f}, K = {koczkodaj_index(partial):.6f}")
+    print(f"MT = {mt(partial):.6f}, K = {triad_scan(partial).koczkodaj:.6f}")
 
     print("\ncompleting without increasing MT (minimax selection) ...")
     report = complete_mt_preserving(partial)

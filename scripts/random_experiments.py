@@ -2,8 +2,9 @@
 
 Reports, across seeded random instances:
 
-* delete-and-recover: how closely the two consistent-completion engines
-  rebuild a rank-one matrix from a masked pattern;
+* delete-and-recover: how closely the CLI's two consistent engines (the
+  mt-preserving fill, consistent on a chordal PCM, and the PC+ tree-weight
+  fill) rebuild a rank-one matrix from a masked pattern;
 * measure preservation: the worst drift of MT across 'minimax',
   'midpoint', 'lo' and 'hi' selections on chordal patterns;
 * interval geometry: the spread hi/lo of the feasible interval at the
@@ -34,7 +35,6 @@ from triadcomplete import (
     mt,
     reduce,
 )
-from triadcomplete.oracle import complete_consistent_chordal
 
 
 def recover_error(rng, n):
@@ -42,8 +42,7 @@ def recover_error(rng, n):
     g = cases.random_connected_chordal_graph(rng, n, min_missing=1)
     partial = cases.mask_to_graph(full, g)
     worst = 0.0
-    for engine in (complete_consistent_chordal, complete_consistent_pc_plus):
-        r = engine(partial)
+    for r in (complete_mt_preserving(partial).result, complete_consistent_pc_plus(partial)):
         worst = max(worst, float(np.max(np.abs(r.entries / full.entries - 1.0))))
     return worst
 

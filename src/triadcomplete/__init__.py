@@ -7,7 +7,7 @@ maximum triad product, and reduces the inconsistency of complete matrices
 by targeted single-entry repairs.
 """
 
-from . import errors, oracle
+from . import errors
 from .completion import (
     BlockJoin,
     CompletionReport,
@@ -34,15 +34,11 @@ from .matrices import (
     validate,
 )
 from .measures import (
-    TriadProduct,
-    is_consistent,
     is_pc_plus,
     is_pcm,
-    koczkodaj_index,
-    max_triad,
     mt,
-    rank_one_vector,
     tree_weights,
+    triad_scan,
 )
 from .reduction import (
     ReductionStep,
@@ -65,7 +61,6 @@ __all__ = [
     "ReductionTrace",
     "SpecGraph",
     "Tolerances",
-    "TriadProduct",
     "chordal_ordering",
     "complete_consistent_pc_plus",
     "complete_mt_preserving",
@@ -74,20 +69,16 @@ __all__ = [
     "feasible_interval",
     "format_matrix",
     "is_chordal",
-    "is_consistent",
     "is_pc_plus",
     "is_pcm",
     "join_blocks",
-    "koczkodaj_index",
     "load_matrix",
-    "max_triad",
     "mt",
-    "oracle",
     "parse_matrix",
-    "rank_one_vector",
     "reduce",
     "reduce_step",
     "select_value",
     "tree_weights",
+    "triad_scan",
     "validate",
 ]

@@ -156,7 +156,7 @@ def _join_components(
     single block, so the measure stays at the maximum over the blocks.
     """
     if not 0.0 < scale < math.inf:
-        raise ValueError(f"join scale must be finite and positive, got {scale!r}")
+        raise ValueError(f"--join-k: join scale must be finite and positive, got {scale!r}")
     joins: list[BlockJoin] = []
     merged = list(comps[0])
     for comp in comps[1:]:

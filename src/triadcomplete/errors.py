@@ -48,10 +48,6 @@ class ReciprocalOverflowError(MatrixError):
         self.i, self.j, self.value = i, j, value
 
 
-class NotConsistentError(MatrixError):
-    """The matrix is not consistent where consistency is required."""
-
-
 class EntrySpecifiedError(MatrixError):
     def __init__(self, i: int, j: int) -> None:
         super().__init__(f"entry ({i + 1}, {j + 1}) is already specified")
@@ -60,10 +56,6 @@ class EntrySpecifiedError(MatrixError):
 
 class CompletionError(ValueError):
     """A completion engine cannot proceed on the given input."""
-
-
-class NotPCMError(CompletionError):
-    """Some fully specified triad product differs from 1."""
 
 
 class NotPCPlusError(CompletionError):
@@ -85,32 +77,12 @@ class ComponentNotChordalError(CompletionError):
         self.cycle = tuple(cycle)
 
 
-class NoCommonNeighborError(CompletionError):
-    def __init__(self, i: int, j: int) -> None:
-        super().__init__(f"no common specified neighbor for entry ({i + 1}, {j + 1})")
-        self.i, self.j = i, j
-
-
-class NeighborDisagreementError(CompletionError):
-    def __init__(self, i: int, j: int, products) -> None:
-        super().__init__(
-            f"common neighbors disagree on the consistent value for entry"
-            f" ({i + 1}, {j + 1}): candidate products {list(products)}"
-        )
-        self.i, self.j = i, j
-        self.products = tuple(products)
-
-
 class NoConsistentCompletionError(CompletionError):
     """No consistent completion exists for the given data."""
 
 
 class MatrixTooSmallError(ValueError):
     """Operation needs at least a 3x3 matrix."""
-
-
-class TooLargeError(ValueError):
-    """Brute-force enumeration refused for matrices this large."""
 
 
 class MatrixFileError(ValueError):

@@ -46,8 +46,12 @@ class Tolerances:
     cmp: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not all(0.0 < t < math.inf for t in (self.rec, self.cons, self.cmp)):
-            raise ValueError("tolerances must be finite and strictly positive")
+        for name in ("rec", "cons", "cmp"):
+            t = getattr(self, name)
+            if not 0.0 < t < math.inf:
+                raise ValueError(
+                    f"tolerances: --tol-{name} must be finite and strictly positive, got {t!r}"
+                )
         if self.cmp < CMP_FLOOR:
             raise ValueError(
                 f"tolerances: --tol-cmp must be at least {CMP_FLOOR!r} (8 machine epsilons),"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixError, NotConsistentError
+from .errors import MatrixError
 from .graphs import Edge, bfs_parents
 from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
 
@@ -70,7 +70,7 @@ class TriadScan:
 
     @property
     def koczkodaj(self) -> float:
-        """1 - 1/mt; see :func:`koczkodaj_index`."""
+        """Koczkodaj's index 1 - 1/mt, in [0, 1); 0 for (partially) consistent data."""
         return 1.0 - 1.0 / self.mt
 
 
@@ -232,18 +232,6 @@ def is_pcm(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     return mt(m) <= 1.0 + tol.cons
 
 
-def is_consistent(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """a[i,j] * a[j,k] == a[i,k] within ``tol.cons`` for all triples (is_pcm, as m is complete)."""
-    return is_pcm(m, tol)
-
-
-def rank_one_vector(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Positive w with m == outer(w, 1/w) and w[0] == 1: a consistent matrix's first column."""
-    if not is_consistent(m, tol):
-        raise NotConsistentError("matrix is not consistent; no rank-one vector exists")
-    return np.array(m.entries[:, 0] / m.entries[0, 0])
-
-
 def tree_weights(m: PartialReciprocalMatrix, component) -> dict[int, float]:
     """BFS spanning-tree weights for one component of ``m.graph``, walked inside it.
 
@@ -290,21 +278,3 @@ def tree_violation(
         ratio = m.entries[np.ix_(comp, comp)] * wv / wv[:, None]  # unspecified: NaN
     off = np.argwhere(np.triu(np.abs(ratio - 1.0) > tol.cons, 1))
     return (comp[off[0, 0]], comp[off[0, 1]]) if len(off) else None
-
-
-def max_triad(
-    m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL
-) -> tuple[TriadProduct | None, bool]:
-    """Triad achieving ``mt`` plus a tie flag.
-
-    Ties break to the lexicographically smallest index triple.  The flag is
-    set when two or more oriented products lie within ``tol.cmp`` of the
-    maximum (a consistent matrix always ties: both orientations equal 1).
-    """
-    scan = triad_scan(m, tol)
-    return scan.worst, scan.tie
-
-
-def koczkodaj_index(m: PartialReciprocalMatrix) -> float:
-    """Triad-based index 1 - 1/mt, in [0, 1); 0 exactly for (partially) consistent data."""
-    return 1.0 - 1.0 / mt(m)

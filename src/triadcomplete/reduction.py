@@ -103,9 +103,9 @@ def reduce(
     loop with the tie reported, so entry changes are never wasted.
     """
     if not target_mt >= 1.0:
-        raise ValueError(f"target_mt must be >= 1, got {target_mt!r}")
+        raise ValueError(f"--target-mt: target_mt must be >= 1, got {target_mt!r}")
     if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
+        raise ValueError(f"--max-steps: max_steps must be >= 0, got {max_steps!r}")
     tables = TriadTables(m.entries.copy())
     mt_initial = mt_now = tables.scan(tol).mt
     steps: list[ReductionStep] = []

@@ -8,7 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
-from triadcomplete import SpecGraph, is_chordal, oracle, validate
+import oracle
+from triadcomplete import SpecGraph, is_chordal, validate
 from triadcomplete.completion import FeasibleInterval
 
 SQRT6 = math.sqrt(6.0)

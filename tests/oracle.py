@@ -1,12 +1,12 @@
-"""Reference implementations, used by the test suite.
+"""Reference implementations and the errors only they raise, used by the test suite.
 
 The brute-force measures, triad enumeration, S sets and intervals
 recompute from first principles and deliberately share no enumeration
-code with the production modules, so agreement between the two is
-meaningful evidence.  The consistent chordal engine fills one entry at
-a time with the value its common neighbors force; the product path gets
-the same completion from the mt-preserving engine (every feasible
-interval collapses at mt = 1), and the tests compare the two.
+code with the package, so agreement between the two is meaningful
+evidence.  The consistent chordal engine fills one entry at a time with
+the value its common neighbors force; the package gets the same
+completion from the mt-preserving engine (every feasible interval
+collapses at mt = 1), and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,24 +16,53 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .completion import _fill, _join_components
-from .errors import (
-    EntrySpecifiedError,
-    NeighborDisagreementError,
-    NoCommonNeighborError,
-    NotPCMError,
-    TooLargeError,
-)
-from .graphs import chordal_ordering
-from .matrices import (
+from triadcomplete.completion import _join_components
+from triadcomplete.errors import CompletionError, EntrySpecifiedError, MatrixError
+from triadcomplete.graphs import chordal_ordering
+from triadcomplete.matrices import (
     DEFAULT_TOL,
     CompleteReciprocalMatrix,
     PartialReciprocalMatrix,
     Tolerances,
 )
-from .measures import TriadProduct, is_pcm, mt
+from triadcomplete.measures import TriadProduct, is_pcm, mt
 
 MAX_CYCLE_N = 8
+
+
+class NotConsistentError(MatrixError):
+    """The matrix is not consistent where consistency is required."""
+
+
+class NotPCMError(CompletionError):
+    """Some fully specified triad product differs from 1."""
+
+
+class NoCommonNeighborError(CompletionError):
+    def __init__(self, i: int, j: int) -> None:
+        super().__init__(f"no common specified neighbor for entry ({i + 1}, {j + 1})")
+        self.i, self.j = i, j
+
+
+class NeighborDisagreementError(CompletionError):
+    def __init__(self, i: int, j: int, products) -> None:
+        super().__init__(
+            f"common neighbors disagree on the consistent value for entry"
+            f" ({i + 1}, {j + 1}): candidate products {list(products)}"
+        )
+        self.i, self.j = i, j
+        self.products = tuple(products)
+
+
+class TooLargeError(ValueError):
+    """Brute-force enumeration refused for matrices this large."""
+
+
+def rank_one_vector(m: CompleteReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Positive w with m == outer(w, 1/w) and w[0] == 1: a consistent matrix's first column."""
+    if not is_pcm(m, tol):
+        raise NotConsistentError("matrix is not consistent; no rank-one vector exists")
+    return np.array(m.entries[:, 0] / m.entries[0, 0])
 
 
 @dataclass(frozen=True)
@@ -185,7 +214,7 @@ def complete_consistent_chordal(
     ordering = chordal_ordering(m.graph)
     entries = np.array(m.entries)
     for i, k in ordering:
-        current = PartialReciprocalMatrix(entries)
-        _fill(entries, i, k, complete_one_entry_consistent(current, i, k, tol))
+        value = complete_one_entry_consistent(PartialReciprocalMatrix(entries), i, k, tol)
+        entries[i, k], entries[k, i] = value, 1.0 / value
     _join_components(entries, m.graph.components, join_scale, join_u, join_v)
     return CompleteReciprocalMatrix(entries)

@@ -27,7 +27,7 @@ from triadcomplete import (
     validate,
 )
 from triadcomplete.errors import ComponentNotChordalError, NotPCPlusError
-from triadcomplete.oracle import (
+from oracle import (
     GridSpec,
     brute_cycle_products,
     brute_mt,

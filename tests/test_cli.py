@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cases
-from triadcomplete import cli, completion, fileio, graphs, matrices, measures, oracle, reduction
+import oracle
+from triadcomplete import cli, completion, fileio, graphs, matrices, measures, reduction
 from triadcomplete.cli import JsonText, Records, _json, main
 from triadcomplete.fileio import format_matrix, parse_matrix
 from triadcomplete.matrices import validate
@@ -252,7 +253,7 @@ class TestComplete:
             assert main(["complete", path, flag, "--out", str(out)]) == 2, flag
             err = capsys.readouterr().err
             assert "error" in err and "Traceback" not in err
-            assert "--join-cols" in err or not flag.startswith("--join-cols")
+            assert flag.split("=")[0] in err  # --join-k or --join-cols
             assert not out.exists()
 
     @pytest.mark.parametrize("cols", ["a,b", "1", "1,2,3"])
@@ -352,7 +353,8 @@ class TestUsage:
         for flag in ("--tol-rec", "--tol-cons", "--tol-cmp"):
             for value in ("nan", "inf", "0"):
                 assert main(["check", ok, flag, value]) == 2, (flag, value)
-                assert "tolerances" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert "tolerances" in err and flag in err, (flag, value)
 
     @pytest.mark.parametrize("command, text", [
         ("check", FIVE_TEXT), ("complete", FIVE_TEXT), ("reduce", BLOCK_TEXT),
@@ -394,7 +396,11 @@ class TestUsage:
         path = write("block.csv", BLOCK_TEXT)
         for value in ("nan", "0.5"):
             assert main(["reduce", path, "--target-mt", value]) == 2
-            assert "target_mt" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "--target-mt" in err and "target_mt" in err and "Traceback" not in err
+        assert main(["reduce", path, "--max-steps", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--max-steps" in err and "max_steps" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, text, located",

@@ -9,6 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cases
+from oracle import (
+    NeighborDisagreementError,
+    NoCommonNeighborError,
+    NotPCMError,
+    complete_consistent_chordal,
+    complete_one_entry_consistent,
+    specified_triads,
+)
 from triadcomplete import (
     DEFAULT_TOL,
     SpecGraph,
@@ -18,11 +26,10 @@ from triadcomplete import (
     completion,
     connected_components,
     feasible_interval,
-    is_consistent,
     is_pc_plus,
+    is_pcm,
     join_blocks,
     mt,
-    oracle,
     parse_matrix,
     reduce,
     tree_weights,
@@ -35,15 +42,7 @@ from triadcomplete.errors import (
     ComponentNotChordalError,
     EntrySpecifiedError,
     MatrixError,
-    NeighborDisagreementError,
-    NoCommonNeighborError,
-    NotPCMError,
     NotPCPlusError,
-)
-from triadcomplete.oracle import (
-    complete_consistent_chordal,
-    complete_one_entry_consistent,
-    specified_triads,
 )
 
 
@@ -96,7 +95,7 @@ class TestCompleteConsistentChordal:
         partial = full.without_entry(0, 2).without_entry(0, 3)
         done = complete_consistent_chordal(partial)
         assert rel_diff(done.entries, full.entries) <= 1e-12
-        assert is_consistent(done)
+        assert is_pcm(done)
 
     def test_two_consistent_blocks_joined(self):
         raw = [
@@ -106,7 +105,7 @@ class TestCompleteConsistentChordal:
             [None, None, 0.2, 1],
         ]
         done = complete_consistent_chordal(validate(raw))
-        assert is_consistent(done)
+        assert is_pcm(done)
         # unit-scale join: the (block-first, block-first) cross entry is 1
         assert done.entries[0, 2] == pytest.approx(1.0)
 
@@ -138,13 +137,13 @@ class TestCompleteConsistentPcPlus:
         done = complete_consistent_pc_plus(validate(cases.CYCLE_PC_PLUS))
         assert done.entries[0, 2] == pytest.approx(2 / 3, rel=1e-9)
         assert done.entries[1, 3] == pytest.approx(5 / 3, rel=1e-9)
-        assert is_consistent(done)
+        assert is_pcm(done)
 
     def test_tree_pattern_always_completes(self, rng):
         g = SpecGraph.from_edges(6, cases.random_tree_edges(rng, 6))
         partial = cases.prm_on_graph(rng, g)
         done = complete_consistent_pc_plus(partial)
-        assert is_consistent(done)
+        assert is_pcm(done)
         specified = partial.mask & ~np.eye(6, dtype=bool)
         assert np.allclose(
             done.entries[specified], partial.entries[specified], rtol=1e-12
@@ -304,7 +303,7 @@ class TestJoinBlocks:
         a = cases.consistent_matrix(cases.random_weights(rng, 3)).to_complete()
         b = cases.consistent_matrix(cases.random_weights(rng, 4)).to_complete()
         for k in (0.1, 1.0, 7.0):
-            assert is_consistent(join_blocks(a, b, 1, 2, k))
+            assert is_pcm(join_blocks(a, b, 1, 2, k))
 
     def test_one_by_one_blocks(self):
         one = validate([[1]]).to_complete()
@@ -437,14 +436,14 @@ class TestCompleteMtPreserving:
         partial = cases.mask_to_graph(full, g)
         for selection in ("minimax", "midpoint", "lo", "hi"):
             result = complete_mt_preserving(partial, selection=selection).result
-            assert is_consistent(result)
+            assert is_pcm(result)
 
     def test_tree_pattern_completes_consistently(self, rng):
         g = SpecGraph.from_edges(6, cases.random_tree_edges(rng, 6))
         partial = cases.prm_on_graph(rng, g)
         report = complete_mt_preserving(partial)
         assert mt(report.result) == pytest.approx(1.0, rel=1e-9)
-        assert is_consistent(report.result)
+        assert is_pcm(report.result)
 
     def test_non_chordal_rejected_with_witness(self):
         with pytest.raises(ComponentNotChordalError) as exc:

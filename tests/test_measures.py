@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
+import oracle
+from oracle import specified_triads
 from triadcomplete import (
     DEFAULT_TOL,
     PartialReciprocalMatrix,
@@ -17,10 +19,7 @@ from triadcomplete import (
     complete_mt_preserving,
     is_pc_plus,
     is_pcm,
-    koczkodaj_index,
-    max_triad,
     mt,
-    oracle,
     tree_weights,
     connected_components,
     validate,
@@ -28,7 +27,6 @@ from triadcomplete import (
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
 from triadcomplete.completion import FeasibleInterval
 from triadcomplete.measures import TriadTables, mt_pass, new_triads_mt, triad_scan
-from triadcomplete.oracle import specified_triads
 
 weight_vectors = st.lists(
     st.floats(0.2, 5.0, allow_nan=False), min_size=3, max_size=6
@@ -258,24 +256,24 @@ class TestMinimax:
 class TestMaxTriadAndKoczkodaj:
     def test_consistent_ties(self, rng):
         m = cases.consistent_matrix(cases.random_weights(rng, 4))
-        triad, tie = max_triad(m)
-        assert triad.max_value == pytest.approx(1.0) and tie
+        scan = triad_scan(m)
+        assert scan.worst.max_value == pytest.approx(1.0) and scan.tie
 
     def test_unique_maximum(self):
         m = validate([[1, 2, 1], [0.5, 1, 2], [1, 0.5, 1]])
-        triad, tie = max_triad(m)
-        assert (triad.i, triad.j, triad.k) == (0, 1, 2)
-        assert triad.max_value == pytest.approx(4.0) and not tie
+        scan = triad_scan(m)
+        assert (scan.worst.i, scan.worst.j, scan.worst.k) == (0, 1, 2)
+        assert scan.worst.max_value == pytest.approx(4.0) and not scan.tie
 
     def test_koczkodaj_values(self, rng):
-        assert koczkodaj_index(cases.consistent_matrix([1, 2, 3])) == pytest.approx(0.0)
-        assert koczkodaj_index(cases.sub_four()) == pytest.approx(0.5, rel=1e-12)
-        assert koczkodaj_index(cases.five_partial()) == pytest.approx(0.75, rel=1e-12)
+        assert triad_scan(cases.consistent_matrix([1, 2, 3])).koczkodaj == pytest.approx(0.0)
+        assert triad_scan(cases.sub_four()).koczkodaj == pytest.approx(0.5, rel=1e-12)
+        assert triad_scan(cases.five_partial()).koczkodaj == pytest.approx(0.75, rel=1e-12)
 
     @given(weight_vectors)
     def test_koczkodaj_zero_iff_pcm(self, w):
         m = cases.consistent_matrix(w)
-        assert koczkodaj_index(m) == pytest.approx(0.0, abs=1e-9)
+        assert triad_scan(m).koczkodaj == pytest.approx(0.0, abs=1e-9)
 
 
 def enumerated_worst(m, tol=DEFAULT_TOL):
@@ -434,7 +432,7 @@ class TestMtPass:
         want = triad_scan(m).mt
         assert mt_pass(m).hex() == want.hex()
         assert mt(m).hex() == want.hex() and mt(m) is mt(m)  # one pass, kept on the matrix
-        assert koczkodaj_index(m) == triad_scan(m).koczkodaj
+        assert triad_scan(m).koczkodaj == 1.0 - 1.0 / want
         assert is_pcm(m) == triad_scan(m).pcm
 
     def test_a_vertex_with_no_specified_entry(self):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import cases
-from triadcomplete import SpecGraph, chordal_ordering, feasible_interval, mt, validate
-from triadcomplete.errors import TooLargeError
-from triadcomplete.oracle import (
+from oracle import (
     GridSpec,
+    TooLargeError,
     brute_cycle_products,
     brute_mt,
     grid_interval,
 )
+from triadcomplete import SpecGraph, chordal_ordering, feasible_interval, mt, validate
 
 
 class TestBruteMt:

@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
+import oracle
+from oracle import specified_triads
 from triadcomplete import (
     DEFAULT_TOL,
     completion,
-    max_triad,
     mt,
-    oracle,
     reduce,
     reduce_step,
     validate,
 )
 from triadcomplete.errors import MatrixTooSmallError
 from triadcomplete.measures import TriadTables, triad_scan
-from triadcomplete.oracle import specified_triads
 from triadcomplete.reduction import (
     EDGE_RULES,
     STOP_MAX_STEPS,
@@ -32,7 +31,8 @@ from triadcomplete.reduction import (
 class TestWorstTriad:
     def test_single_triangle_no_tie(self):
         m = validate([[1, 2, 1], [0.5, 1, 2], [1, 0.5, 1]]).to_complete()
-        triad, tie = max_triad(m)
+        scan = triad_scan(m)
+        triad, tie = scan.worst, scan.tie
         assert (triad.i, triad.j, triad.k) == (0, 1, 2)
         assert triad.max_value == pytest.approx(4.0)
         assert not tie
@@ -41,7 +41,8 @@ class TestWorstTriad:
         # Enumerating all ten triads puts the unique maximum, 4, on the
         # triangle {0, 1, 2}; the runner-up is 3 on {0, 1, 3}.
         m = cases.five_completed()
-        triad, tie = max_triad(m)
+        scan = triad_scan(m)
+        triad, tie = scan.worst, scan.tie
         assert (triad.i, triad.j, triad.k) == (0, 1, 2)
         assert triad.max_value == pytest.approx(4.0, rel=1e-12)
         assert not tie
@@ -50,7 +51,8 @@ class TestWorstTriad:
 
     def test_consistent_matrix_ties(self, rng):
         m = cases.consistent_matrix(cases.random_weights(rng, 4)).to_complete()
-        triad, tie = max_triad(m)
+        scan = triad_scan(m)
+        triad, tie = scan.worst, scan.tie
         assert triad.max_value == pytest.approx(1.0) and tie
 
 

@@ -1,12 +1,19 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 from triadcomplete import SpecGraph
+from triadcomplete.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "triadcomplete"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "triadcomplete"
+DATA = ROOT / "data"
 
 
 def test_no_assert_statements():
@@ -29,17 +36,50 @@ def _imported_paths(node):
     return []
 
 
-def test_product_modules_do_not_import_oracle():
-    # oracle.py holds the reference constructions the tests compare
-    # against; only the package namespace re-exports it.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name not in ("__init__.py", "oracle.py")
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if any("oracle" in parts for parts in _imported_paths(node))
+def test_package_stands_alone(tmp_path, capsys):
+    # A copy of the package, alone on the path and run from the directory
+    # that holds it, gives the in-process CLI's exit codes, output and --out
+    # bytes; the reference code the tests use is not part of it.
+    shutil.copytree(SRC, tmp_path / "triadcomplete", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    here, there = tmp_path / "here.csv", tmp_path / "there.csv"
+    runs = [
+        ["check", str(DATA / "cycle_4x4.csv")],
+        ["check", str(DATA / "two_blocks_8x8.csv"), "--trace"],
+        ["complete", str(DATA / "partial_5x5.csv"), "--trace", "--out", "{out}"],
+        ["reduce", str(DATA / "block_3x3.csv")],
     ]
-    assert found == []
+    for argv in runs:
+        code = main([str(here) if arg == "{out}" else arg for arg in argv])
+        out, err = capsys.readouterr()
+        alone = [sys.executable, "-m", "triadcomplete"]
+        alone += [there.name if arg == "{out}" else arg for arg in argv]
+        proc = subprocess.run(alone, capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+    assert there.read_bytes() == here.read_bytes()
+    probe = "import triadcomplete; print(triadcomplete.__file__); import triadcomplete.oracle"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.stdout.strip() == str(tmp_path / "triadcomplete" / "__init__.py")
+    assert proc.returncode == 1 and "ModuleNotFoundError" in proc.stderr
+
+
+def test_reference_names_live_with_the_tests():
+    # The reference constructions and the errors only they raise are defined
+    # in tests/oracle.py; is_consistent, koczkodaj_index and max_triad repeated
+    # is_pcm and triad_scan.  No package module defines any of them.
+    oracle = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    moved = {node.name for node in oracle.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert {"complete_consistent_chordal", "rank_one_vector", "TooLargeError"} <= moved
+    removed = moved | {"is_consistent", "koczkodaj_index", "max_triad"}
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in removed
+    ]
+    assert not (SRC / "oracle.py").exists() and found == []
 
 
 def test_graphs_does_not_import_matrices():
@@ -129,7 +169,7 @@ def test_one_interval_path():
 
 def test_no_second_triad_set_route():
     # The products a[i,j]·a[j,k] around an entry are formed by the interval
-    # helper; the reference S sets live in oracle.constraint_products.
+    # helper; the reference S sets are constraint_products in tests/oracle.py.
     removed = ("TriadSets", "triad_sets_for_entry")
     found = [
         f"{path.name}:{node.lineno} {node.name}"
