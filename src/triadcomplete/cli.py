@@ -15,7 +15,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -38,35 +37,27 @@ def _one_based(indices) -> list[int]:
     return [int(v) + 1 for v in indices]
 
 
-class JsonText(list):
-    """A :class:`Records` column of values already written as JSON text, one string per row."""
-
-
 @dataclass(frozen=True)
-class Records:
-    """A list of dicts with the same keys, held by column.
+class ConsistentSteps:
+    """A consistent completion's steps: the one-based ``pairs``, an int (k, 2) array, and the
+    text of each pair's filled cell.  They iterate as ``{"edge", "interval", "value"}`` dicts."""
 
-    ``columns[key]`` is an array whose first axis runs over the rows (a row of
-    a 2-D column is a list), a :class:`JsonText`, or one value shared by every
-    row, and not every column is shared.  Iterating yields the rows as dicts;
-    :func:`_json` writes them from one row template, building no per-row dict.
-    """
-
-    columns: dict
+    pairs: np.ndarray
+    cells: list[str]
 
     def __iter__(self):
-        lists = [c.tolist() if type(c) is np.ndarray else c if type(c) is JsonText else repeat(c)
-                 for c in self.columns.values()]
-        return (dict(zip(self.columns, row)) for row in zip(*lists))
+        return ({"edge": edge, "interval": None, "value": cell}
+                for edge, cell in zip(self.pairs.tolist(), self.cells))
 
 
 def _json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` with non-finite floats written as null.
 
     ``pad`` is the newline and indent that precede this value's closing
-    bracket; its items sit one level (two spaces) deeper.  Numpy arrays are
-    written as their ``tolist()`` and :class:`Records` as the list of their rows;
-    both are filled into one %-template, and a row of strings is one join.
+    bracket; its items sit one level (two spaces) deeper.  Besides JSON's own
+    types it takes an int (k, m) array, written as its ``tolist()``, and
+    :class:`ConsistentSteps`, written as the list of its steps; both fill one
+    row template (:func:`_table`), and a row of strings is one join.
     """
     kind = type(value)
     if kind is str:
@@ -85,7 +76,7 @@ def _json(value, pad: str = "\n") -> str:
             return "{}"
         items = [_json_string(k) + ": " + _json(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):  # and a file's Cells
+    if isinstance(value, list):  # and a file's Cells
         if not value:
             return "[]"
         if set(map(type, value)) == {str}:
@@ -96,60 +87,28 @@ def _json(value, pad: str = "\n") -> str:
         else:
             items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if kind is np.ndarray:
-        slot = _slot(value)
-        if slot is None:
-            return _json(value.tolist(), pad)
-        return _slots(value.shape, slot, pad) % tuple(value.ravel().tolist())
-    if kind is Records:
-        return _json_records(value, pad)
-    if isinstance(value, float):  # numpy floats
-        return _json(float(value))
+    if kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
+        return _table(["%d"] * value.shape[1], len(value), value.ravel().tolist(), pad)
+    if kind is ConsistentSteps:
+        values = [None] * (3 * len(value.cells))
+        values[0::3], values[1::3] = value.pairs.T.tolist()
+        values[2::3] = value.cells
+        row = {"edge": ["%d", "%d"], "interval": None, "value": "%s"}
+        return _table(row, len(value.cells), values, pad)
     raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
-def _slot(array: np.ndarray) -> str | None:
-    """The %-conversion that writes ``array``'s values as ``json.dumps`` does, if one does."""
-    if array.dtype.kind in "iu":
-        return "%d"
-    if array.dtype.kind == "f" and np.isfinite(array).all():
-        return "%r"
-    return None
+def _table(row, count: int, values: list, pad: str) -> str:
+    """``_json`` of a list of ``count`` rows shaped as ``row``, filled in order from ``values``.
 
-
-def _slots(shape: tuple[int, ...], slot: str, pad: str) -> str:
-    """%-template of a nested list of ``shape`` with every value written by ``slot``."""
-    if not shape:
-        return slot
-    if not shape[0]:
+    ``row``'s strings ``"%d"`` and ``"%s"`` are its slots, written unquoted, so the
+    rows are one %-template filled once; a ``%s`` slot takes text that is already JSON.
+    """
+    if not count:
         return "[]"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join([_slots(shape[1:], slot, inner)] * shape[0]) + pad + "]"
-
-
-def _json_records(records: Records, pad: str) -> str:
-    """``_json(list(records), pad)`` from one row template: a column's values fill its
-    %-slots, or a ``%s`` with each row's text if it is :class:`JsonText` or has no slot."""
-    size = next(len(c) for c in records.columns.values() if type(c) in (np.ndarray, JsonText))
-    if not size:
-        return "[]"
-    inner, field = pad + "  ", pad + "    "
-    fields, values = [], []
-    for key, column in records.columns.items():
-        slot = _slot(column) if type(column) is np.ndarray else None
-        if slot:
-            text = _slots(column.shape[1:], slot, field)
-            values.append(column.reshape(size, -1).astype(object))
-        elif type(column) in (np.ndarray, JsonText):
-            texts = column if type(column) is JsonText else [_json(v, field) for v in column.tolist()]
-            text = "%s"
-            values.append(np.array(texts, dtype=object).reshape(size, 1))
-        else:
-            text = _json(column, field).replace("%", "%%")
-        fields.append(_json_string(key).replace("%", "%%") + ": " + text)
-    row = "{" + field + ("," + field).join(fields) + inner + "}"
-    template = "[" + inner + ("," + inner).join([row] * size) + pad + "]"
-    return template % tuple(np.concatenate(values, axis=1).ravel().tolist())
+    template = _json(row, inner).replace('"%d"', "%d").replace('"%s"', "%s")
+    return ("[" + inner + ("," + inner).join([template] * count) + pad + "]") % tuple(values)
 
 
 def _classify(m: PartialReciprocalMatrix, tol: Tolerances, pcm: bool) -> dict:
@@ -262,11 +221,10 @@ def _steps_doc(steps) -> list[dict]:
     ]
 
 
-def _filled_entries_doc(pairs: np.ndarray, rows: list[list[str]]) -> Records:
+def _filled_entries_doc(pairs: np.ndarray, rows: list[list[str]]) -> ConsistentSteps:
     """Steps of a consistent completion: the one-based ``pairs`` and their cells in ``rows``."""
     i, j = (pairs - 1).T.tolist()
-    values = JsonText(map(list.__getitem__, map(rows.__getitem__, i), j))
-    return Records({"edge": pairs, "interval": None, "value": values})
+    return ConsistentSteps(pairs, list(map(list.__getitem__, map(rows.__getitem__, i), j)))
 
 
 def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:

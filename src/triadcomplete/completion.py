@@ -125,15 +125,18 @@ def select_value(interval: FeasibleInterval, selection: str) -> float:
 def _fill(entries: np.ndarray, i, k, value) -> None:
     """Write ``value`` over the NaN at (i, k) and ``1 / value`` at (k, i); all may be arrays.
 
-    The first value out of (0, inf), row-major, raises MatrixError naming its entry.
+    The first value out of (0, inf), or whose reciprocal is not finite, row-major, raises
+    MatrixError naming its entry.
     """
-    ok = np.greater(value, 0.0) & np.less(value, math.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        mirror = np.divide(1.0, value)
+    ok = np.greater(value, 0.0) & np.less(value, math.inf) & np.less(mirror, math.inf)
     if not ok.all():
         first = int(np.argmin(ok))
         i, k, value = (np.broadcast_to(a, ok.shape).flat[first] for a in (i, k, value))
         raise _out_of_range(int(i), int(k), float(value))
     entries[i, k] = value
-    entries[k, i] = 1.0 / value
+    entries[k, i] = mirror
 
 
 def _out_of_range(i: int, k: int, value: float) -> MatrixError:
@@ -259,7 +262,7 @@ def _fill_step(
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
     value = select_value(interval, selection)
-    if not 0.0 < value < math.inf:
+    if not (0.0 < value < math.inf and 1.0 / value < math.inf):
         raise _out_of_range(i, k, value)
     entries[i, k], entries[k, i] = value, 1.0 / value
     bits[i], bits[k] = bits[i] | 1 << k, bits[k] | 1 << i

@@ -1,7 +1,9 @@
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +18,8 @@ from hypothesis.extra import numpy as hnp
 import cases
 import oracle
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, reduction
-from triadcomplete.cli import JsonText, Records, _json, main
+from triadcomplete.cli import ConsistentSteps, _json, main
+from triadcomplete.errors import MatrixError
 from triadcomplete.fileio import format_matrix, parse_matrix
 from triadcomplete.matrices import validate
 
@@ -72,6 +75,11 @@ OVERFLOW_B_TEXT = """\
 ?,1.822412552159735e+113,1,2.2207719700094362e-149
 ?,5.560937299057548e+48,4.502938678552174e+148,1
 """
+
+# The 'lo' fill of (1, 3) is 1e-310, whose reciprocal overflows.
+SUBNORMAL_FILL_TEXT = "1,1e-150,?,1e-140\n1e150,1,1e-150,1\n?,1e150,1,1e160\n1e140,1,1e-160,1\n"
+TWO_BLOCK_TEXT = "1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -544,6 +552,27 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err == f"error: {located}\n"
 
+    @pytest.mark.parametrize(
+        "text, flags, value, engines",
+        [
+            (SUBNORMAL_FILL_TEXT, ["--mode", "mt-preserving", "--selection", "lo"], 1e-310,
+             [functools.partial(completion.complete_mt_preserving, selection="lo")]),
+            (TWO_BLOCK_TEXT, ["--join-k", "1e-320"], 1e-320,
+             [functools.partial(completion.complete_mt_preserving, join_scale=1e-320),
+              functools.partial(completion.complete_consistent_pc_plus, join_scale=1e-320)]),
+        ],
+        ids=["fill-step", "join"],
+    )
+    def test_filled_value_whose_reciprocal_overflows(self, write, capsys, text, flags, value,
+                                                     engines):
+        # 1 / value is inf: the fill refuses the value, as validate refuses such a cell.
+        located = f"entry (1, 3): filled value {value!r} is out of range"
+        assert main(["complete", write("m.csv", text), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {located}\n"
+        for engine in engines:
+            with pytest.raises(MatrixError, match=re.escape(located)):
+                engine(parse_matrix(text)[0])
+
     def test_wide_magnitudes_exit_zero_one_or_two(self, write, capsys):
         # Chordal patterns with entries 10^U(-150, 150): every call returns.
         rng = np.random.default_rng(1500)
@@ -631,24 +660,19 @@ class TestUsage:
 def _sanitised(value):
     """The report as ``json.dumps`` is given it.
 
-    Tuples, arrays and records become lists, and non-finite floats None.
+    Arrays and consistent steps become lists, a step's cell text its number,
+    and non-finite floats None.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _sanitised(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_sanitised(v) for v in value]
     if isinstance(value, np.ndarray):
-        return _sanitised(value.tolist())
-    if isinstance(value, Records):
-        arrays = {k: c.tolist() for k, c in value.columns.items() if isinstance(c, np.ndarray)}
-        arrays.update({k: list(map(json.loads, c)) for k, c in value.columns.items()
-                       if isinstance(c, JsonText)})
-        size = len(next(iter(arrays.values())))
-        rows = [{k: arrays[k][r] if k in arrays else c for k, c in value.columns.items()}
-                for r in range(size)]
-        return _sanitised(rows)
+        return value.tolist()
+    if isinstance(value, ConsistentSteps):
+        return [{**step, "value": json.loads(step["value"])} for step in value]
     return value
 
 
@@ -661,44 +685,25 @@ _scalars = (
     | st.integers()
     | st.integers(-(10**40), 10**40)
     | st.floats()
-    | st.floats().map(np.float64)
     | st.sampled_from([0, 1, 0.0, -0.0, 1e-7, 1e22, math.inf, -math.inf, math.nan])
     | _texts
 )
 _ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
-_floats = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
-_dtypes = st.sampled_from([np.int64, np.float64, np.bool_])
-
-
-def _columns(size: int):
-    """Arrays over ``size`` rows: values, one-based pairs, or rows of any width; or number text."""
-    widths = st.sampled_from([(), (2,), (0,), (3,)])
-    numbers = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    return (
-        hnp.arrays(np.int64, (size, 2), elements=st.integers(1, 200))
-        | widths.flatmap(lambda w: hnp.arrays(_dtypes, (size, *w), elements=None))
-        | widths.flatmap(lambda w: hnp.arrays(np.float64, (size, *w), elements=_floats))
-        | st.lists(numbers, min_size=size, max_size=size).map(lambda v: JsonText(map(json.dumps, v)))
-    )
+# Int (k, m) arrays, as the unspecified pairs are (k, 2).
+_pairs = hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 3)), elements=_ints)
 
 
 @st.composite
-def _records(draw):
+def _consistent_steps(draw):
     size = draw(st.integers(0, 4))
-    keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
-    array_at = draw(st.integers(0, len(keys) - 1))
-    return Records({key: draw(_columns(size) if p == array_at else _columns(size) | _scalars)
-                    for p, key in enumerate(keys)})
+    pairs = draw(hnp.arrays(np.int64, (size, 2), elements=st.integers(1, 200)))
+    cells = st.floats(allow_nan=False, allow_infinity=False).map(repr)  # a filled cell's text
+    return ConsistentSteps(pairs, draw(st.lists(cells, min_size=size, max_size=size)))
 
 
-_arrays = (
-    hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.just(2)), elements=_ints)
-    | hnp.arrays(_dtypes, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
-    | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0), elements=_floats)
-)
 _docs = st.recursive(
-    _scalars | _arrays | _records(),
-    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_texts, kids),
+    _scalars | _pairs | _consistent_steps() | st.lists(_texts),  # and rows of cell text
+    lambda kids: st.lists(kids) | st.dictionaries(_texts, kids),
     max_leaves=40,
 )
 
@@ -711,6 +716,15 @@ def _pc_plus_text(seed: int, n: int, parts: int) -> str:
     return format_matrix(cases.mask_to_graph(full, g))
 
 
+def _assert_round_trips(out: str) -> None:
+    """``out`` is ``json.dumps(..., indent=2)`` of what it parses to, and a line."""
+    expected = json.dumps(json.loads(out), indent=2) + "\n"
+    if out != expected:  # a plain assert would diff two megabyte strings
+        at = len(os.path.commonprefix([out, expected]))
+        got, want = out[at - 40 : at + 40], expected[at - 40 : at + 40]
+        pytest.fail(f"differs at byte {at}: {got!r} vs {want!r}")
+
+
 class TestTraceEmitter:
     @settings(max_examples=120)
     @given(_docs)
@@ -718,26 +732,37 @@ class TestTraceEmitter:
         assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
 
     def test_empty_containers_and_literals(self):
-        doc = {"a": [], "b": {}, "c": (), "d": [True, False, None, -0.0, math.nan]}
+        doc = {"a": [], "b": {}, "d": [True, False, None, -0.0, math.nan]}
         assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
 
-    def test_arrays_and_records(self):
+    def test_pairs_and_consistent_steps(self):
         pairs = np.array([[1, 3], [2, 4]])
+        steps = ConsistentSteps(pairs, ["0.5", "3e+22"])
         doc = {
             "pairs": pairs,
-            "none": np.zeros((0, 2), dtype=int),
-            "steps": Records({"edge": pairs, "interval": None, "value": np.array([0.5, 3.0])}),
-            "bad": Records(
-                {"edge": pairs, "interval": None, "value": np.array([math.inf, math.nan])}
-            ),
-            "empty": Records({"edge": pairs[:0], "value": np.zeros(0)}),
-            "text": Records({"edge": pairs, "value": JsonText(["0.5", "3e+22"]), "%": "%s"}),
-            "percent": Records({"%d": pairs[:, 0], "note": "100% %r", "%": {"%s": [1]}}),
+            "none": np.zeros((0, 2), dtype=np.int64),
+            "steps": steps,
+            "empty": ConsistentSteps(pairs[:0], []),
+            "%d": ConsistentSteps(pairs[:1], ["100.0"]),
+            "note": "100% %r %s",
             "tokens": ["1", "7/3", "?"],
         }
         text = _json(doc)
         assert text == json.dumps(_sanitised(doc), indent=2)
-        assert json.loads(text)["bad"][1] == {"edge": [2, 4], "interval": None, "value": None}
+        assert json.loads(text)["steps"][1] == {"edge": [2, 4], "interval": None, "value": 3e22}
+        assert list(steps) == [
+            {"edge": [1, 3], "interval": None, "value": "0.5"},
+            {"edge": [2, 4], "interval": None, "value": "3e+22"},
+        ]
+
+    @pytest.mark.parametrize(
+        "value",
+        [(1, 2), np.float64(0.5), np.zeros((2, 2)), np.arange(3), np.ones((1, 2), dtype=bool), {1}],
+        ids=["tuple", "numpy-float", "float-array", "1-d-array", "bool-array", "set"],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json({"key": [value]})
 
     @pytest.mark.parametrize("seed, n, parts", [(1, 64, 1), (2, 128, 2)])
     def test_consistent_trace_at_scale(self, write, capsys, seed, n, parts):
@@ -748,11 +773,30 @@ class TestTraceEmitter:
         assert doc["completion"]["engine"] == "consistent-pc-plus"
         assert len(doc["classification"]["components"]) == parts
         assert len(doc["completion"]["steps"]) == len(doc["classification"]["unspecified_pairs"])
-        expected = json.dumps(doc, indent=2) + "\n"
-        if out != expected:  # a plain assert would diff two megabyte strings
-            at = len(os.path.commonprefix([out, expected]))
-            got, want = out[at - 40 : at + 40], expected[at - 40 : at + 40]
-            pytest.fail(f"differs at byte {at}: {got!r} vs {want!r}")
+        _assert_round_trips(out)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            (["check"], ("classification", "unspecified_pairs")),
+            (["measure"], ("matrix",)),
+            (["reduce"], ("reduction", "steps")),
+            *((["complete", "--mode", "mt-preserving", "--selection", s], ("completion", "steps"))
+              for s in completion.SELECTIONS),
+        ],
+        ids=["check", "measure", "reduce", *completion.SELECTIONS],
+    )
+    def test_every_trace_round_trips_at_scale(self, write, capsys, n, argv, table):
+        rng = np.random.default_rng(n)
+        if argv[0] in ("measure", "reduce"):
+            m = cases.perturbed_consistent(rng, n)[0]
+        else:  # two chordal blocks: unspecified pairs, fill steps and a join
+            m = cases.prm_on_graph(rng, cases.disjoint_union(rng, n, ("clique-attached",) * 2))
+        main([argv[0], write("m.csv", format_matrix(m)), "--trace", *argv[1:]])
+        out = capsys.readouterr().out
+        assert functools.reduce(dict.__getitem__, table, json.loads(out))
+        _assert_round_trips(out)
 
 
 # The per-component chordality test that ``SpecGraph.chordless_cycles`` and

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import triadcomplete
 from triadcomplete import load_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,3 +108,13 @@ def test_cli_digest_writes_the_benchmark_instances(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli_digest.main([])
     assert exc.value.code == 2
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("## Library\n")
+    library = readme[start : readme.index("\n## ", start)]
+    (block,) = re.findall(r"```python\n(.*?)```", library, re.S)
+    exec(compile(block, "README.md", "exec", optimize=0), {})  # its asserts run under -O too
+    # The reference names every public name, so the two cannot drift apart.
+    assert set(triadcomplete.__all__) <= set(re.findall(r"`(\w+)", library))
