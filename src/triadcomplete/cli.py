@@ -14,7 +14,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -37,27 +36,13 @@ def _one_based(indices) -> list[int]:
     return [int(v) + 1 for v in indices]
 
 
-@dataclass(frozen=True)
-class ConsistentSteps:
-    """A consistent completion's steps: the one-based ``pairs``, an int (k, 2) array, and the
-    text of each pair's filled cell.  They iterate as ``{"edge", "interval", "value"}`` dicts."""
-
-    pairs: np.ndarray
-    cells: list[str]
-
-    def __iter__(self):
-        return ({"edge": edge, "interval": None, "value": cell}
-                for edge, cell in zip(self.pairs.tolist(), self.cells))
-
-
 def _json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` with non-finite floats written as null.
 
     ``pad`` is the newline and indent that precede this value's closing
     bracket; its items sit one level (two spaces) deeper.  Besides JSON's own
-    types it takes an int (k, m) array, written as its ``tolist()``, and
-    :class:`ConsistentSteps`, written as the list of its steps; both fill one
-    row template (:func:`_table`), and a row of strings is one join.
+    types it takes an int (k, m) array, written as its ``tolist()`` by filling
+    one row template with ``%d`` slots; a row of strings is one join.
     """
     kind = type(value)
     if kind is str:
@@ -88,27 +73,12 @@ def _json(value, pad: str = "\n") -> str:
             items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
-        return _table(["%d"] * value.shape[1], len(value), value.ravel().tolist(), pad)
-    if kind is ConsistentSteps:
-        values = [None] * (3 * len(value.cells))
-        values[0::3], values[1::3] = value.pairs.T.tolist()
-        values[2::3] = value.cells
-        row = {"edge": ["%d", "%d"], "interval": None, "value": "%s"}
-        return _table(row, len(value.cells), values, pad)
+        if not len(value):
+            return "[]"
+        row = _json(["%d"] * value.shape[1], inner).replace('"%d"', "%d")
+        table = "[" + inner + ("," + inner).join([row] * len(value)) + pad + "]"
+        return table % tuple(value.ravel().tolist())
     raise TypeError(f"{kind.__name__} is not JSON serializable")
-
-
-def _table(row, count: int, values: list, pad: str) -> str:
-    """``_json`` of a list of ``count`` rows shaped as ``row``, filled in order from ``values``.
-
-    ``row``'s strings ``"%d"`` and ``"%s"`` are its slots, written unquoted, so the
-    rows are one %-template filled once; a ``%s`` slot takes text that is already JSON.
-    """
-    if not count:
-        return "[]"
-    inner = pad + "  "
-    template = _json(row, inner).replace('"%d"', "%d").replace('"%s"', "%s")
-    return ("[" + inner + ("," + inner).join([template] * count) + pad + "]") % tuple(values)
 
 
 def _classify(m: PartialReciprocalMatrix, tol: Tolerances, pcm: bool) -> dict:
@@ -171,6 +141,9 @@ def _print_human(report: dict) -> None:
     comp = report.get("completion")
     if comp:
         print(f"mode: {comp['mode']}")
+        if comp["mode"] == "consistent":
+            for i, j in cls["unspecified_pairs"].tolist():
+                print(f"filled ({i},{j}) = {_fmt(float(report['matrix'][i - 1][j - 1]))}")
         for step in comp["steps"]:
             i, j = step["edge"]
             line = f"filled ({i},{j}) = {_fmt(float(step['value']))}"
@@ -205,11 +178,7 @@ def cmd_check(m, tokens, tol, args) -> tuple[dict, int]:
 
 
 def cmd_measure(m, tokens, tol, args) -> tuple[dict, int]:
-    return {
-        "measures": _measures_doc(triad_scan(m, tol)),
-        "matrix": tokens,
-        "matrix_written": True,  # matrix came from the input; don't echo it
-    }, 0
+    return {"measures": _measures_doc(triad_scan(m, tol))}, 0
 
 
 def _steps_doc(steps) -> list[dict]:
@@ -219,12 +188,6 @@ def _steps_doc(steps) -> list[dict]:
          "interval": {**vars(step.interval), "unconstrained": step.interval.unconstrained}}
         for step in steps
     ]
-
-
-def _filled_entries_doc(pairs: np.ndarray, rows: list[list[str]]) -> ConsistentSteps:
-    """Steps of a consistent completion: the one-based ``pairs`` and their cells in ``rows``."""
-    i, j = (pairs - 1).T.tolist()
-    return ConsistentSteps(pairs, list(map(list.__getitem__, map(rows.__getitem__, i), j)))
 
 
 def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
@@ -248,8 +211,11 @@ def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
     mode = args.mode
     if mode == "auto":
         mode = "consistent" if cls["consistent_completion_exists"] else "mt-preserving"
+    steps: list = []
     joins: list = []
     if mode == "consistent":
+        # Neither engine's steps are reported: the filled entries are the
+        # unspecified pairs, and their values those cells of the matrix.
         # At mt = 1 every feasible interval collapses to the consistent
         # value.  A chordal PCM goes to the mt-preserving fill rather than to
         # tree weights: near the tolerance edge tree weights can let mt grow,
@@ -268,24 +234,21 @@ def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
         completion = complete_mt_preserving(m, selection=args.selection, tol=tol, **join)
         result = completion.result
         engine = f"mt-preserving/{args.selection}"
-        steps_doc = _steps_doc(completion.steps)
+        steps = _steps_doc(completion.steps)
         joins = [{"block_a": _one_based(j.block_a), "block_b": _one_based(j.block_b),
                   "u_vertex": j.u_vertex + 1, "v_vertex": j.v_vertex + 1, "scale": j.scale}
                  for j in completion.joins]
-    rows = format_rows(result, tokens)
-    if mode == "consistent":  # the steps' values are the filled cells' text
-        steps_doc = _filled_entries_doc(cls["unspecified_pairs"], rows)
     return {
         "classification": cls,
         "completion": {
             "mode": mode,
             "engine": engine,
-            "steps": steps_doc,
+            "steps": steps,
             "joins": joins,
             "mt_before": mt(m),
             "mt_after": mt(result),
         },
-        **_matrix_sections(rows, args.out),
+        **_matrix_sections(format_rows(result, tokens), args.out),
     }, 0
 
 

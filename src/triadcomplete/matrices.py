@@ -142,6 +142,8 @@ class PartialReciprocalMatrix:
         self._check_pair(i, j, "set")
         if not (value > 0.0 and np.isfinite(value)):
             raise NonPositiveEntryError(i, j, value)
+        if 1.0 / float(value) == math.inf:
+            raise ReciprocalOverflowError(i, j, value)
         entries = np.array(self.entries)
         entries[i, j] = value
         entries[j, i] = 1.0 / value

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import MatrixError
 from .graphs import Edge, bfs_parents
-from .matrices import DEFAULT_TOL, CompleteReciprocalMatrix, PartialReciprocalMatrix, Tolerances
+from .matrices import DEFAULT_TOL, PartialReciprocalMatrix, Tolerances
 
 
 @dataclass(frozen=True)

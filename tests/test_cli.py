@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 import cases
 import oracle
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, reduction
-from triadcomplete.cli import ConsistentSteps, _json, main
+from triadcomplete.cli import _json, main
 from triadcomplete.errors import MatrixError
 from triadcomplete.fileio import format_matrix, parse_matrix
 from triadcomplete.matrices import validate
@@ -183,8 +183,9 @@ class TestComplete:
         path = write("fixed.csv", CYCLE_FIXED_TEXT)
         out = str(tmp_path / "done.csv")
         code, doc = run_json(["complete", path, "--mode", "consistent", "--out", out], capsys)
-        assert code == 0
-        filled = {tuple(s["edge"]): s["value"] for s in doc["completion"]["steps"]}
+        assert code == 0 and doc["completion"]["steps"] == []
+        pairs = doc["classification"]["unspecified_pairs"]
+        filled = {(i, j): float(doc["matrix"][i - 1][j - 1]) for i, j in pairs}
         assert filled[(1, 3)] == pytest.approx(2 / 3, rel=1e-9)
         assert filled[(2, 4)] == pytest.approx(5 / 3, rel=1e-9)
         again, _ = parse_matrix(Path(out).read_text())
@@ -458,7 +459,6 @@ class TestUsage:
         path = write("path.csv", "1,1e155,?\n1e-155,1,1\n?,1,1\n")
         code, doc = run_json(["complete", path], capsys)
         assert code == 0
-        assert doc["completion"]["steps"][0]["value"] == 1.0000000000000001e155
         assert doc["matrix"][0] == ["1", "1e155", "1.0000000000000001e+155"]
 
     def test_reduce_with_overflowing_minimax_product(self, write, capsys):
@@ -477,7 +477,6 @@ class TestUsage:
         code, doc = run_json(["complete", path], capsys)
         assert code == 0
         assert doc["completion"]["engine"] == "consistent-chordal"
-        assert doc["completion"]["steps"][0]["value"] == 1e-160
         assert doc["completion"]["mt_after"] == 1.0
         assert doc["matrix"][0] == ["1", "1e-80", "1e-160"]
 
@@ -658,11 +657,7 @@ class TestUsage:
 
 
 def _sanitised(value):
-    """The report as ``json.dumps`` is given it.
-
-    Arrays and consistent steps become lists, a step's cell text its number,
-    and non-finite floats None.
-    """
+    """The report as ``json.dumps`` is given it: arrays become lists, and non-finite floats None."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -671,8 +666,6 @@ def _sanitised(value):
         return [_sanitised(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, ConsistentSteps):
-        return [{**step, "value": json.loads(step["value"])} for step in value]
     return value
 
 
@@ -693,16 +686,8 @@ _ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
 _pairs = hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 3)), elements=_ints)
 
 
-@st.composite
-def _consistent_steps(draw):
-    size = draw(st.integers(0, 4))
-    pairs = draw(hnp.arrays(np.int64, (size, 2), elements=st.integers(1, 200)))
-    cells = st.floats(allow_nan=False, allow_infinity=False).map(repr)  # a filled cell's text
-    return ConsistentSteps(pairs, draw(st.lists(cells, min_size=size, max_size=size)))
-
-
 _docs = st.recursive(
-    _scalars | _pairs | _consistent_steps() | st.lists(_texts),  # and rows of cell text
+    _scalars | _pairs | st.lists(_texts),  # and rows of cell text
     lambda kids: st.lists(kids) | st.dictionaries(_texts, kids),
     max_leaves=40,
 )
@@ -714,6 +699,12 @@ def _pc_plus_text(seed: int, n: int, parts: int) -> str:
     g = cases.random_sparse_graph(rng, n, parts)
     full = cases.consistent_matrix(cases.random_weights(rng, n))
     return format_matrix(cases.mask_to_graph(full, g))
+
+
+def _chordal_pcm_text(kind: str, n: int) -> str:
+    """Random data on a seeded tree or star: no triads, so a chordal PCM."""
+    rng = np.random.default_rng(n)
+    return format_matrix(cases.prm_on_graph(rng, cases.graph_of_kind(rng, kind, n)))
 
 
 def _assert_round_trips(out: str) -> None:
@@ -735,25 +726,19 @@ class TestTraceEmitter:
         doc = {"a": [], "b": {}, "d": [True, False, None, -0.0, math.nan]}
         assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
 
-    def test_pairs_and_consistent_steps(self):
+    def test_pair_arrays(self):
         pairs = np.array([[1, 3], [2, 4]])
-        steps = ConsistentSteps(pairs, ["0.5", "3e+22"])
         doc = {
             "pairs": pairs,
             "none": np.zeros((0, 2), dtype=np.int64),
-            "steps": steps,
-            "empty": ConsistentSteps(pairs[:0], []),
-            "%d": ConsistentSteps(pairs[:1], ["100.0"]),
+            "%d": pairs[1:],
+            "no columns": np.zeros((2, 0), dtype=np.int64),
             "note": "100% %r %s",
             "tokens": ["1", "7/3", "?"],
         }
         text = _json(doc)
         assert text == json.dumps(_sanitised(doc), indent=2)
-        assert json.loads(text)["steps"][1] == {"edge": [2, 4], "interval": None, "value": 3e22}
-        assert list(steps) == [
-            {"edge": [1, 3], "interval": None, "value": "0.5"},
-            {"edge": [2, 4], "interval": None, "value": "3e+22"},
-        ]
+        assert json.loads(text)["pairs"] == [[1, 3], [2, 4]]
 
     @pytest.mark.parametrize(
         "value",
@@ -764,23 +749,40 @@ class TestTraceEmitter:
         with pytest.raises(TypeError, match="is not JSON serializable"):
             _json({"key": [value]})
 
-    @pytest.mark.parametrize("seed, n, parts", [(1, 64, 1), (2, 128, 2)])
-    def test_consistent_trace_at_scale(self, write, capsys, seed, n, parts):
-        path = write("pcplus.csv", _pc_plus_text(seed, n, parts))
-        assert main(["complete", path, "--trace"]) == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert doc["completion"]["engine"] == "consistent-pc-plus"
+    @pytest.mark.parametrize(
+        "engine, parts, text",
+        [
+            pytest.param("consistent-pc-plus", 1, _pc_plus_text(1, 64, 1), id="1-64-1"),
+            pytest.param("consistent-pc-plus", 2, _pc_plus_text(2, 128, 2), id="2-128-2"),
+            pytest.param("consistent-chordal", 1, _chordal_pcm_text("tree", 64), id="tree-64"),
+            pytest.param("consistent-chordal", 1, _chordal_pcm_text("star", 128), id="star-128"),
+        ],
+    )
+    def test_consistent_trace_at_scale(self, write, capsys, tmp_path, engine, parts, text):
+        # The filled entries are listed once, as the unspecified pairs: their
+        # values are those cells of the matrix rows, and no steps repeat them.
+        path, out = write("m.csv", text), tmp_path / "out.csv"
+        assert main(["complete", path, "--trace", "--out", str(out)]) == 0
+        trace = capsys.readouterr().out
+        doc = json.loads(trace)
+        assert doc["completion"]["engine"] == engine and doc["completion"]["steps"] == []
         assert len(doc["classification"]["components"]) == parts
-        assert len(doc["completion"]["steps"]) == len(doc["classification"]["unspecified_pairs"])
-        _assert_round_trips(out)
+        pairs = doc["classification"]["unspecified_pairs"]
+        cells = [doc["matrix"][i - 1][j - 1] for i, j in pairs]
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert pairs and cells == [rows[i - 1][j - 1] for i, j in pairs]
+        assert main(["complete", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        filled = [line for line in lines if line.startswith("filled")]
+        assert filled == [f"filled ({i},{j}) = {float(c):.12g}" for (i, j), c in zip(pairs, cells)]
+        _assert_round_trips(trace)
 
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize(
         "argv, table",
         [
             (["check"], ("classification", "unspecified_pairs")),
-            (["measure"], ("matrix",)),
+            (["measure"], ("measures", "max_triad")),
             (["reduce"], ("reduction", "steps")),
             *((["complete", "--mode", "mt-preserving", "--selection", s], ("completion", "steps"))
               for s in completion.SELECTIONS),
@@ -795,7 +797,10 @@ class TestTraceEmitter:
             m = cases.prm_on_graph(rng, cases.disjoint_union(rng, n, ("clique-attached",) * 2))
         main([argv[0], write("m.csv", format_matrix(m)), "--trace", *argv[1:]])
         out = capsys.readouterr().out
-        assert functools.reduce(dict.__getitem__, table, json.loads(out))
+        doc = json.loads(out)
+        assert functools.reduce(dict.__getitem__, table, doc)
+        if argv[0] == "measure":  # the input is not echoed
+            assert "matrix" not in doc
         _assert_round_trips(out)
 
 

@@ -3,7 +3,8 @@
 ``tests/golden/<name>.json`` maps each command of ``scripts/cli_digest.py``
 on ``data/<name>.csv`` to its exit code, stdout, stderr and ``--out``
 text, recorded before the trace emitter and the file writer were
-rewritten.  Commands run in-process from the repository root with
+rewritten.  An entry whose bytes a change alters on purpose is re-recorded,
+and CHANGES.md lists it.  Commands run in-process from the repository root with
 relative paths, so the JSON report's ``input`` field is stable.
 """
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +169,12 @@ class TestEntryEditing:
         m = validate([[1, None], [None, 1]]).with_entry(0, 1, 4.0)
         assert m.entries[0, 1] == 4.0 and m.entries[1, 0] == 0.25
         assert m.is_complete()
+
+    def test_with_entry_refuses_a_reciprocal_out_of_range(self):
+        m = validate([[1, 2, 3], [0.5, 1, 4], [1 / 3, 0.25, 1]])
+        with pytest.raises(ReciprocalOverflowError, match=re.escape("entry (1, 3) = 1e-310")):
+            m.with_entry(0, 2, 1e-310)
+        assert m.with_entry(0, 2, sys.float_info.min).entries[2, 0] == 1 / sys.float_info.min
 
     def test_without_entry_masks_pair(self):
         m = validate([[1, 2], [0.5, 1]]).without_entry(0, 1)

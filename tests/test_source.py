@@ -36,6 +36,26 @@ def _imported_paths(node):
     return []
 
 
+def test_every_import_is_read():
+    # A name a module imports is read in that module: no import outlives the
+    # code that used it.  ``__init__`` re-exports the names in ``__all__``.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nodes = list(ast.walk(tree))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in nodes:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert found == []
+
+
 def test_package_stands_alone(tmp_path, capsys):
     # A copy of the package, alone on the path and run from the directory
     # that holds it, gives the in-process CLI's exit codes, output and --out
