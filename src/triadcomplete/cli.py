@@ -13,19 +13,22 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .completion import SELECTIONS, complete_consistent_pc_plus, complete_mt_preserving
+from .completion import (
+    SELECTIONS, CompletionStep, complete_consistent_pc_plus, complete_mt_preserving
+)
 from .errors import (
     CompletionError, MatrixFileError, MatrixTooSmallError, NoConsistentCompletionError
 )
 from .fileio import format_rows, load_matrix
 from .matrices import PartialReciprocalMatrix, Tolerances
 from .measures import TriadScan, is_pc_plus, is_pcm, mt, triad_scan
-from .reduction import EDGE_RULES, reduce
+from .reduction import EDGE_RULES, ReductionStep, reduce
 
 
 def _fmt(x: float) -> str:
@@ -41,8 +44,11 @@ def _json(value, pad: str = "\n") -> str:
 
     ``pad`` is the newline and indent that precede this value's closing
     bracket; its items sit one level (two spaces) deeper.  Besides JSON's own
-    types it takes an int (k, m) array, written as its ``tolist()`` by filling
-    one row template with ``%d`` slots; a row of strings is one join.
+    types it takes an int (k, m) array, written as its ``tolist()``, and a tuple of
+    ``CompletionStep``s or ``ReductionStep``s, written as their fields with the edge one-based
+    and the interval's ``unconstrained`` added.  Both fill one :func:`_table` row template, the
+    steps' floats from a memo local to the call that zeros bypass (``-0.0 == 0.0``).  A row
+    of strings is one join.
     """
     kind = type(value)
     if kind is str:
@@ -61,7 +67,7 @@ def _json(value, pad: str = "\n") -> str:
             return "{}"
         items = [_json_string(k) + ": " + _json(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, list):  # and a file's Cells
+    if isinstance(value, list) or kind is tuple and not value:  # a file's Cells; no steps
         if not value:
             return "[]"
         if set(map(type, value)) == {str}:
@@ -73,12 +79,34 @@ def _json(value, pad: str = "\n") -> str:
             items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
-        if not len(value):
-            return "[]"
-        row = _json(["%d"] * value.shape[1], inner).replace('"%d"', "%d")
-        table = "[" + inner + ("," + inner).join([row] * len(value)) + pad + "]"
-        return table % tuple(value.ravel().tolist())
+        return _table(["%d"] * value.shape[1], len(value), value.ravel().tolist(), pad)
+    if kind is tuple and set(map(type, value)) in ({CompletionStep}, {ReductionStep}):
+        interval = [*vars(value[0].interval), "unconstrained"]
+        row = {**dict.fromkeys(vars(value[0]), "%s"), "edge": ["%d", "%d"],
+               "interval": dict.fromkeys(interval, "%s")}
+        paths, at = list(row), list(row).index("interval")
+        paths[at : at + 1] = [f"interval.{key}" for key in interval]  # the row's leaf order
+        get, memo, values = operator.attrgetter(*paths), {}, []
+        for step in value:
+            (i, j), *leaves = get(step)  # both record types lead with their edge
+            values += i + 1, j + 1
+            for x in leaves:  # zeros skip the memo (-0.0 == 0.0), as do bools (True == 1.0)
+                text = memo.get(x) if type(x) is float and x else _json(x)
+                values.append(text or memo.setdefault(x, _json(x)))
+        return _table(row, len(value), values, pad)
     raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
+def _table(row, count: int, values: list, pad: str) -> str:
+    """``_json`` of ``count`` rows shaped as ``row``, one %-template filled once from ``values``.
+
+    ``row``'s strings ``"%d"`` and ``"%s"`` are its unquoted slots; ``%s`` takes JSON text.
+    """
+    if not count:
+        return "[]"
+    inner = pad + "  "
+    template = _json(row, inner).replace('"%d"', "%d").replace('"%s"', "%s")
+    return ("[" + inner + ("," + inner).join([template] * count) + pad + "]") % tuple(values)
 
 
 def _classify(m: PartialReciprocalMatrix, tol: Tolerances, pcm: bool) -> dict:
@@ -109,7 +137,7 @@ def _measures_doc(scan: TriadScan) -> dict:
             "max_triad": worst}
 
 
-def _print_human(report: dict) -> None:
+def _print_human(report: dict, out: str | None) -> None:
     cls = report.get("classification")
     if cls:
         print(f"n = {cls['n']}")
@@ -145,26 +173,23 @@ def _print_human(report: dict) -> None:
             for i, j in cls["unspecified_pairs"].tolist():
                 print(f"filled ({i},{j}) = {_fmt(float(report['matrix'][i - 1][j - 1]))}")
         for step in comp["steps"]:
-            i, j = step["edge"]
-            line = f"filled ({i},{j}) = {_fmt(float(step['value']))}"
-            interval = step["interval"]
-            if interval and not interval["unconstrained"]:
-                line += f"  interval [{_fmt(interval['lo'])}, {_fmt(interval['hi'])}]"
+            i, j = step.edge
+            line = f"filled ({i + 1},{j + 1}) = {_fmt(step.value)}"
+            if not step.interval.unconstrained:
+                line += f"  interval [{_fmt(step.interval.lo)}, {_fmt(step.interval.hi)}]"
             print(line)
         print(f"MT before = {_fmt(comp['mt_before'])}, MT after = {_fmt(comp['mt_after'])}")
     red = report.get("reduction")
     if red:
         for step in red["steps"]:
-            i, j = step["edge"]
-            print(
-                f"changed ({i},{j}): {_fmt(step['old_value'])} -> {_fmt(step['new_value'])}"
-                f"  MT {_fmt(step['mt_before'])} -> {_fmt(step['mt_after'])}"
-                + ("  [tie]" if step["tie"] else "")
-            )
+            i, j = step.edge
+            tie = "  [tie]" if step.tie else ""
+            print(f"changed ({i + 1},{j + 1}): {_fmt(step.old_value)} -> {_fmt(step.new_value)}"
+                  f"  MT {_fmt(step.mt_before)} -> {_fmt(step.mt_after)}{tie}")
         print(f"stop reason: {red['stop_reason']}")
         print(f"MT = {_fmt(red['mt_final'])} (was {_fmt(red['mt_initial'])})")
     matrix = report.get("matrix")
-    if matrix and not report.get("matrix_written"):
+    if matrix and not out:
         print("matrix:")
         for row in matrix:
             print("  " + ",".join(row))
@@ -179,15 +204,6 @@ def cmd_check(m, tokens, tol, args) -> tuple[dict, int]:
 
 def cmd_measure(m, tokens, tol, args) -> tuple[dict, int]:
     return {"measures": _measures_doc(triad_scan(m, tol))}, 0
-
-
-def _steps_doc(steps) -> list[dict]:
-    """Completion or reduction steps as their fields in order, the edge one-based."""
-    return [
-        {**vars(step), "edge": _one_based(step.edge),
-         "interval": {**vars(step.interval), "unconstrained": step.interval.unconstrained}}
-        for step in steps
-    ]
 
 
 def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
@@ -211,8 +227,7 @@ def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
     mode = args.mode
     if mode == "auto":
         mode = "consistent" if cls["consistent_completion_exists"] else "mt-preserving"
-    steps: list = []
-    joins: list = []
+    steps, joins = (), []
     if mode == "consistent":
         # Neither engine's steps are reported: the filled entries are the
         # unspecified pairs, and their values those cells of the matrix.
@@ -234,7 +249,7 @@ def cmd_complete(m, tokens, tol, args) -> tuple[dict, int]:
         completion = complete_mt_preserving(m, selection=args.selection, tol=tol, **join)
         result = completion.result
         engine = f"mt-preserving/{args.selection}"
-        steps = _steps_doc(completion.steps)
+        steps = completion.steps
         joins = [{"block_a": _one_based(j.block_a), "block_b": _one_based(j.block_b),
                   "u_vertex": j.u_vertex + 1, "v_vertex": j.v_vertex + 1, "scale": j.scale}
                  for j in completion.joins]
@@ -259,7 +274,7 @@ def cmd_reduce(m, tokens, tol, args) -> tuple[dict, int]:
                    edge_rule=args.edge)
     return {
         "reduction": {
-            "steps": _steps_doc(trace.steps),
+            "steps": trace.steps,
             "stop_reason": trace.stop_reason,
             "mt_initial": trace.mt_initial,
             "mt_final": trace.mt_final,
@@ -273,7 +288,7 @@ def _matrix_sections(rows: list[list[str]], out: str | None) -> dict:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines([",".join(row) + "\n" for row in rows])
-    return {"matrix": rows, "matrix_written": True} if out else {"matrix": rows}
+    return {"matrix": rows}
 
 
 def _add_command(sub, func, help: str) -> argparse.ArgumentParser:
@@ -346,7 +361,7 @@ def main(argv=None) -> int:
         if args.trace:
             print(_json(report))
         else:
-            _print_human(report)
+            _print_human(report, getattr(args, "out", None))
         return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ collapses at mt = 1), and the tests compare the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -218,3 +219,22 @@ def complete_consistent_chordal(
         entries[i, k], entries[k, i] = value, 1.0 / value
     _join_components(entries, m.graph.components, join_scale, join_u, join_v)
     return CompleteReciprocalMatrix(entries)
+
+
+def pc_plus_by_least_squares(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """PC+ from the log-domain fit log a[i,j] = w_i - w_j over the specified pairs i < j.
+
+    ``numpy.linalg.lstsq`` fits w; the data is PC+ when every residual is at most
+    ``log1p(tol.cons)``.  The signed residuals around any cycle sum to the log of its
+    product, so the fit is exact exactly when every cycle product is 1.  Unlike the
+    package's spanning-tree test it reads no graph, tree or component.  The two verdicts can
+    differ only on data within the tolerance band, where the residuals spread a cycle's
+    error over its edges.
+    """
+    i, j = np.nonzero(np.triu(~np.isnan(m.entries), 1))
+    design = np.zeros((len(i), m.n))
+    design[np.arange(len(i)), i] = 1.0
+    design[np.arange(len(i)), j] = -1.0
+    target = np.log(m.entries[i, j])
+    w = np.linalg.lstsq(design, target, rcond=None)[0]
+    return bool(np.all(np.abs(target - design @ w) <= math.log1p(tol.cons)))

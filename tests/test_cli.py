@@ -19,9 +19,11 @@ import cases
 import oracle
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, reduction
 from triadcomplete.cli import _json, main
+from triadcomplete.completion import CompletionStep, FeasibleInterval
 from triadcomplete.errors import MatrixError
 from triadcomplete.fileio import format_matrix, parse_matrix
 from triadcomplete.matrices import validate
+from triadcomplete.reduction import ReductionStep
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -657,7 +659,9 @@ class TestUsage:
 
 
 def _sanitised(value):
-    """The report as ``json.dumps`` is given it: arrays become lists, and non-finite floats None."""
+    """The report as ``json.dumps`` is given it: arrays become lists, non-finite floats None,
+    and each step record the dict of its fields, the edge one-based and the interval with
+    ``unconstrained``."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -666,6 +670,12 @@ def _sanitised(value):
         return [_sanitised(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, (CompletionStep, ReductionStep)):
+        interval = {**vars(value.interval), "unconstrained": value.interval.unconstrained}
+        doc = {**vars(value), "edge": [i + 1 for i in value.edge], "interval": interval}
+        return _sanitised(doc)
+    if isinstance(value, tuple):  # of step records
+        return [_sanitised(v) for v in value]
     return value
 
 
@@ -686,8 +696,28 @@ _ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
 _pairs = hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 3)), elements=_ints)
 
 
+# Step floats from subnormals to 1e308, with both zeros, inf and nan.
+_step_floats = st.floats(0.0, 1e308, exclude_min=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, math.inf, math.nan]
+)
+
+
+@st.composite
+def _step_tables(draw):
+    """0 to 40 records of one step type, their floats often one value repeated across fields."""
+    pool = draw(st.lists(_step_floats, min_size=1, max_size=3))
+    x = st.sampled_from(pool) | _step_floats
+    edge = st.tuples(st.integers(0, 300), st.integers(0, 300))
+    interval = st.builds(FeasibleInterval, x, x, x, x)
+    record = draw(st.sampled_from([
+        st.builds(CompletionStep, edge, interval, x, x, x),
+        st.builds(ReductionStep, edge, x, x, interval, x, x, st.booleans()),
+    ]))
+    return tuple(draw(st.lists(record, max_size=40)))
+
+
 _docs = st.recursive(
-    _scalars | _pairs | st.lists(_texts),  # and rows of cell text
+    _scalars | _pairs | st.lists(_texts) | _step_tables(),  # and rows of cell text
     lambda kids: st.lists(kids) | st.dictionaries(_texts, kids),
     max_leaves=40,
 )
@@ -740,10 +770,26 @@ class TestTraceEmitter:
         assert text == json.dumps(_sanitised(doc), indent=2)
         assert json.loads(text)["pairs"] == [[1, 3], [2, 4]]
 
+    def test_signed_zeros_in_one_step_table(self):
+        # -0.0 == 0.0 and both hash alike, so a memo keyed by value alone would
+        # write whichever zero came first for both.
+        interval = FeasibleInterval(0.0, -0.0, 0.0, 1.5)
+        doc = {"steps": (
+            ReductionStep((0, 1), 0.0, -0.0, interval, 1.5, -0.0, False),
+            ReductionStep((1, 2), -0.0, 0.0, FeasibleInterval(-0.0, 0.0, -0.0, 1.5), 0.0, 1.5, True),
+        )}
+        text = _json(doc)
+        assert text == json.dumps(_sanitised(doc), indent=2)
+        assert text.count(" -0.0") == text.count(" 0.0") == 6
+
+    _STEP = CompletionStep((0, 1), FeasibleInterval(0.5, 2.0, 1.0, 1.0), 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize(
         "value",
-        [(1, 2), np.float64(0.5), np.zeros((2, 2)), np.arange(3), np.ones((1, 2), dtype=bool), {1}],
-        ids=["tuple", "numpy-float", "float-array", "1-d-array", "bool-array", "set"],
+        [(1, 2), np.float64(0.5), np.zeros((2, 2)), np.arange(3), np.ones((1, 2), dtype=bool), {1},
+         (_STEP, CompletionStep((0, 2), _STEP.interval, np.float64(1.0), 1.0, 1.0))],
+        ids=["tuple", "numpy-float", "float-array", "1-d-array", "bool-array", "set",
+             "step-numpy-float"],
     )
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError, match="is not JSON serializable"):

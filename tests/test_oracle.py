@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from oracle import (
     brute_cycle_products,
     brute_mt,
     grid_interval,
+    pc_plus_by_least_squares,
 )
-from triadcomplete import SpecGraph, chordal_ordering, feasible_interval, mt, validate
+from triadcomplete import (
+    SpecGraph, chordal_ordering, feasible_interval, is_pc_plus, mt, validate
+)
 
 
 class TestBruteMt:
@@ -106,3 +110,36 @@ class TestGridInterval:
             assert emp.lo <= fi.lo * step * (1 + 1e-9)
             assert fi.hi / step <= emp.hi * (1 + 1e-9)
             assert emp.hi <= fi.hi * step * (1 + 1e-9)
+
+
+def _forest_and_chords(rng, n, parts):
+    """A random spanning forest of ``parts`` trees on shuffled labels, and at least one chord.
+
+    Each pair inside a tree that is not a tree edge becomes a chord with probability 2/n, so
+    every chord closes a cycle with its tree path.  Returns (edges, chords) as (min, max) pairs.
+    """
+    forest, others = [], []
+    for block in np.array_split(rng.permutation(n), parts):
+        block = block.tolist()
+        tree = {tuple(sorted((v, block[int(rng.integers(p))]))) for p, v in enumerate(block) if p}
+        forest += sorted(tree)
+        others += [e for e in combinations(sorted(block), 2) if e not in tree]
+    chords = [e for e in others if rng.random() < 2 / n] or [others[int(rng.integers(len(others)))]]
+    return forest + chords, chords
+
+
+class TestPcPlusByLeastSquares:
+    # Past the n <= 8 cycle enumeration: a consistent matrix on a sparse pattern is PC+, and
+    # doubling one chord puts a cycle product at 2, a log-domain margin of log 2 that no
+    # tolerance decides.  Both tests must say so, on one or two components.
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_agrees_with_spanning_tree_test(self, parts):
+        for n in range(3 if parts == 1 else 5, 41):
+            rng = np.random.default_rng(100 * parts + n)
+            edges, chords = _forest_and_chords(rng, n, parts)
+            full = cases.consistent_matrix(cases.random_weights(rng, n))
+            m = cases.mask_to_graph(full, SpecGraph.from_edges(n, edges))
+            assert pc_plus_by_least_squares(m) and is_pc_plus(m)[0], n
+            i, j = chords[int(rng.integers(len(chords)))]
+            bad = m.with_entry(i, j, 2.0 * float(m.entries[i, j]))
+            assert not pc_plus_by_least_squares(bad) and not is_pc_plus(bad)[0], n
