@@ -48,10 +48,10 @@ def _json(value, pad: str = "\n") -> str:
     ``CompletionStep``s or ``ReductionStep``s, written as their fields with the edge one-based
     and the interval's ``unconstrained`` added.  Both fill one :func:`_table` row template, the
     steps' floats from a memo local to the call that zeros bypass (``-0.0 == 0.0``).  A row
-    of strings is one join.
+    of strings that escaping leaves as they are is one join.
     """
     kind = type(value)
-    if kind is str:
+    if isinstance(value, str):
         return _json_string(value)
     if kind is int:
         return repr(value)
@@ -70,13 +70,14 @@ def _json(value, pad: str = "\n") -> str:
     if isinstance(value, list) or kind is tuple and not value:  # a file's Cells; no steps
         if not value:
             return "[]"
-        if set(map(type, value)) == {str}:
+        try:  # a row of strings joins
             text = "".join(value)
-            if len(_json_string(text)) == len(text) + 2:  # escaping always lengthens
+        except TypeError:
+            items = [_json(v, inner) for v in value]
+        else:  # exactly the strings encode_basestring_ascii leaves as they are
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
                 return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + pad + "]"
             items = map(_json_string, value)
-        else:
-            items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
         return _table(["%d"] * value.shape[1], len(value), value.ravel().tolist(), pad)

@@ -5,8 +5,8 @@ lines are comments.  A cell, stripped of whitespace, is ``?`` (unspecified, in
 symmetric pairs) or a number in one ASCII grammar on every Python version: a
 signed ``p/q`` of digit strings, or a signed decimal with an optional exponent.
 ``inf`` and ``nan`` are refused as not finite; any other cell cannot be parsed.
-Each cell is parsed once, into the grid that :class:`Cells` keep, and
-:func:`format_rows` keeps a token where that value equals the entry it writes.
+Each cell is parsed once, into the grid :class:`Cells` keep; :func:`format_rows` keeps a token
+where that value equals its entry and runs ``repr`` once per distinct changed bit pattern.
 """
 
 from __future__ import annotations
@@ -110,19 +110,18 @@ def format_rows(m: PartialReciprocalMatrix, source: Cells | None = None) -> list
     """Each row's cell text; a float is written by ``repr``, so it round-trips exactly.
 
     With ``source``, the cells of the file ``m`` came from, a cell whose parsed
-    value equals its entry keeps its spelling (fractions in particular), and
-    ``repr`` runs only on the cells that change.
+    value equals its entry keeps its spelling (fractions in particular).  ``repr`` runs
+    once per distinct changed value, told apart by bit pattern as ``-0.0 == 0.0``.
     """
-    e, rows = m.entries, []
-    for i in range(m.n):
-        if source is None:
-            cells, redo = [UNSPECIFIED] * m.n, np.arange(m.n)
-        else:  # NaN compares unequal, so every '?' cell and every unspecified entry is redone
-            cells, redo = list(source[i]), np.flatnonzero(source.values[i] != e[i])
-        for j, text in zip(redo.tolist(), map(repr, e[i, redo].tolist())):
-            cells[j] = UNSPECIFIED if text == "nan" else text
-        rows.append(cells)
-    return rows
+    e = m.entries
+    if source is None:
+        cells, redo = np.empty(e.shape, dtype=object), np.ones(e.shape, dtype=bool)
+    else:  # NaN compares unequal, so every '?' cell and every unspecified entry is redone
+        cells, redo = np.array(source, dtype=object), source.values != e
+    patterns, at = np.unique(e[redo].view(np.int64), return_inverse=True)
+    texts = [UNSPECIFIED if t == "nan" else t for t in map(repr, patterns.view(float).tolist())]
+    cells[redo] = np.array(texts, dtype=object)[at]
+    return cells.tolist()
 
 
 def format_matrix(m: PartialReciprocalMatrix, source: Cells | None = None) -> str:

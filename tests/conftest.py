@@ -12,6 +12,9 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# More examples, in a fixed order, for the CI step that runs the fuzz and the
+# formatter and trace-writer properties: `--hypothesis-profile=ci`.
+settings.register_profile("ci", parent=settings.get_profile("suite"), max_examples=200, derandomize=True)
 settings.load_profile("suite")
 
 

@@ -6,7 +6,9 @@ code with the package, so agreement between the two is meaningful
 evidence.  The consistent chordal engine fills one entry at a time with
 the value its common neighbors force; the package gets the same
 completion from the mt-preserving engine (every feasible interval
-collapses at mt = 1), and the tests compare the two.
+collapses at mt = 1), and the tests compare the two.  The per-cell
+formatter is the one ``fileio.format_rows`` replaced: it writes each cell
+on its own, with no de-duplication of values.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from triadcomplete.completion import _join_components
 from triadcomplete.errors import CompletionError, EntrySpecifiedError, MatrixError
+from triadcomplete.fileio import UNSPECIFIED, Cells
 from triadcomplete.graphs import chordal_ordering
 from triadcomplete.matrices import (
     DEFAULT_TOL,
@@ -238,3 +241,21 @@ def pc_plus_by_least_squares(m: PartialReciprocalMatrix, tol: Tolerances = DEFAU
     target = np.log(m.entries[i, j])
     w = np.linalg.lstsq(design, target, rcond=None)[0]
     return bool(np.all(np.abs(target - design @ w) <= math.log1p(tol.cons)))
+
+
+def format_rows_per_cell(m: PartialReciprocalMatrix, source: Cells | None = None) -> list[list[str]]:
+    """``fileio.format_rows`` one row at a time, with ``repr`` on every changed cell.
+
+    With ``source``, a cell whose parsed value equals its entry keeps its token;
+    every other cell is ``repr`` of its entry, and ``?`` where that is NaN.
+    """
+    e, rows = m.entries, []
+    for i in range(m.n):
+        if source is None:
+            cells, redo = [UNSPECIFIED] * m.n, np.arange(m.n)
+        else:  # NaN compares unequal, so every '?' cell and every unspecified entry is redone
+            cells, redo = list(source[i]), np.flatnonzero(source.values[i] != e[i])
+        for j, text in zip(redo.tolist(), map(repr, e[i, redo].tolist())):
+            cells[j] = UNSPECIFIED if text == "nan" else text
+        rows.append(cells)
+    return rows

@@ -679,9 +679,15 @@ def _sanitised(value):
     return value
 
 
+class _Text(str):
+    """A ``str`` subclass: ``json.dumps`` writes it as a string, and so must ``_json``."""
+
+
 _texts = st.text() | st.sampled_from(
-    ["", "é", '"q"', "back\\slash", "\x00\x1f\n\t", "\u2028", "\U0001f600", "100%", "%d %r %%"]
+    ["", "é", '"q"', "back\\slash", "\x00\x1f\n\t", "\x7f", "\u2028", "\U0001f600", "100%",
+     "%d %r %%"]
 )
+_texts |= _texts.map(_Text)
 _scalars = (
     st.none()
     | st.booleans()
@@ -717,7 +723,8 @@ def _step_tables(draw):
 
 
 _docs = st.recursive(
-    _scalars | _pairs | st.lists(_texts) | _step_tables(),  # and rows of cell text
+    # and rows of cell text, also mixed with other scalars
+    _scalars | _pairs | st.lists(_texts) | st.lists(_scalars) | _step_tables(),
     lambda kids: st.lists(kids) | st.dictionaries(_texts, kids),
     max_leaves=40,
 )
@@ -747,7 +754,7 @@ def _assert_round_trips(out: str) -> None:
 
 
 class TestTraceEmitter:
-    @settings(max_examples=120)
+    @settings(max_examples=3 * settings.default.max_examples)  # 120 at the suite profile
     @given(_docs)
     def test_equals_json_dumps_indent_two(self, doc):
         assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
@@ -769,6 +776,17 @@ class TestTraceEmitter:
         text = _json(doc)
         assert text == json.dumps(_sanitised(doc), indent=2)
         assert json.loads(text)["pairs"] == [[1, 3], [2, 4]]
+
+    @pytest.mark.parametrize("char", ['"', "\\", "\x1f", "\x7f", "é", "\u2028"],
+                             ids=["quote", "backslash", "unit-separator", "delete", "e-acute", "line-separator"])
+    def test_each_escape_class_in_a_row(self, char):
+        # One character escaping changes puts the whole row through per-item escaping.
+        for row in (["1", f"a{char}b", "?"], [char], ["7/3", _Text(char)]):
+            assert _json({"matrix": [row]}) == json.dumps({"matrix": [row]}, indent=2)
+
+    def test_str_subclasses_are_strings(self):
+        doc = {_Text("key"): [_Text("1/3"), "?"], "one": _Text("x"), "mixed": [_Text("a"), 1, None]}
+        assert _json(doc) == json.dumps(doc, indent=2)
 
     def test_signed_zeros_in_one_step_table(self):
         # -0.0 == 0.0 and both hash alike, so a memo keyed by value alone would

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cases
-from triadcomplete import validate
+import oracle
+from triadcomplete import PartialReciprocalMatrix, complete_consistent_pc_plus, fileio, validate
 from triadcomplete.errors import MatrixFileError
-from triadcomplete.fileio import _token_value, format_matrix, format_rows, parse_matrix
+from triadcomplete.fileio import Cells, _token_value, format_matrix, format_rows, parse_matrix
 
 FIVE_TEXT = """\
 # demo matrix, two unspecified comparisons
@@ -175,3 +177,65 @@ class TestFormatOnce:
         m, cells = parse_matrix(FIVE_TEXT)
         assert format_rows(m, cells) == [list(row) for row in cells]
         assert format_rows(m)[0][4] == "?"
+
+
+# NaNs of several payloads, both signs, quiet and signalling: every one is written '?'.
+_NANS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(float).tolist()
+# Both zeros, subnormals and the ends of the double range.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-308, 1e308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1]
+# A cell is a (value, token) pair: a fraction keeps its p/q spelling, a float its repr.
+_valued_tokens = (
+    st.builds(lambda p, q: (p / q, f"{p}/{q}"), st.integers(1, 60), st.integers(1, 60))
+    | (st.floats(allow_nan=False) | st.sampled_from(_EDGE_FLOATS)).map(lambda x: (x, repr(x)))
+    | st.sampled_from(_NANS).map(lambda x: (x, "?"))
+)
+
+
+@st.composite
+def _formatted(draw):
+    """A matrix of n 1-40 and the cells of a file, both drawn from one small pool of
+    (value, token) pairs, so values repeat and many cells equal their entry."""
+    pool = draw(st.lists(_valued_tokens, min_size=1, max_size=8))
+    pool += draw(st.sampled_from([[], [(0.0, "0.0"), (-0.0, "-0.0")]]))  # often both zeros
+    n = draw(st.integers(1, 40))
+    picks = hnp.arrays(np.intp, (n, n), elements=st.integers(0, len(pool) - 1))
+    values = np.array([v for v, _ in pool])
+    entries, cells = draw(picks), draw(picks)
+    source = Cells([[pool[k][1] for k in row] for row in cells.tolist()])
+    source.values = values[cells]
+    return PartialReciprocalMatrix(values[entries]), source
+
+
+class TestFormatDistinctValues:
+    @given(_formatted())
+    def test_equals_the_per_cell_reference(self, case):
+        m, source = case
+        assert format_rows(m, source) == oracle.format_rows_per_cell(m, source)
+        assert format_rows(m) == oracle.format_rows_per_cell(m)
+
+    def test_signed_zeros_keep_their_own_text(self):
+        # -0.0 == 0.0, so values told apart by equality would share one text.
+        m = PartialReciprocalMatrix(np.array([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]]))
+        want = [["1.0", "-0.0", "0.0"], ["0.0", "1.0", "-0.0"], ["-0.0", "0.0", "1.0"]]
+        assert format_rows(m) == want == oracle.format_rows_per_cell(m)
+        source = Cells([["1", "?", "?"], ["?", "1", "?"], ["?", "?", "1"]])
+        source.values = np.where(np.eye(3) == 1, 1.0, np.nan)
+        assert format_rows(m, source) == [["1", *want[0][1:]], ["0.0", "1", "-0.0"], [*want[2][:2], "1"]]
+
+    def test_repr_runs_once_per_distinct_changed_value(self, monkeypatch):
+        # Saaty-scale weights: ratios of weights repeat, as on consistent-large.
+        rng = np.random.default_rng(64)
+        full = cases.consistent_matrix(rng.integers(1, 10, 64).astype(float))
+        m, cells = parse_matrix(format_matrix(cases.mask_to_graph(full, cases.random_sparse_graph(rng, 64))))
+        result = complete_consistent_pc_plus(m)
+        changed = result.entries[cells.values != result.entries]
+        texts = []
+        monkeypatch.setattr(fileio, "repr", lambda x: texts.append(repr(x)) or texts[-1], raising=False)
+        rows = format_rows(result, cells)
+        assert len(texts) == len(np.unique(changed.view(np.int64))) < len(changed) // 2
+        monkeypatch.undo()
+        assert rows == oracle.format_rows_per_cell(result, cells)
