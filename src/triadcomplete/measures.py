@@ -1,14 +1,14 @@
 """Triad scan and inconsistency measures.
 
-The central measure is the maximum 3-cycle product over fully specified
-triads, written ``mt`` here.  It is 1 exactly when every specified triad
-is consistent, and it applies unchanged to partial matrices (defaulting
-to 1 when no triad is fully specified).  :func:`triad_scan` reads the
-:class:`TriadTables` that the one full scan builds in O(n^3) and a changed
-pair updates in O(n^2); on the fill path :func:`new_triads_mt` forms the six
-oriented products of each new triad in float arithmetic, all grouped
-``(a * b) * c`` alike and so bitwise a rescan (a Python float multiply rounds
-as a numpy float64 one).
+The central measure is the maximum 3-cycle product over fully specified triads,
+written ``mt`` here.  It is 1 exactly when every specified triad is consistent,
+and it applies unchanged to partial matrices (defaulting to 1 when no triad is
+fully specified).  :func:`triad_scan` reads the :class:`TriadTables` that the
+one full scan builds in O(n^3) and a changed pair updates in O(n^2); one
+function, :func:`_middle_products`, forms every middle's table for both and for
+:func:`mt_pass`.  On the fill path :func:`new_triads_mt` forms the six oriented
+products of each new triad in float arithmetic, grouped ``(a * b) * c`` alike
+and so bitwise a rescan (a Python float multiply rounds as numpy's).
 """
 
 from __future__ import annotations
@@ -85,20 +85,20 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> Tri
 class TriadTables:
     """Two n x n tables of a full triad scan, kept in step as one pair at a time changes.
 
-    ``prods_j[i, k] = (e[i,j] * e[j,k]) * e[k,i]`` for middle j is formed as ``[k, i]``; NaN
-    poisons exactly the incomplete triads.  ``mid[j, i]`` is the largest of row i of
-    ``prods_j`` (mt is the largest ``mid``) and ``row_peak[i, j]`` the largest max(v, 1/v)
-    over the triads i < j < k, v = ``prods_j[i, k]``; closeness to the peak grows with the
-    value, so the first close row holds the worst triad.  A changed pair (a, b) moves only
-    middles a and b and rows a and b, an n x n array each: an update is O(n^2) and, grouped
-    ``(a * b) * c`` alike, bitwise a rescan, overflow included.  ``entries`` is not copied.
+    Every middle j's table ``prods_j`` comes from :func:`_middle_products`, for the build, an
+    update and the overflow message; NaN poisons exactly the incomplete triads.  ``mid[j, i]``
+    is the largest of row i of ``prods_j`` (mt is the largest ``mid``) and ``row_peak[i, j]``
+    the largest max(v, 1/v) over the triads i < j < k, v = ``prods_j[i, k]``; closeness to the
+    peak grows with the value, so the first close row holds the worst triad.  A changed pair
+    (a, b) moves only middles a and b and rows a and b, an n x n array each: an update is
+    O(n^2) and bitwise a rescan, overflow included.  ``entries`` is not copied.
     """
 
     def __init__(self, entries: np.ndarray) -> None:
         e, n = entries, entries.shape[0]
         self.entries, self.mid, self.row_peak = e, np.empty((n, n)), np.zeros((n, n))
         with np.errstate(over="ignore", divide="ignore"):
-            for j, ks, prods in _middle_products(e):
+            for j, ks, prods in _scan_middles(e):
                 np.fmax.reduce(prods, axis=0, out=self.mid[j], initial=math.nan)  # rows may be 0
                 _peaks(prods[np.searchsorted(ks, j, "right") :, :j], self.row_peak[:j, j])
         self._check_overflow()
@@ -124,7 +124,7 @@ class TriadTables:
     def _update(self, e: np.ndarray, mid: np.ndarray, a: int, b: int, peaks: bool) -> None:
         with np.errstate(over="ignore", divide="ignore"):
             for x in (a, b):
-                prods = (e[x, :, None] * e[:, x]) * e  # [k, i]; e[x,k] * e[i,x] commutes exactly
+                prods = _middle_products(e, e.T, x)
                 rows = (e.T * e[x]) * e[:, x, None]  # [k, j] = prods_j[x, k]
                 np.fmax.reduce(prods, axis=0, out=mid[x])
                 np.fmax.reduce(rows, axis=0, out=mid[:, x])
@@ -138,7 +138,7 @@ class TriadTables:
         if bad.any():
             e, j = self.entries, int(np.argmax(bad))
             with np.errstate(over="ignore", divide="ignore"):
-                prods = (e[j, :, None] * e[:, j]) * e
+                prods = _middle_products(e, e.T, j)
                 i, k = np.argwhere((np.isinf(prods) | np.isinf(1.0 / prods)).T)[0]
             a, b, c = sorted(int(x) + 1 for x in (i, j, k))
             raise MatrixError(f"triad ({a}, {b}, {c}): 3-cycle product overflows")
@@ -160,19 +160,19 @@ class TriadTables:
         return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, self.count)
 
 
-def _middle_products(e: np.ndarray):
-    """Each middle j, the ascending k with ``e[j, k]`` specified, and ``prods_j`` on those rows.
+def _middle_products(e, e_t, j, rows=slice(None), out=None) -> np.ndarray:
+    """Middle j's table ``[k, i] = (e[j,k] * e[i,j]) * e[k,i]``, k in ``rows``; ``e_t`` is e.T."""
+    prods = np.multiply(e[j, rows, None], e_t[j], out=out)
+    return np.multiply(prods, e[rows], out=prods)
 
-    Its other rows are NaN; the rows are formed ``[k, i]`` in one buffer that the next j reuses.
-    """
-    e_t, buf = np.ascontiguousarray(e.T), np.empty(e.shape)
+
+def _scan_middles(e: np.ndarray):
+    """Each middle j, the ascending k with ``e[j, k]`` specified, and its table on those k."""
+    e_t, buf = np.ascontiguousarray(e.T), np.empty(e.shape)  # the next j reuses the buffer
     for j in range(e.shape[0]):
         ks = np.flatnonzero(~np.isnan(e[j]))
         rows = slice(None) if len(ks) == len(e) else ks  # a full row needs no copies
-        prods = buf[: len(ks)]
-        np.multiply(e[j, rows, None], e_t[j], out=prods)
-        prods *= e[rows]
-        yield j, ks, prods
+        yield j, ks, _middle_products(e, e_t, j, rows, buf[: len(ks)])
 
 
 def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima of max(v, 1/v)
@@ -214,7 +214,7 @@ def mt_pass(m: PartialReciprocalMatrix) -> float:
     """
     top, low = 1.0, math.inf
     with np.errstate(over="ignore", divide="ignore"):
-        for _, _, prods in _middle_products(m.entries):
+        for _, _, prods in _scan_middles(m.entries):
             top = np.fmax.reduce(prods, axis=None, initial=top)
             low = np.fmin.reduce(prods, axis=None, initial=low)
         if top == math.inf or 1.0 / low == math.inf:

@@ -302,6 +302,15 @@ class TestComplete:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("cmp", [[], ["--tol-cmp", "1e-7"], ["--tol-cmp", "1e-2"]])
+    def test_pcm_reads_the_consistency_tolerance(self, write, capsys, cmp):
+        # The worst triad, {1, 2, 3}, is 1 + 1e-5: a PCM at --tol-cons 1e-3,
+        # whether --tol-cmp lies below that product or above it.
+        path = write("near.csv", "1,100001/100000,1,?\n100000/100001,1,1,1\n1,1,1,1\n?,1,1,1\n")
+        code, doc = run_json(["complete", path, "--tol-cons", "1e-3", *cmp], capsys)
+        assert code == 0 and doc["classification"]["pcm"] is True
+        assert doc["completion"]["engine"] == "consistent-chordal"
+
 
 class TestReduce:
     def test_perturbed_four_by_four(self, write, capsys, rng):

@@ -20,6 +20,7 @@ from oracle import (
 from triadcomplete import (
     DEFAULT_TOL,
     SpecGraph,
+    Tolerances,
     chordal_ordering,
     complete_consistent_pc_plus,
     complete_mt_preserving,
@@ -365,6 +366,12 @@ class TestFeasibleInterval:
         assert fi.lo == 0.0 and math.isinf(fi.hi) and fi.minimax == 1.0
         assert cases.minimax_value(fi) == 1.0
 
+    def test_sentinel_selects_one_and_an_unknown_rule_is_refused(self):
+        sentinel = FeasibleInterval.of(None, None, 2.0)
+        assert [select_value(sentinel, s) for s in SELECTIONS] == [1.0] * len(SELECTIONS)
+        with pytest.raises(ValueError, match="unknown selection rule 'median'"):
+            select_value(FeasibleInterval(0.5, 2.0, 1.0, 2.0), "median")
+
     def test_specified_entry_rejected(self):
         with pytest.raises(EntrySpecifiedError):
             feasible_interval(cases.five_partial(), 2, 3)
@@ -550,6 +557,30 @@ class TestCompleteMtPreserving:
         monkeypatch.setattr(completion, "select_value", lambda interval, selection: 2 * interval.hi)
         with pytest.raises(AssertionError, match=re.escape("measure increased at (1, 4): 4.0 -> ")):
             complete_mt_preserving(cases.five_partial())
+
+    @staticmethod
+    def fill_1_4(ratio, tol):
+        # Vertices 2 and 3 are adjacent and both neighbours of 1 and 4, so
+        # filling (1, 4) against mt = 1 meets the products 1 and ``ratio``.
+        m = validate([[1, 1, 1, None], [None, 1, 1, 1], [None, None, 1, ratio], [None] * 3 + [1]])
+        return completion._fill_step(np.array(m.entries), list(m.graph.bits), 0, 3, 1.0,
+                                     "minimax", tol)
+
+    def test_empty_interval_check_at_its_threshold(self):
+        # The interval [ratio, 1] counts as empty only past the comparison tolerance.
+        tol = Tolerances(cmp=1e-4)
+        assert self.fill_1_4(1.0 + tol.cmp / 2, tol).edge == (0, 3)
+        with pytest.raises(AssertionError, match=re.escape("empty feasible interval at (0, 3)")):
+            self.fill_1_4(1.0 + 2 * tol.cmp, tol)
+
+    def test_measure_increase_check_at_its_threshold(self, monkeypatch):
+        # New triads above mt = 1 count as a raised measure only past the tolerance.
+        tol = Tolerances(cmp=1e-4)
+        monkeypatch.setattr(completion, "new_triads_mt", lambda *args: 1.0 + tol.cmp / 2)
+        assert self.fill_1_4(1.0, tol).mt_after == 1.0 + tol.cmp / 2
+        monkeypatch.setattr(completion, "new_triads_mt", lambda *args: 1.0 + 2 * tol.cmp)
+        with pytest.raises(AssertionError, match=re.escape("measure increased at (0, 3)")):
+            self.fill_1_4(1.0, tol)
 
     def test_out_of_range_join_names_the_first_cell(self):
         # At scale 1e308 the cross cells (1, 4), (2, 3) and (2, 4) overflow;

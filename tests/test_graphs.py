@@ -1,3 +1,4 @@
+import re
 from collections import deque
 from itertools import combinations, permutations
 
@@ -190,6 +191,13 @@ class TestFromMatrix:
         np.fill_diagonal(entries, np.nan)
         g = SpecGraph.from_matrix(PartialReciprocalMatrix(entries))
         assert g == SpecGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 2), (1, 1)])
+    def test_refuses_an_invalid_edge(self, edge):
+        with pytest.raises(ValueError, match=re.escape(f"invalid edge {edge} for 3 vertices")):
+            SpecGraph.from_edges(3, [(0, 1), edge])
 
 
 class TestIsChordal:

@@ -86,6 +86,17 @@ class TestValidate:
             validate([[1, 2], [0.5, 1], [1, 1]])
         with pytest.raises(NonSquareError):
             validate([[1, 2, 3], [0.5, 1, 1]])
+        with pytest.raises(NonSquareError):
+            validate(np.ones((2, 3)))
+        with pytest.raises(NonSquareError):
+            PartialReciprocalMatrix(np.ones((2, 3)))
+        with pytest.raises(NonSquareError):
+            PartialReciprocalMatrix(np.ones(3))
+
+    def test_empty(self):
+        for raw in ([], np.empty((0, 0))):
+            with pytest.raises(MatrixError, match="matrix must have at least one row"):
+                validate(raw)
 
     def test_non_positive_entry(self):
         with pytest.raises(NonPositiveEntryError):
@@ -175,6 +186,12 @@ class TestEntryEditing:
         with pytest.raises(ReciprocalOverflowError, match=re.escape("entry (1, 3) = 1e-310")):
             m.with_entry(0, 2, 1e-310)
         assert m.with_entry(0, 2, sys.float_info.min).entries[2, 0] == 1 / sys.float_info.min
+
+    def test_with_entry_refuses_a_value_out_of_range(self):
+        m = validate([[1, 2], [0.5, 1]])
+        for value in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveEntryError):
+                m.with_entry(0, 1, value)
 
     def test_without_entry_masks_pair(self):
         m = validate([[1, 2], [0.5, 1]]).without_entry(0, 1)

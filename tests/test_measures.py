@@ -19,6 +19,7 @@ from triadcomplete import (
     complete_mt_preserving,
     is_pc_plus,
     is_pcm,
+    measures,
     mt,
     tree_weights,
     connected_components,
@@ -26,7 +27,7 @@ from triadcomplete import (
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
 from triadcomplete.completion import FeasibleInterval
-from triadcomplete.measures import TriadTables, mt_pass, new_triads_mt, triad_scan
+from triadcomplete.measures import TriadProduct, TriadTables, mt_pass, new_triads_mt, triad_scan
 
 weight_vectors = st.lists(
     st.floats(0.2, 5.0, allow_nan=False), min_size=3, max_size=6
@@ -275,6 +276,13 @@ class TestMaxTriadAndKoczkodaj:
         m = cases.consistent_matrix(w)
         assert triad_scan(m).koczkodaj == pytest.approx(0.0, abs=1e-9)
 
+    def test_triad_product_refuses_unordered_indices_and_bad_values(self):
+        with pytest.raises(ValueError, match="triad indices must be ascending"):
+            TriadProduct(0, 2, 1, 1.0)
+        for value in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="triad product must be positive"):
+                TriadProduct(0, 1, 2, value)
+
 
 def enumerated_worst(m, tol=DEFAULT_TOL):
     """Worst triad, tie flag and count from the reference enumeration."""
@@ -416,6 +424,41 @@ class TestTriadTables:
         assert str(scan_error.value) == "triad (1, 3, 5): 3-cycle product overflows"
         with pytest.raises(MatrixError, match=re.escape(str(scan_error.value))):
             tables.set(2, 4, big)
+
+
+class TestOneKernel:
+    def test_every_middle_table_comes_from_the_kernel(self, rng, monkeypatch):
+        # The build and mt_pass form one table per middle, a set or cleared pair
+        # (a, b) the tables of middles a and b, and an overflow message the one
+        # middle it names: all through _middle_products, so all group alike.
+        kernel, middles = measures._middle_products, []
+
+        def counted(e, e_t, j, *rest):
+            middles.append(j)
+            return kernel(e, e_t, j, *rest)
+
+        monkeypatch.setattr(measures, "_middle_products", counted)
+        n = 7
+        m = cases.random_prm(rng, n, p=0.6)
+        tables = TriadTables(np.array(m.entries))
+        assert middles == list(range(n))
+        middles.clear()
+        assert mt_pass(m) == tables.scan().mt and middles == list(range(n))
+        for a, b in ((1, 4), (0, 6)):
+            middles.clear()
+            tables.cleared(a, b)
+            assert middles == [a, b]
+            middles.clear()
+            tables.set(a, b, 2.0)
+            assert middles == [a, b]
+        raw = np.ones((6, 6))
+        raw[0, 2] = 1e200
+        raw[np.tril_indices(6)] = np.nan
+        tables = TriadTables(np.array(validate(raw).entries))
+        middles.clear()
+        with pytest.raises(MatrixError, match=re.escape("triad (1, 3, 5)")):
+            tables.set(2, 4, 1e200)
+        assert middles[:2] == [2, 4] and len(middles) == 3
 
 
 class TestMtPass:

@@ -11,6 +11,7 @@ import oracle
 from oracle import specified_triads
 from triadcomplete import (
     DEFAULT_TOL,
+    Tolerances,
     completion,
     mt,
     reduce,
@@ -234,6 +235,21 @@ class TestReduce:
         assert trace.stop_reason == STOP_TIE
         assert trace.steps == ()
         assert trace.mt_final == pytest.approx(9.0, rel=1e-9)
+
+    def test_a_step_within_the_comparison_tolerance_is_not_applied(self):
+        # MT is 1.25, and the best step (repairing (1, 2)) leaves the triads
+        # through (4, 5) at 1.2: a decrease of 4%, inside cmp = 10%, so no cell
+        # changes.  In exact arithmetic a step this small leaves a second triad
+        # within cmp of the peak, so the stop is a tie.
+        raw = np.ones((5, 5))
+        raw[0, 1], raw[3, 4] = 1.25, 1.2
+        raw[np.tril_indices(5, -1)] = np.nan
+        m = validate(raw).to_complete()
+        tol = Tolerances(cmp=0.1)
+        assert reduce_step(m, tol)[1].mt_after == 1.2
+        trace = reduce(m, tol=tol)
+        assert trace.steps == () and trace.stop_reason == STOP_TIE
+        assert np.array_equal(trace.result.entries, m.entries) and trace.mt_final == 1.25
 
     def test_result_remains_valid_reciprocal(self, rng):
         m, _, _ = cases.perturbed_consistent(rng, 6)

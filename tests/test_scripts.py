@@ -118,3 +118,20 @@ def test_readme_library_block_runs():
     exec(compile(block, "README.md", "exec", optimize=0), {})  # its asserts run under -O too
     # The reference names every public name, so the two cannot drift apart.
     assert set(triadcomplete.__all__) <= set(re.findall(r"`(\w+)", library))
+
+
+def test_mutation_sample_names_live_code_and_tests():
+    # Each mutant's old text occurs exactly once under src/, in the file it
+    # names, so a refactor that moves or rewrites a check shows here, and
+    # each killing test's file exists.
+    spec = importlib.util.spec_from_file_location(
+        "mutation_sample", ROOT / "scripts" / "mutation_sample.py"
+    )
+    mutation_sample = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutation_sample)
+    package = ROOT / "src" / "triadcomplete"
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    for path, old, new, test in mutation_sample.MUTANTS:
+        assert sum(text.count(old) for text in sources.values()) == 1, old
+        assert old in sources[path] and new != old
+        assert (ROOT / test.split("::")[0]).is_file()

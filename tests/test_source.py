@@ -198,3 +198,33 @@ def test_no_second_triad_set_route():
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in removed
     ]
     assert found == []
+
+
+def _lays_a_row_along_k(fn):
+    # ``e[j, rows, None]``: row j of the matrix as a column, the first factor
+    # of a middle table ``[k, i]``.
+    return any(
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Tuple)
+        and len(node.slice.elts) == 3
+        and not isinstance(node.slice.elts[0], ast.Slice)
+        and ast.unparse(node.slice.elts[2]) == "None"
+        for node in ast.walk(fn)
+    )
+
+
+def test_one_triad_kernel():
+    # Every middle table of measures.py is formed by one function: the build
+    # and mt_pass reach it through the full-scan generator, an update and the
+    # overflow message call it directly, so all group their products alike.
+    path = SRC / "measures.py"
+    fns = {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert [name for name, fn in fns.items() if _lays_a_row_along_k(fn)] == ["_middle_products"]
+    for caller in ("_scan_middles", "_update", "_check_overflow"):
+        assert "_middle_products" in _called_names(fns[caller])
+    for caller in ("__init__", "mt_pass"):
+        assert "_scan_middles" in _called_names(fns[caller])
