@@ -17,10 +17,11 @@ run both sides from the same directory with the same relative paths.
 36 per workload that ``perfbench/run.py`` times), written by
 ``perfbench/workloads.py`` into a temporary directory and run from there
 under relative names such as ``consistent-large-07.csv``.  It imports
-that module without changing it, and it needs networkx.  Four seeded
+that module without changing it, and it needs networkx.  Six seeded
 chordal files follow them (``CHORDAL``: a star at n=96, a tree at n=48, a
-clique-attached graph at n=64 and two components of 32), so the chordal
-ordering and the fill are digested at sizes the benchmark never reaches.
+clique-attached graph at n=64, two components of 32, and a tree and a
+clique-attached graph at n=128), so the chordal ordering and the fill are
+digested at sizes the benchmark never reaches.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ CHORDAL = {
     "chordal-tree-48.csv": [("tree", 48)],
     "chordal-clique-64.csv": [("clique", 64)],
     "chordal-two-32.csv": [("clique", 32), ("tree", 32)],
+    "chordal-tree-128.csv": [("tree", 128)],
+    "chordal-clique-128.csv": [("clique", 128)],
 }
 
 

@@ -1,4 +1,4 @@
-"""Check that each tolerance and kernel check has a test that fails when the check is broken.
+"""Check that each tolerance, kernel and ordering check has a test that fails when it is broken.
 
     python scripts/mutation_sample.py
 
@@ -78,21 +78,36 @@ MUTANTS = [
         "tie = len(rows) > 1 or abs(low / peak - 1.0) <= tol.cmp",
         "tests/test_measures.py::TestTriadScan::test_random_partial_matrices",
     ),
-    # The chordal ordering forgets its rejections and retests every candidate.
+    # The chordal ordering retests a rejected pair whenever its separator grows,
+    # not only when the growth meets the path the pair was rejected with.
     (
         "graphs.py",
-        "if common != cuts[p]:",
+        "if paths[pair] >> b & 1:",
         "if True:",
         "tests/test_graphs.py::TestChordalOrdering::test_separator_tests_per_accepted_edge_stay_within_n[64]",
     ),
-    # The triad kernel groups its product e[j,k] * (e[i,j] * e[k,i]).
+    # The chordal ordering never tests again a pair at an accepted edge's end.
+    (
+        "graphs.py",
+        "heappush(heap, (-pair[0], -pair[1]))",
+        "pass",
+        "tests/test_graphs.py::TestChordalOrdering::test_equals_restart_scan_at_scale",
+    ),
+    # The triad kernel groups its products e[j,k] * (e[i,j] * e[k,i]).
     (
         "measures.py",
-        "prods = np.multiply(e[j, rows, None], e_t[j], out=out)\n"
-        "    return np.multiply(prods, e[rows], out=prods)",
-        "prods = np.multiply(e_t[j], e[rows], out=out)\n"
-        "    return np.multiply(prods, e[j, rows, None], out=prods)",
+        "prods = np.multiply(jk, ij, out=out)\n"
+        "    return np.multiply(prods, ki, out=prods)",
+        "prods = np.multiply(ij, ki, out=out)\n"
+        "    return np.multiply(prods, jk, out=prods)",
         "tests/test_measures.py::TestTriadTables::test_updates_equal_a_fresh_scan",
+    ),
+    # The gathered triples group their products (e[k,i] * e[i,j]) * e[j,k].
+    (
+        "measures.py",
+        "jk, ij, ki = e.take(j * n + k), e_t.take(j * n + i), e.take(k * n + i)",
+        "jk, ij, ki = e.take(k * n + i), e_t.take(j * n + i), e.take(j * n + k)",
+        "tests/test_measures.py::TestGatheredScan::test_equals_the_per_middle_tables_bit_for_bit",
     ),
     # A set pair leaves the row peaks as they were.
     (
@@ -100,6 +115,34 @@ MUTANTS = [
         "self._update(e, self.mid, a, b, peaks=True)",
         "self._update(e, self.mid, a, b, peaks=False)",
         "tests/test_measures.py::TestTriadTables::test_updates_equal_a_fresh_scan",
+    ),
+    # The comparison tolerance's floor at half its value.
+    (
+        "matrices.py",
+        "if self.cmp < CMP_FLOOR:",
+        "if self.cmp < CMP_FLOOR / 2:",
+        "tests/test_cli.py::TestUsage::test_comparison_tolerance_below_the_floor_exits_two",
+    ),
+    # validate's reciprocity test at twice the reciprocity tolerance.
+    (
+        "matrices.py",
+        "np.abs(product - 1.0) > tol.rec,",
+        "np.abs(product - 1.0) > 2 * tol.rec,",
+        "tests/test_matrices.py::TestValidate::test_reciprocity_check_at_its_threshold",
+    ),
+    # validate stores a pair whose reciprocal underflows to 0.
+    (
+        "matrices.py",
+        "(mirror == 0.0) | (mirror == np.inf),",
+        "(mirror == np.inf),",
+        "tests/test_matrices.py::TestValidate::test_reciprocal_out_of_range",
+    ),
+    # The PC+ test's tree check at twice the consistency tolerance.
+    (
+        "measures.py",
+        "off = np.argwhere(np.triu(np.abs(ratio - 1.0) > tol.cons, 1))",
+        "off = np.argwhere(np.triu(np.abs(ratio - 1.0) > 2 * tol.cons, 1))",
+        "tests/test_measures.py::TestIsPcPlus::test_violation_check_at_its_threshold",
     ),
 ]
 

@@ -175,10 +175,8 @@ def _print_human(report: dict, out: str | None) -> None:
                 print(f"filled ({i},{j}) = {_fmt(float(report['matrix'][i - 1][j - 1]))}")
         for step in comp["steps"]:
             i, j = step.edge
-            line = f"filled ({i + 1},{j + 1}) = {_fmt(step.value)}"
-            if not step.interval.unconstrained:
-                line += f"  interval [{_fmt(step.interval.lo)}, {_fmt(step.interval.hi)}]"
-            print(line)
+            print(f"filled ({i + 1},{j + 1}) = {_fmt(step.value)}"
+                  f"  interval [{_fmt(step.interval.lo)}, {_fmt(step.interval.hi)}]")
         print(f"MT before = {_fmt(comp['mt_before'])}, MT after = {_fmt(comp['mt_after'])}")
     red = report.get("reduction")
     if red:

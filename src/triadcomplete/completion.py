@@ -107,7 +107,8 @@ def feasible_interval(m: PartialReciprocalMatrix, i: int, k: int) -> FeasibleInt
     bits = m.graph.bits
     if bits[i] >> k & 1:
         raise EntrySpecifiedError(i, k)
-    return _interval(m.entries, i, k, members(bits[i] & bits[k]), mt(m))[0]
+    e, js = m.entries, members(bits[i] & bits[k])
+    return _interval(e[i, js].tolist(), e[js, k].tolist(), js, i, k, mt(m))
 
 
 def select_value(interval: FeasibleInterval, selection: str) -> float:
@@ -224,49 +225,52 @@ def join_blocks(
     return CompleteReciprocalMatrix(entries)
 
 
-def _interval(entries: np.ndarray, i: int, k: int, js: list[int], context: float):
-    """Interval of the NaN (i, k) against ``context``, and the lists [i, J], [J, k], [k, J], [J, i].
+def _interval(ij: list[float], jk: list[float], js: list[int], i: int, k: int, context: float):
+    """Interval of the unspecified (i, k) against ``context``, from the floats at [i, J], [J, k].
 
-    J is ``js``, the common neighbors.  Rows and columns i and k are read once as Python floats;
-    all else is float arithmetic, which rounds as numpy's float64 does.  A product
-    ``a[i,j]·a[j,k]`` that is not a normal double (an interval-end fill can make one; a
-    subnormal one has lost bits) raises :class:`MatrixError` naming the entry and that j.
+    J is ``js``, the common neighbors, and the rest is float arithmetic, which rounds as
+    numpy's float64 does.  A product ``a[i,j]·a[j,k]`` that is not a normal double (an
+    interval-end fill can make one; a subnormal one has lost bits) raises
+    :class:`MatrixError` naming the entry and that j.
     """
-    rows = entries[i].tolist(), entries[:, k].tolist(), entries[k].tolist(), entries[:, i].tolist()
-    ij, jk, kj, ji = ([row[j] for j in js] for row in rows)
     s = [a * b for a, b in zip(ij, jk)]
     s_min, s_max = (min(s), max(s)) if s else (None, None)
     if s and not (sys.float_info.min <= s_min and s_max < math.inf):
         j = next(j for j, p in zip(js, s) if not sys.float_info.min <= p < math.inf)
         raise MatrixError(f"entry ({i + 1}, {k + 1}): product through {j + 1} is out of range")
-    return FeasibleInterval.of(s_min, s_max, context), (ij, jk, kj, ji)
+    return FeasibleInterval.of(s_min, s_max, context)
 
 
 def _fill_step(
-    entries: np.ndarray, bits: list[int], i, k, context: float, selection: str, tol: Tolerances
+    rows, cols, bits: list[int], i, k, context: float, selection: str, tol: Tolerances
 ) -> CompletionStep:
-    """Fill the NaN (i, k), i < k, of ``entries`` in place; ``context`` is its mt before.
+    """Fill (i, k), i < k, in place; ``context`` is the mt before.
 
-    ``bits`` (as ``SpecGraph.bits``) gives the common neighbors J and gains {i, k}.  The value
-    comes from :func:`_interval`, the step's one numpy read, and the rest is float arithmetic,
-    so the bytes are a numpy step's.  Three checks run under ``python -O`` too: the common
-    neighbors are pairwise adjacent, the interval is non-empty and mt is not raised
-    (``mt_after`` is a rescan's bits).
+    ``rows[r]`` and ``cols[r]`` are row r and column r of the matrix as float lists, for r = i
+    and k at least; the step reads them at the common neighbors J and writes (i, k) and (k, i)
+    into both, and never reads (i, k) itself.  ``bits`` (as ``SpecGraph.bits``) gives J and
+    gains {i, k}.  All else is float arithmetic, which rounds as numpy's, so the bytes are a
+    numpy step's.  Three checks run under ``python -O`` too: the common neighbors are pairwise
+    adjacent, the interval is non-empty and mt is not raised (``mt_after`` is a rescan's bits).
     """
     common = bits[i] & bits[k]
     js = members(common)
     # Chord-forcing check: common neighbors form a clique, bounding the products' spread.
     if not all(bits[j] & common == common for j in js):
         raise AssertionError(f"common neighbors of {(i, k)} are not pairwise adjacent")
-    interval, (ij, jk, kj, ji) = _interval(entries, i, k, js, context)
+    (row_i, row_k), (col_i, col_k) = (rows[i], rows[k]), (cols[i], cols[k])
+    ij, jk = [row_i[j] for j in js], [col_k[j] for j in js]
+    kj, ji = [row_k[j] for j in js], [col_i[j] for j in js]
+    interval = _interval(ij, jk, js, i, k, context)
     if not interval.lo <= interval.hi * (1.0 + tol.cmp):
         raise AssertionError(f"empty feasible interval at {(i, k)}: {interval}")
     value = select_value(interval, selection)
     if not (0.0 < value < math.inf and 1.0 / value < math.inf):
         raise _out_of_range(i, k, value)
-    entries[i, k], entries[k, i] = value, 1.0 / value
+    row_i[k] = col_k[i] = value
+    row_k[i] = col_i[k] = 1.0 / value
     bits[i], bits[k] = bits[i] | 1 << k, bits[k] | 1 << i
-    after = max(context, new_triads_mt(entries, value, ij, jk, kj, ji))
+    after = max(context, new_triads_mt(value, ij, jk, kj, ji, (len(bits), i, k, js)))
     if not after <= context * (1.0 + tol.cmp):
         raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
     return CompletionStep((i, k), interval, value, context, after)
@@ -291,11 +295,12 @@ def complete_mt_preserving(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}; expected one of {SELECTIONS}")
-    entries, bits = np.array(m.entries), list(m.graph.bits)
+    rows, cols, bits = m.entries.tolist(), m.entries.T.tolist(), list(m.graph.bits)
     steps: list[CompletionStep] = []
     context = mt(m)
     for i, k in chordal_ordering(m.graph):
-        steps.append(_fill_step(entries, bits, i, k, context, selection, tol))
+        steps.append(_fill_step(rows, cols, bits, i, k, context, selection, tol))
         context = steps[-1].mt_after
+    entries = np.array(rows)
     joins = _join_components(entries, m.graph.components, join_scale, join_u, join_v)
     return CompletionReport(tuple(steps), tuple(joins), CompleteReciprocalMatrix(entries))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from heapq import heappop, heappush
 from itertools import combinations
 from operator import or_
 
@@ -142,7 +143,7 @@ def connected_components(g: SpecGraph) -> list[tuple[int, ...]]:
     """Sorted vertex sets of the components, by minimum; ``SpecGraph.components`` keeps them."""
     comps, left = [], (1 << g.n) - 1
     while left:
-        comp = _reach(g.bits, (left & -left).bit_length() - 1)
+        comp = reduce(or_, _levels(g.bits, (left & -left).bit_length() - 1))
         comps.append(tuple(members(comp)))
         left &= ~comp
     return comps
@@ -157,7 +158,9 @@ def chordal_ordering(g: SpecGraph) -> tuple[Edge, ...]:
     A valid next edge always exists for a chordal component, so the greedy scan never
     dead-ends.  For a chordal G, G + uv is chordal iff N(u) ∩ N(v) separates u from v (Ibarra,
     ACM TALG 2008): a BFS over ``g.bits``, none if N(u) ∩ N(v) is empty (the component is
-    connected) or has not grown since the candidate was rejected (other edges only add paths).
+    connected).  Edges are only added, so a rejected pair stays rejected while the u-v path its
+    search found avoids N(u) ∩ N(v); adding xy grows only the N(x) ∩ N(w) and N(y) ∩ N(w), so
+    only the pairs at x or y whose path meets the growth are searched again.
     """
     ordering: list[Edge] = []
     for comp, cycle in zip(g.components, g.chordless_cycles):
@@ -169,33 +172,66 @@ def chordal_ordering(g: SpecGraph) -> tuple[Edge, ...]:
 
 def _greedy_ordering(bits: list[int], comp) -> list[Edge]:
     """:func:`chordal_ordering`'s scan of chordal ``comp`` (ascending); each edge taken joins
-    ``bits``.  ``cuts[p]`` is the N(u) ∩ N(v) candidate p was last rejected with (-1: untested)."""
-    candidates = [(u, v) for u, v in combinations(comp, 2) if not bits[u] >> v & 1][::-1]
-    cuts = [-1] * len(candidates)
-    ordering: list[Edge] = []
-    while candidates:
-        for p, (u, v) in enumerate(candidates):
-            common = bits[u] & bits[v]
-            if common != cuts[p]:
-                if common and not _reach(bits, u, common, 1 << v) >> v & 1:
-                    break
-                cuts[p] = common
+    ``bits``.  A rejected pair keeps the interior of the path it was searched with in ``paths``
+    (-1: no common neighbour) and its ends in ``rejected``; ``heap`` holds the pairs to test
+    again, negated so the highest pops first, and ``nxt`` the first untested position."""
+    pairs = [(u, v) for u, v in combinations(comp, 2) if not bits[u] >> v & 1][::-1]
+    paths: dict[Edge, int] = {}
+    rejected, heap, nxt, ordering = [0] * len(bits), [], 0, []
+    while len(ordering) < len(pairs):
+        if heap:
+            u, v = heappop(heap)
+            u, v = -u, -v
+        elif nxt < len(pairs):
+            u, v = pairs[nxt]
+            nxt += 1
         else:
             raise AssertionError("no chordality-preserving edge found")
-        ordering.append(candidates.pop(p))
-        del cuts[p]
+        common = bits[u] & bits[v]
+        path = _witness_path(bits, u, v, common) if common else -1
+        if path:
+            paths[u, v] = path
+            rejected[u], rejected[v] = rejected[u] | 1 << v, rejected[v] | 1 << u
+            continue
+        ordering.append((u, v))
         bits[u], bits[v] = bits[u] | 1 << v, bits[v] | 1 << u
+        for a, b in ((u, v), (v, u)):  # the pairs (a, x) gain the common neighbour b
+            grown = bits[b] & rejected[a]
+            for x in members(grown) if grown else ():
+                pair = (a, x) if a < x else (x, a)
+                if paths[pair] >> b & 1:
+                    rejected[a], rejected[x] = rejected[a] & ~(1 << x), rejected[x] & ~(1 << a)
+                    heappush(heap, (-pair[0], -pair[1]))
     return ordering
 
 
-def _reach(bits: list[int], u: int, cut: int = 0, stop: int = 0) -> int:
-    """The bitset of vertices a breadth-first search from u reaches without entering ``cut``,
-    a level at a time; it ends after the first level that meets ``stop``."""
-    seen = frontier = 1 << u
-    while frontier and not frontier & stop:
-        frontier = reduce(or_, map(bits.__getitem__, members(frontier))) & ~(seen | cut)
+def _witness_path(bits: list[int], u: int, v: int, cut: int) -> int:
+    """The interior of a shortest u-v path that avoids ``cut``, as a bitset, or 0 if ``cut``
+    separates u from v (u and v not adjacent); the lowest vertex of each level is taken."""
+    if bits[u] & ~cut == 1 << u or bits[v] & ~cut == 1 << v:  # an end has no way out
+        return 0
+    levels = _levels(bits, u, cut, 1 << v)
+    if not levels[-1] >> v & 1:
+        return 0
+    path, w = 0, v
+    for level in levels[-2:0:-1]:
+        w = bits[w] & level
+        w = (w & -w).bit_length() - 1
+        path |= 1 << w
+    return path
+
+
+def _levels(bits: list[int], u: int, cut: int = 0, stop: int = 0) -> list[int]:
+    """The levels, as bitsets, of a breadth-first search from u that never enters ``cut``;
+    it ends after the first level that meets ``stop``, or when none is left."""
+    levels, seen, frontier = [], cut | 1 << u, 1 << u
+    while frontier:
+        levels.append(frontier)
+        if frontier & stop:
+            break
+        frontier = reduce(or_, map(bits.__getitem__, members(frontier))) & ~seen
         seen |= frontier
-    return seen
+    return levels
 
 
 def members(bits: int) -> list[int]:

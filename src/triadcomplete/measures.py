@@ -4,11 +4,14 @@ The central measure is the maximum 3-cycle product over fully specified triads,
 written ``mt`` here.  It is 1 exactly when every specified triad is consistent,
 and it applies unchanged to partial matrices (defaulting to 1 when no triad is
 fully specified).  :func:`triad_scan` reads the :class:`TriadTables` that the
-one full scan builds in O(n^3) and a changed pair updates in O(n^2); one
-function, :func:`_middle_products`, forms every middle's table for both and for
-:func:`mt_pass`.  On the fill path :func:`new_triads_mt` forms the six oriented
-products of each new triad in float arithmetic, grouped ``(a * b) * c`` alike
-and so bitwise a rescan (a Python float multiply rounds as numpy's).
+one full scan builds and a changed pair updates in O(n^2); one function,
+:func:`_middle_products`, forms every triad product for both and for
+:func:`mt_pass`: a table per middle with a long row, O(n) per specified entry,
+and the specified triples of the short rows gathered a bounded chunk at a time,
+so a sparse scan costs its triples.  On the fill path :func:`new_triads_mt`
+forms the six oriented products of each new triad in float arithmetic, grouped
+``(a * b) * c`` alike and so bitwise a rescan (a Python float multiply rounds as
+numpy's).
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> Tri
 class TriadTables:
     """Two n x n tables of a full triad scan, kept in step as one pair at a time changes.
 
-    Every middle j's table ``prods_j`` comes from :func:`_middle_products`, for the build, an
-    update and the overflow message; NaN poisons exactly the incomplete triads.  ``mid[j, i]``
-    is the largest of row i of ``prods_j`` (mt is the largest ``mid``) and ``row_peak[i, j]``
-    the largest max(v, 1/v) over the triads i < j < k, v = ``prods_j[i, k]``; closeness to the
+    Every middle j's products ``prods_j[k, i]`` come from :func:`_middle_products`, for the
+    build (as a table, NaN poisoning exactly the incomplete triads, or as gathered specified
+    triples), an update and the overflow message.  ``mid[j, i]`` is the largest over k of
+    ``prods_j[k, i]`` (mt is the largest ``mid``; NaN with no triad) and ``row_peak[i, j]``
+    the largest max(v, 1/v) over the triads i < j < k, v = ``prods_j[k, i]``; closeness to the
     peak grows with the value, so the first close row holds the worst triad.  A changed pair
     (a, b) moves only middles a and b and rows a and b, an n x n array each: an update is
     O(n^2) and bitwise a rescan, overflow included.  ``entries`` is not copied.
@@ -96,11 +100,25 @@ class TriadTables:
 
     def __init__(self, entries: np.ndarray) -> None:
         e, n = entries, entries.shape[0]
-        self.entries, self.mid, self.row_peak = e, np.empty((n, n)), np.zeros((n, n))
+        self.entries, self.mid, self.row_peak = e, np.full((n, n), math.nan), np.zeros((n, n))
+        top = low = None  # the gathered middles' largest product per (j, i), smallest per (i, j)
         with np.errstate(over="ignore", divide="ignore"):
-            for j, ks, prods in _scan_middles(e):
-                np.fmax.reduce(prods, axis=0, out=self.mid[j], initial=math.nan)  # rows may be 0
-                _peaks(prods[np.searchsorted(ks, j, "right") :, :j], self.row_peak[:j, j])
+            for (j, k, i), prods in _scan_middles(e):
+                if i is None:  # middle j's table over the ascending k: rows may be none
+                    np.fmax.reduce(prods, axis=0, out=self.mid[j], initial=math.nan)
+                    _peaks(prods[np.searchsorted(k, j, "right") :, :j], self.row_peak[:j, j])
+                    continue
+                if top is None:
+                    top, low = np.full(n * n, -math.inf), np.full(n * n, math.inf)
+                np.maximum.at(top, j * n + i, prods)  # no NaN among them
+                up = np.flatnonzero((i < j) & (j < k))
+                at, prods = i.take(up) * n + j.take(up), prods.take(up)
+                np.maximum.at(self.row_peak.ravel(), at, prods)
+                np.minimum.at(low, at, prods)
+            if top is not None:
+                top, low = top.reshape(n, n), low.reshape(n, n)
+                np.copyto(self.mid, top, where=top > -math.inf)
+                np.fmax(self.row_peak, 1.0 / low, out=self.row_peak)
         self._check_overflow()
         upper = np.triu(~np.isnan(e), 1).astype(float)  # count i < j < k, with (k, i) from e.T
         self.count = int(np.vdot(upper @ upper, ~np.isnan(e.T)))
@@ -114,12 +132,12 @@ class TriadTables:
         self._update(e, self.mid, a, b, peaks=True)
         self._check_overflow()
 
-    def cleared(self, a: int, b: int) -> tuple[np.ndarray, float]:
-        """``entries`` copied with (a, b) and (b, a) unspecified, and its mt via a scratch mid."""
+    def cleared(self, a: int, b: int) -> float:
+        """The mt with (a, b) and (b, a) unspecified, via scratch copies of ``entries`` and mid."""
         e, mid = self.entries.copy(), self.mid.copy()
         e[a, b] = e[b, a] = math.nan
         self._update(e, mid, a, b, peaks=False)
-        return e, float(np.fmax.reduce(mid, axis=None, initial=1.0))
+        return float(np.fmax.reduce(mid, axis=None, initial=1.0))
 
     def _update(self, e: np.ndarray, mid: np.ndarray, a: int, b: int, peaks: bool) -> None:
         with np.errstate(over="ignore", divide="ignore"):
@@ -160,19 +178,51 @@ class TriadTables:
         return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, self.count)
 
 
-def _middle_products(e, e_t, j, rows=slice(None), out=None) -> np.ndarray:
-    """Middle j's table ``[k, i] = (e[j,k] * e[i,j]) * e[k,i]``, k in ``rows``; ``e_t`` is e.T."""
-    prods = np.multiply(e[j, rows, None], e_t[j], out=out)
-    return np.multiply(prods, e[rows], out=prods)
+def _middle_products(e, e_t, j, k=slice(None), i=None, out=None) -> np.ndarray:
+    """Triad products ``(e[j,k] * e[i,j]) * e[k,i]``, ``e_t`` being e.T: for an int j and no
+    i, middle j's table ``[k, i]`` over rows k and every i; for index arrays j, k and i, the
+    gathered triples."""
+    if i is None:
+        jk, ij, ki = e[j, k, None], e_t[j], e[k]
+    else:  # flat indices: a gather along one axis is the fastest
+        n = len(e)
+        jk, ij, ki = e.take(j * n + k), e_t.take(j * n + i), e.take(k * n + i)
+    prods = np.multiply(jk, ij, out=out)
+    return np.multiply(prods, ki, out=prods)
+
+
+GATHER_BUDGET = 1 << 14  # triples per gathered chunk
 
 
 def _scan_middles(e: np.ndarray):
-    """Each middle j, the ascending k with ``e[j, k]`` specified, and its table on those k."""
+    """Every middle's products: ``((j, ks, None), table)`` for each middle j whose row is long
+    enough to form as a table over its ascending specified ks, then ``((J, K, I), products)``
+    for the other middles' specified triples, gathered at most ``GATHER_BUDGET`` at a time."""
+    n, spec = len(e), ~np.isnan(e)
     e_t, buf = np.ascontiguousarray(e.T), np.empty(e.shape)  # the next j reuses the buffer
-    for j in range(e.shape[0]):
-        ks = np.flatnonzero(~np.isnan(e[j]))
-        rows = slice(None) if len(ks) == len(e) else ks  # a full row needs no copies
-        yield j, ks, _middle_products(e, e_t, j, rows, buf[: len(ks)])
+    width, height = np.count_nonzero(spec, axis=1), np.count_nonzero(spec, axis=0)
+    # A table costs about n / 4 gathered triples per row, plus 256 for its numpy calls.
+    table = (width == n) | (4 * width * height > width * n + 1024)
+    for j in np.flatnonzero(table).tolist():
+        ks = np.flatnonzero(spec[j])
+        rows = slice(None) if len(ks) == n else ks  # a full row needs no copies
+        yield (j, ks, None), _middle_products(e, e_t, j, rows, out=buf[: len(ks)])
+    if table.all():
+        return
+    js, ks = np.nonzero(spec & ~table[:, None])  # the (j, k) of the gathered middles
+    i_of = np.nonzero(spec.T)[1]  # per j, ascending, the i with e[i, j] specified
+    first, reps = np.cumsum(height) - height, height[js]
+    ends, flat = np.cumsum(reps), spec.ravel()
+    lo = 0
+    while lo < len(js):
+        hi = max(int(np.searchsorted(ends, ends[lo] - reps[lo] + GATHER_BUDGET, "right")), lo + 1)
+        r = reps[lo:hi]
+        at = np.repeat(first[js[lo:hi]] - (np.cumsum(r) - r), r) + np.arange(int(r.sum()))
+        j, k, i = np.repeat(js[lo:hi], r), np.repeat(ks[lo:hi], r), i_of[at]
+        keep = np.flatnonzero(flat.take(k * n + i))  # (k, i) specified too
+        j, k, i = j.take(keep), k.take(keep), i.take(keep)
+        yield (j, k, i), _middle_products(e, e_t, j, k, i)
+        lo = hi
 
 
 def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima of max(v, 1/v)
@@ -180,14 +230,16 @@ def _peaks(v: np.ndarray, out: np.ndarray, where=True) -> None:  # column maxima
     np.fmax(np.fmax.reduce(v, axis=0, initial=0.0, where=where), 1.0 / low, out=out)
 
 
-def new_triads_mt(entries: np.ndarray, x: float, ij, jk, kj, ji) -> float:
+def new_triads_mt(x: float, ij, jk, kj, ji, where) -> float:
     """Largest oriented product of the triads {i, j, k}, j in J, once (i, k) holds x, (k, i) 1 / x.
 
     ``ij, jk, kj, ji`` list the floats at [i, J], [J, k], [k, J] and [J, i]; with J the common
     neighbors these are all the new triads, so the mt after the fill is ``max(mt before, this)``.
     Each product is ``(e[p,m] * e[m,q]) * e[q,p]``, m the middle, as in :func:`triad_scan`, and a
     Python float multiply rounds as numpy's, so the two agree bit for bit.  An overflow (or an
-    underflow to 0) hands over to a full scan of ``entries``, which names the triad.
+    underflow to 0) hands over to a full scan of these triads alone, placed by ``where = (n, i,
+    k, J)`` in an n x n matrix: every other triad is finite, so the scan names the triad that a
+    scan of the whole filled matrix names.
     """
     y = 1.0 / x
     top = low = 1.0
@@ -198,7 +250,10 @@ def new_triads_mt(entries: np.ndarray, x: float, ij, jk, kj, ji) -> float:
             elif p < low:
                 low = p
     if top == math.inf or low == 0.0 or 1.0 / low == math.inf:
-        return triad_scan(PartialReciprocalMatrix(entries)).mt
+        n, i, k, js = where
+        e = np.full((n, n), math.nan)
+        e[i, js], e[js, k], e[k, js], e[js, i], e[i, k], e[k, i] = ij, jk, kj, ji, x, y
+        return triad_scan(PartialReciprocalMatrix(e)).mt
     return top
 
 
@@ -214,7 +269,7 @@ def mt_pass(m: PartialReciprocalMatrix) -> float:
     """
     top, low = 1.0, math.inf
     with np.errstate(over="ignore", divide="ignore"):
-        for _, _, prods in _scan_middles(m.entries):
+        for _, prods in _scan_middles(m.entries):
             top = np.fmax.reduce(prods, axis=None, initial=top)
             low = np.fmin.reduce(prods, axis=None, initial=low)
         if top == math.inf or 1.0 / low == math.inf:

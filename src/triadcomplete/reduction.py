@@ -77,12 +77,13 @@ def _step(tables: TriadTables, tol: Tolerances, edge_rule: str) -> ReductionStep
         raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
     scan = tables.scan(tol)
     i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
-    fills, n = [], len(tables.entries)
+    fills, e, n = [], tables.entries, len(tables.entries)
     for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
-        entries, context = tables.cleared(a, b)
         bits = [(1 << n) - 1] * n  # the complete graph less {a, b}
         bits[a], bits[b] = bits[a] ^ 1 << b, bits[b] ^ 1 << a
-        fills.append(_fill_step(entries, bits, a, b, context, "minimax", tol))
+        rows = {a: e[a].tolist(), b: e[b].tolist()}  # all that the fill step reads
+        cols = {a: e[:, a].tolist(), b: e[:, b].tolist()}
+        fills.append(_fill_step(rows, cols, bits, a, b, tables.cleared(a, b), "minimax", tol))
     fill = min(fills, key=lambda f: (f.mt_after, f.edge))
     return ReductionStep(fill.edge, float(tables.entries[fill.edge]), fill.value, fill.interval,
                          scan.mt, fill.mt_after, scan.tie)

@@ -563,8 +563,8 @@ class TestCompleteMtPreserving:
         # Vertices 2 and 3 are adjacent and both neighbours of 1 and 4, so
         # filling (1, 4) against mt = 1 meets the products 1 and ``ratio``.
         m = validate([[1, 1, 1, None], [None, 1, 1, 1], [None, None, 1, ratio], [None] * 3 + [1]])
-        return completion._fill_step(np.array(m.entries), list(m.graph.bits), 0, 3, 1.0,
-                                     "minimax", tol)
+        return completion._fill_step(m.entries.tolist(), m.entries.T.tolist(), list(m.graph.bits),
+                                     0, 3, 1.0, "minimax", tol)
 
     def test_empty_interval_check_at_its_threshold(self):
         # The interval [ratio, 1] counts as empty only past the comparison tolerance.

@@ -374,22 +374,25 @@ class TestChordalOrdering:
                 g = relabelled(g, rng.permutation(n))
             assert chordal_ordering(g) == restart_scan_ordering(g)
 
-    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n", [32, 64, 128])
     def test_separator_tests_per_accepted_edge_stay_within_n(self, monkeypatch, n):
         # A complexity guard: a rejected candidate is searched again only once
-        # its separator has grown, so random trees cost at most n separator
-        # tests per accepted edge.  Re-testing every rejected candidate after
-        # each accepted edge took about 85 per edge at n = 64.  The count
-        # includes the one search of the components.
+        # its separator has grown into the path its last search found, so
+        # random trees and clique-attached graphs cost fewer than three
+        # separator searches per accepted edge (at most 2.84 here, at n = 128).
+        # Re-testing on any growth of the separator took 9-14 per edge at
+        # n = 64 and 17-30 at n = 128.
         calls = []
-        reach = graphs._reach
-        monkeypatch.setattr(graphs, "_reach", lambda *a: calls.append(a) or reach(*a))
+        search = graphs._witness_path
+        monkeypatch.setattr(graphs, "_witness_path", lambda *a: calls.append(a) or search(*a))
         for seed in range(3):
-            g = SpecGraph.from_edges(n, cases.random_tree_edges(np.random.default_rng(seed), n))
-            calls.clear()
-            ordering = chordal_ordering(g)
-            assert len(ordering) == n * (n - 1) // 2 - (n - 1)
-            assert 0 < len(calls) <= n * len(ordering)
+            tree = SpecGraph.from_edges(n, cases.random_tree_edges(np.random.default_rng(seed), n))
+            clique = cases.clique_attached_graph(np.random.default_rng(seed), n)
+            for g in (tree, clique):
+                calls.clear()
+                ordering = chordal_ordering(g)
+                assert len(ordering) == len(g.non_edges())
+                assert 0 < len(calls) <= 3 * len(ordering)
 
     def test_chord_forcing_at_each_step(self, rng):
         # Common neighbors of a chordality-preserving new edge must be

@@ -132,6 +132,13 @@ class TestValidate:
         m2 = validate(np.array([[1, np.nan], [np.nan, 1]]))
         assert m1.missing_pairs().tolist() == m2.missing_pairs().tolist() == [[0, 1]]
 
+    def test_reciprocity_check_at_its_threshold(self):
+        # A pair's product counts as off 1 only past the reciprocity tolerance.
+        tol = Tolerances(rec=1e-6)
+        assert validate([[1, 2], [0.5 * (1 + tol.rec / 2), 1]], tol).entries[0, 1] == 2.0
+        with pytest.raises(ReciprocityViolationError):
+            validate([[1, 2], [0.5 * (1 + 1.5 * tol.rec), 1]], tol)
+
     def test_reciprocal_out_of_range(self):
         # The stored pair would hold inf and 0: the named entry is subnormal.
         for raw, where in (

@@ -135,6 +135,14 @@ class TestIsPcPlus:
             assert is_pc_plus(m, loose) == (True, None)
             assert is_pc_plus(m) == (False, (2, 3))
 
+    def test_violation_check_at_its_threshold(self):
+        # The 4-cycle 1-2-3-4 with unit entries but a[1,4] = 1 + x: the tree
+        # from 1 leaves (3, 4), whose entry is off its weight ratio by about x.
+        tol = Tolerances(cons=1e-6)
+        for x, holds in ((tol.cons / 2, True), (1.5 * tol.cons, False)):
+            m = validate([[1, 1, None, 1 + x], [None, 1, 1, None], [None] * 2 + [1, 1], [None] * 3 + [1]])
+            assert is_pc_plus(m, tol) == (holds, None if holds else (2, 3))
+
     def test_corrected_entry_restores_pc_plus(self):
         assert is_pc_plus(validate(cases.CYCLE_PC_PLUS)) == (True, None)
 
@@ -393,10 +401,8 @@ class TestTriadTables:
         for _ in range(12):
             a, b = sorted(int(x) for x in rng.choice(n, 2, replace=False))
             before = np.array(tables.entries)
-            cleared, context = tables.cleared(a, b)
-            without = PartialReciprocalMatrix(before).without_entry(a, b)
-            assert np.array_equal(cleared, without.entries, equal_nan=True)
-            assert context == mt(without)
+            context = tables.cleared(a, b)
+            assert context == mt(PartialReciprocalMatrix(before).without_entry(a, b))
             assert np.array_equal(tables.entries, before, equal_nan=True)
             if rng.random() < 0.25:
                 value = math.nan
@@ -428,22 +434,23 @@ class TestTriadTables:
 
 class TestOneKernel:
     def test_every_middle_table_comes_from_the_kernel(self, rng, monkeypatch):
-        # The build and mt_pass form one table per middle, a set or cleared pair
+        # The build and mt_pass form every middle's products, as a table (an int
+        # middle) or as gathered triples (index arrays), a set or cleared pair
         # (a, b) the tables of middles a and b, and an overflow message the one
         # middle it names: all through _middle_products, so all group alike.
         kernel, middles = measures._middle_products, []
 
-        def counted(e, e_t, j, *rest):
-            middles.append(j)
-            return kernel(e, e_t, j, *rest)
+        def counted(e, e_t, j, *rest, **kw):
+            middles.append(j if isinstance(j, int) else tuple(np.unique(j).tolist()))
+            return kernel(e, e_t, j, *rest, **kw)
 
         monkeypatch.setattr(measures, "_middle_products", counted)
         n = 7
-        m = cases.random_prm(rng, n, p=0.6)
+        m = cases.prm_on_graph(rng, cases.star_graph(n))  # the centre's full row is a table
         tables = TriadTables(np.array(m.entries))
-        assert middles == list(range(n))
+        assert middles == [0, tuple(range(1, n))]
         middles.clear()
-        assert mt_pass(m) == tables.scan().mt and middles == list(range(n))
+        assert mt_pass(m) == tables.scan().mt and middles == [0, tuple(range(1, n))]
         for a, b in ((1, 4), (0, 6)):
             middles.clear()
             tables.cleared(a, b)
@@ -459,6 +466,77 @@ class TestOneKernel:
         with pytest.raises(MatrixError, match=re.escape("triad (1, 3, 5)")):
             tables.set(2, 4, 1e200)
         assert middles[:2] == [2, 4] and len(middles) == 3
+
+    def test_gathered_chunks_stay_within_the_budget(self, rng, monkeypatch):
+        # A short-row matrix is gathered in chunks of at most GATHER_BUDGET
+        # triples, and the chunks read what one gather reads.
+        m = scaled_prm(rng, cases.graph_of_kind(rng, "clique-attached", 96), 60)
+        whole = TriadTables(np.array(m.entries))
+        sizes = [len(p) for (_, _, i), p in measures._scan_middles(m.entries) if i is not None]
+        monkeypatch.setattr(measures, "GATHER_BUDGET", 64)
+        chunked = [len(p) for (_, _, i), p in measures._scan_middles(m.entries) if i is not None]
+        assert len(sizes) == 1 and len(chunked) > 10 and max(chunked) <= 64
+        assert sum(chunked) == sum(sizes)
+        small = TriadTables(np.array(m.entries))
+        np.testing.assert_array_equal(small.mid, whole.mid)
+        np.testing.assert_array_equal(small.row_peak, whole.row_peak)
+        assert mt_pass(PartialReciprocalMatrix(m.entries)) == whole.scan().mt
+
+
+def per_middle_tables(e: np.ndarray) -> TriadTables:
+    """``TriadTables`` of ``e`` with every middle formed as a table over its specified rows,
+    the build's shape for long rows, whatever the row lengths."""
+    n = len(e)
+    tables = object.__new__(TriadTables)
+    tables.entries, tables.mid, tables.row_peak = e, np.empty((n, n)), np.zeros((n, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        for j in range(n):
+            ks = np.flatnonzero(~np.isnan(e[j]))
+            prods = measures._middle_products(e, e.T, j, ks)
+            np.fmax.reduce(prods, axis=0, out=tables.mid[j], initial=math.nan)
+            v = prods[ks > j, :j]
+            low = np.fmin.reduce(v, axis=0, initial=math.inf)
+            tables.row_peak[:j, j] = np.fmax(np.fmax.reduce(v, axis=0, initial=0.0), 1.0 / low)
+    upper = np.triu(~np.isnan(e), 1).astype(int)
+    tables.count = int(np.einsum("ij,jk,ik->", upper, upper, upper))
+    return tables
+
+
+class TestGatheredScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["star", "tree", "clique-attached", "non-chordal"]),
+        n=st.integers(3, 128),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0, 60, 400]),
+    )
+    def test_equals_the_per_middle_tables_bit_for_bit(self, kind, n, seed, shift):
+        # Sparse patterns, whose short rows the build gathers, against every
+        # middle formed as a table: mid, row_peak, count and the scan agree bit
+        # for bit, and so do mt_pass and, at 2**±400, the overflow message.
+        rng = np.random.default_rng(seed)
+        if kind == "non-chordal":
+            g = cases.random_sparse_graph(rng, n, extra=float(rng.uniform(0.02, 0.2)))
+        else:
+            g = cases.graph_of_kind(rng, kind, n)
+        m = scaled_prm(rng, g, shift)
+        want = per_middle_tables(np.array(m.entries))
+        try:
+            want._check_overflow()
+        except MatrixError as error:
+            message = re.escape(str(error))
+            with pytest.raises(MatrixError, match=message):
+                TriadTables(np.array(m.entries))
+            with pytest.raises(MatrixError, match=message):
+                mt_pass(m)
+            return
+        got = TriadTables(np.array(m.entries))
+        np.testing.assert_array_equal(got.mid, want.mid)
+        np.testing.assert_array_equal(got.row_peak, want.row_peak)
+        assert got.count == want.count
+        assert got.scan() == want.scan() and got.scan(Tolerances(cmp=0.6)) == want.scan(
+            Tolerances(cmp=0.6))
+        assert mt_pass(m).hex() == want.scan().mt.hex()
 
 
 class TestMtPass:
@@ -539,7 +617,7 @@ class TestNewTriadsMt:
             entries[i, k], entries[k, i] = step.value, 1.0 / step.value
             mask[i, k] = mask[k, i] = True
             near = (entries[a, b].tolist() for a, b in ((i, js), (js, k), (k, js), (js, i)))
-            context = max(context, new_triads_mt(entries, step.value, *near))
+            context = max(context, new_triads_mt(step.value, *near, (n, i, k, js)))
             assert context == mt(PartialReciprocalMatrix(entries))
 
     @pytest.mark.parametrize("big", [1e200, 1e-200])
@@ -554,9 +632,11 @@ class TestNewTriadsMt:
         entries = np.array(m.entries)
         entries[1, 3] = entries[3, 1] = 1.0
         message = re.escape("triad (2, 4, 5): 3-cycle product overflows")
+        with pytest.raises(MatrixError, match=message):
+            triad_scan(PartialReciprocalMatrix(entries))
         near = ([float(entries[a, b])] for a, b in ((1, 4), (4, 3), (3, 4), (4, 1)))
         with pytest.raises(MatrixError, match=message):
-            new_triads_mt(entries, 1.0, *near)
+            new_triads_mt(1.0, *near, (5, 1, 3, [4]))
 
 
 def rotations(cycle):

@@ -116,8 +116,7 @@ class TestReduceStep:
     # checks fire here as in tests/test_completion.py.
     def test_empty_interval_check_fires(self, monkeypatch):
         # Against mt = 1 the constraining products of entry (0, 1) leave no value.
-        cleared = TriadTables.cleared
-        monkeypatch.setattr(TriadTables, "cleared", lambda t, a, b: (cleared(t, a, b)[0], 1.0))
+        monkeypatch.setattr(TriadTables, "cleared", lambda t, a, b: 1.0)
         with pytest.raises(AssertionError, match=re.escape("empty feasible interval at (0, 1)")):
             reduce_step(cases.five_completed())
 

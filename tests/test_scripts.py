@@ -87,7 +87,7 @@ def test_cli_digest_writes_seeded_chordal_files(tmp_path):
         m = load_matrix(tmp_path / name)[0]
         assert not any(m.graph.chordless_cycles) and not m.is_complete()
         sizes.append([len(comp) for comp in m.graph.components])
-    assert sizes == [[96], [48], [64], [32, 32]]
+    assert sizes == [[96], [48], [64], [32, 32], [128], [128]]
     again = tmp_path / "again"
     again.mkdir()
     assert cli_digest.write_chordal(7, again) == names

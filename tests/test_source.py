@@ -214,9 +214,10 @@ def _lays_a_row_along_k(fn):
 
 
 def test_one_triad_kernel():
-    # Every middle table of measures.py is formed by one function: the build
-    # and mt_pass reach it through the full-scan generator, an update and the
-    # overflow message call it directly, so all group their products alike.
+    # Every middle table and every gathered triple of measures.py is formed by
+    # one function: the build and mt_pass reach it through the full-scan
+    # generator, an update and the overflow message call it directly, so all
+    # group their products alike.
     path = SRC / "measures.py"
     fns = {
         node.name: node
@@ -224,6 +225,11 @@ def test_one_triad_kernel():
         if isinstance(node, ast.FunctionDef)
     }
     assert [name for name, fn in fns.items() if _lays_a_row_along_k(fn)] == ["_middle_products"]
+    gathers = [name for name, fn in fns.items() if {"e.take", "e_t.take"} & _called_names(fn)]
+    assert gathers == ["_middle_products"]
+    scans = [node for node in ast.walk(fns["_scan_middles"]) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "_middle_products"]
+    assert len(scans) == 2  # a table, and gathered triples
     for caller in ("_scan_middles", "_update", "_check_overflow"):
         assert "_middle_products" in _called_names(fns[caller])
     for caller in ("__init__", "mt_pass"):
