@@ -1,4 +1,4 @@
-"""Check that each tolerance, kernel and ordering check has a test that fails when it is broken.
+"""Check that each tolerance, kernel, ordering and writer check has a test that fails when it is broken.
 
     python scripts/mutation_sample.py
 
@@ -115,6 +115,20 @@ MUTANTS = [
         "self._update(e, self.mid, a, b, peaks=True)",
         "self._update(e, self.mid, a, b, peaks=False)",
         "tests/test_measures.py::TestTriadTables::test_updates_equal_a_fresh_scan",
+    ),
+    # The trace writer drops the separator between a table's chunks.
+    (
+        "cli.py",
+        '(between if start else "[" + inner)',
+        '("" if start else "[" + inner)',
+        "tests/test_cli.py::TestTraceEmitter::test_tables_at_chunk_borders[chunk-plus-one]",
+    ),
+    # The trace writer fills each chunk one row short.
+    (
+        "cli.py",
+        "part = rows[start : start + CHUNK_ROWS]",
+        "part = rows[start : start + CHUNK_ROWS - 1]",
+        "tests/test_cli.py::TestTraceEmitter::test_tables_at_chunk_borders[chunk]",
     ),
     # The comparison tolerance's floor at half its value.
     (

@@ -39,17 +39,11 @@ def _one_based(indices) -> list[int]:
     return [int(v) + 1 for v in indices]
 
 
-def _json(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` with non-finite floats written as null.
+CHUNK_ROWS = 32  # table rows per %-fill: one chunk's text is all a table holds at once
 
-    ``pad`` is the newline and indent that precede this value's closing
-    bracket; its items sit one level (two spaces) deeper.  Besides JSON's own
-    types it takes an int (k, m) array, written as its ``tolist()``, and a tuple of
-    ``CompletionStep``s or ``ReductionStep``s, written as their fields with the edge one-based
-    and the interval's ``unconstrained`` added.  Both fill one :func:`_table` row template, the
-    steps' floats from a memo local to the call that zeros bypass (``-0.0 == 0.0``).  A row
-    of strings that escaping leaves as they are is one join.
-    """
+
+def _scalar(value) -> str:
+    """The JSON text of a str, int, float, None or bool; a non-finite float is null."""
     kind = type(value)
     if isinstance(value, str):
         return _json_string(value)
@@ -61,53 +55,87 @@ def _json(value, pad: str = "\n") -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    inner = pad + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = [_json_string(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, list) or kind is tuple and not value:  # a file's Cells; no steps
-        if not value:
-            return "[]"
-        try:  # a row of strings joins
+    raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
+def _json(value, write, pad: str = "\n") -> None:
+    """Pass ``json.dumps(value, indent=2)``, non-finite floats as null, to ``write`` in pieces.
+
+    ``pad`` is the newline and indent that precede this value's closing bracket; its items sit
+    one level (two spaces) deeper.  A dict or a list is written item by item, so the document
+    is never held whole.  Besides JSON's own types it takes an int (k, m) array, written as its
+    ``tolist()``, and a tuple of ``CompletionStep``s or ``ReductionStep``s, written as their
+    fields with the edge one-based and the interval's ``unconstrained`` added.  Each is a
+    :func:`_table`, its template formed once and filled a bounded number of rows at a time, the
+    steps' floats from one memo per table that zeros bypass (``-0.0 == 0.0``).  A row of
+    strings is one piece, one join when escaping leaves its strings as they are.
+    """
+    kind, inner = type(value), pad + "  "
+    if kind is dict and value:
+        between = "{" + inner
+        for key, item in value.items():
+            write(between + _json_string(key) + ": ")
+            _json(item, write, inner)
+            between = "," + inner
+        write(pad + "}")
+    elif kind is dict or (isinstance(value, list) or kind is tuple) and not value:
+        write("{}" if kind is dict else "[]")  # a tuple only as no steps
+    elif isinstance(value, list):  # a file's Cells, a row of them, or JSON's own
+        try:  # a row of strings is one piece
             text = "".join(value)
         except TypeError:
-            items = [_json(v, inner) for v in value]
+            between = "[" + inner
+            for item in value:
+                write(between)
+                _json(item, write, inner)
+                between = "," + inner
+            write(pad + "]")
         else:  # exactly the strings encode_basestring_ascii leaves as they are
             if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-                return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + pad + "]"
-            items = map(_json_string, value)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
-        return _table(["%d"] * value.shape[1], len(value), value.ravel().tolist(), pad)
-    if kind is tuple and set(map(type, value)) in ({CompletionStep}, {ReductionStep}):
+                write("[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + pad + "]")
+            else:
+                write("[" + inner + ("," + inner).join(map(_json_string, value)) + pad + "]")
+    elif kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
+        _table(["%d"] * value.shape[1], value, lambda rows: rows.ravel().tolist(), write, pad)
+    elif kind is tuple and set(map(type, value)) in ({CompletionStep}, {ReductionStep}):
         interval = [*vars(value[0].interval), "unconstrained"]
         row = {**dict.fromkeys(vars(value[0]), "%s"), "edge": ["%d", "%d"],
                "interval": dict.fromkeys(interval, "%s")}
         paths, at = list(row), list(row).index("interval")
         paths[at : at + 1] = [f"interval.{key}" for key in interval]  # the row's leaf order
-        get, memo, values = operator.attrgetter(*paths), {}, []
-        for step in value:
-            (i, j), *leaves = get(step)  # both record types lead with their edge
-            values += i + 1, j + 1
-            for x in leaves:  # zeros skip the memo (-0.0 == 0.0), as do bools (True == 1.0)
-                text = memo.get(x) if type(x) is float and x else _json(x)
-                values.append(text or memo.setdefault(x, _json(x)))
-        return _table(row, len(value), values, pad)
-    raise TypeError(f"{kind.__name__} is not JSON serializable")
+        get, memo = operator.attrgetter(*paths), {}
+
+        def cells(steps) -> list:
+            values = []
+            for step in steps:
+                (i, j), *leaves = get(step)  # both record types lead with their edge
+                values += i + 1, j + 1
+                for x in leaves:  # zeros skip the memo (-0.0 == 0.0), as do bools (True == 1.0)
+                    text = memo.get(x) if type(x) is float and x else _scalar(x)
+                    values.append(text or memo.setdefault(x, _scalar(x)))
+            return values
+
+        _table(row, value, cells, write, pad)
+    else:
+        write(_scalar(value))
 
 
-def _table(row, count: int, values: list, pad: str) -> str:
-    """``_json`` of ``count`` rows shaped as ``row``, one %-template filled once from ``values``.
+def _table(row, rows, cells, write, pad: str) -> None:
+    """Pass ``_json`` of ``rows`` shaped as ``row`` to ``write``, a piece per ``CHUNK_ROWS`` rows.
 
     ``row``'s strings ``"%d"`` and ``"%s"`` are its unquoted slots; ``%s`` takes JSON text.
+    Its %-template is formed once, and each chunk of ``rows`` fills it from ``cells(chunk)``.
     """
-    if not count:
-        return "[]"
-    inner = pad + "  "
-    template = _json(row, inner).replace('"%d"', "%d").replace('"%s"', "%s")
-    return ("[" + inner + ("," + inner).join([template] * count) + pad + "]") % tuple(values)
+    inner, pieces = pad + "  ", []
+    _json(row, pieces.append, inner)
+    template, between = "".join(pieces).replace('"%d"', "%d").replace('"%s"', "%s"), "," + inner
+    chunk = between.join([template] * CHUNK_ROWS)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        part = rows[start : start + CHUNK_ROWS]
+        if len(part) < CHUNK_ROWS:  # the last chunk
+            chunk = between.join([template] * len(part))
+        write((between if start else "[" + inner) + chunk % tuple(cells(part)))
+    write(pad + "]" if len(rows) else "[]")
 
 
 def _classify(m: PartialReciprocalMatrix, tol: Tolerances, pcm: bool) -> dict:
@@ -358,7 +386,8 @@ def main(argv=None) -> int:
         sections, code = args.func(*load_matrix(args.path, tol), tol, args)
         report = {"command": args.command, "input": args.path, **sections}
         if args.trace:
-            print(_json(report))
+            _json(report, sys.stdout.write)
+            sys.stdout.write("\n")
         else:
             _print_human(report, getattr(args, "out", None))
         return code

@@ -1,11 +1,14 @@
 import argparse
+import errno
 import functools
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import cases
 import oracle
 from triadcomplete import cli, completion, fileio, graphs, matrices, measures, reduction
-from triadcomplete.cli import _json, main
+from triadcomplete.cli import CHUNK_ROWS, _json, main
 from triadcomplete.completion import CompletionStep, FeasibleInterval
 from triadcomplete.errors import MatrixError
 from triadcomplete.fileio import format_matrix, parse_matrix
@@ -753,6 +756,17 @@ def _chordal_pcm_text(kind: str, n: int) -> str:
     return format_matrix(cases.prm_on_graph(rng, cases.graph_of_kind(rng, kind, n)))
 
 
+def _pieces(value) -> list[str]:
+    """What the trace writer passes to ``write`` for ``value``, in order."""
+    pieces = []
+    _json(value, pieces.append)
+    return pieces
+
+
+def _dumps(value) -> str:
+    return "".join(_pieces(value))
+
+
 def _assert_round_trips(out: str) -> None:
     """``out`` is ``json.dumps(..., indent=2)`` of what it parses to, and a line."""
     expected = json.dumps(json.loads(out), indent=2) + "\n"
@@ -766,11 +780,11 @@ class TestTraceEmitter:
     @settings(max_examples=3 * settings.default.max_examples)  # 120 at the suite profile
     @given(_docs)
     def test_equals_json_dumps_indent_two(self, doc):
-        assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
+        assert _dumps(doc) == json.dumps(_sanitised(doc), indent=2)
 
     def test_empty_containers_and_literals(self):
         doc = {"a": [], "b": {}, "d": [True, False, None, -0.0, math.nan]}
-        assert _json(doc) == json.dumps(_sanitised(doc), indent=2)
+        assert _dumps(doc) == json.dumps(_sanitised(doc), indent=2)
 
     def test_pair_arrays(self):
         pairs = np.array([[1, 3], [2, 4]])
@@ -782,7 +796,7 @@ class TestTraceEmitter:
             "note": "100% %r %s",
             "tokens": ["1", "7/3", "?"],
         }
-        text = _json(doc)
+        text = _dumps(doc)
         assert text == json.dumps(_sanitised(doc), indent=2)
         assert json.loads(text)["pairs"] == [[1, 3], [2, 4]]
 
@@ -791,11 +805,11 @@ class TestTraceEmitter:
     def test_each_escape_class_in_a_row(self, char):
         # One character escaping changes puts the whole row through per-item escaping.
         for row in (["1", f"a{char}b", "?"], [char], ["7/3", _Text(char)]):
-            assert _json({"matrix": [row]}) == json.dumps({"matrix": [row]}, indent=2)
+            assert _dumps({"matrix": [row]}) == json.dumps({"matrix": [row]}, indent=2)
 
     def test_str_subclasses_are_strings(self):
         doc = {_Text("key"): [_Text("1/3"), "?"], "one": _Text("x"), "mixed": [_Text("a"), 1, None]}
-        assert _json(doc) == json.dumps(doc, indent=2)
+        assert _dumps(doc) == json.dumps(doc, indent=2)
 
     def test_signed_zeros_in_one_step_table(self):
         # -0.0 == 0.0 and both hash alike, so a memo keyed by value alone would
@@ -805,7 +819,7 @@ class TestTraceEmitter:
             ReductionStep((0, 1), 0.0, -0.0, interval, 1.5, -0.0, False),
             ReductionStep((1, 2), -0.0, 0.0, FeasibleInterval(-0.0, 0.0, -0.0, 1.5), 0.0, 1.5, True),
         )}
-        text = _json(doc)
+        text = _dumps(doc)
         assert text == json.dumps(_sanitised(doc), indent=2)
         assert text.count(" -0.0") == text.count(" 0.0") == 6
 
@@ -820,7 +834,74 @@ class TestTraceEmitter:
     )
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError, match="is not JSON serializable"):
-            _json({"key": [value]})
+            _dumps({"key": [value]})
+
+    _BORDERS = {"none": 0, "one": 1, "chunk-less-one": CHUNK_ROWS - 1, "chunk": CHUNK_ROWS,
+                "chunk-plus-one": CHUNK_ROWS + 1, "three-chunks-plus-one": 3 * CHUNK_ROWS + 1}
+
+    @pytest.mark.parametrize("count", _BORDERS.values(), ids=_BORDERS.keys())
+    def test_tables_at_chunk_borders(self, count):
+        # Both zeros, nan and both infinities recur on each side of every chunk border,
+        # so the one memo per table serves every chunk.
+        floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1.5, 0.0, -0.0, math.inf]
+
+        def x(row, field):
+            return floats[(row + field) % len(floats)]
+
+        def interval(row):
+            return FeasibleInterval(*(x(row, field) for field in range(4)))
+
+        doc = {
+            "unspecified_pairs": np.arange(1, 2 * count + 1).reshape(count, 2),
+            "completion": tuple(CompletionStep((r, r + 1), interval(r), x(r, 4), x(r, 5), x(r, 6))
+                                for r in range(count)),
+            "reduction": tuple(ReductionStep((r + 1, r), x(r, 7), x(r, 8), interval(r + 2),
+                                             x(r, 9), x(r, 10), r % 3 == 0) for r in range(count)),
+        }
+        pieces = _pieces(doc)
+        assert "".join(pieces) == json.dumps(_sanitised(doc), indent=2)
+        # A table row has one "[" (its edge, or the pair itself), and a table's first piece
+        # opens it too: no piece holds more than a chunk.
+        assert max(piece.count("[") for piece in pieces) <= CHUNK_ROWS + 1
+
+    def test_writer_holds_little_more_than_its_output(self, write):
+        # A consistent n=128 completion: 0.77 MB of trace, most of it 7,594 unspecified pairs.
+        # The StringIO holds the output, over-allocated by at most a quarter (192 KB); the
+        # writer adds a chunk and the row templates, about 53 KB over the output in all.  The
+        # pairs as one piece read 0.40 MB over, and the whole document formed before it is
+        # written 1.5 MB over.
+        path = write("m.csv", _pc_plus_text(1, 128, 1))
+        args = cli.build_parser().parse_args(["complete", path, "--trace"])
+        tol = matrices.Tolerances(rec=args.tol_rec, cons=args.tol_cons, cmp=args.tol_cmp)
+        sections, _ = args.func(*fileio.load_matrix(path, tol), tol, args)
+        report, out = {"command": "complete", "input": path, **sections}, io.StringIO()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            _json(report, out.write)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = len(out.getvalue())
+        assert size > 700_000 and out.getvalue().isascii()
+        assert peak - live <= size + 2**18
+
+    def test_a_pipe_closed_mid_report_exits_two(self, write, capsys, monkeypatch):
+        # The reader of `complete --trace | head -c 100` goes away while the report is written.
+        class ClosedPipe:
+            pieces = 0
+
+            def write(self, text):
+                self.pieces += 1
+                if self.pieces > 5:
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        pipe = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["complete", write("m.csv", _pc_plus_text(1, 64, 1)), "--trace"]) == 2
+        assert pipe.pieces == 6
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize(
         "engine, parts, text",
