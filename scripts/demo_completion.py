@@ -58,7 +58,7 @@ def main() -> None:
         print(
             f"   filled ({i + 1},{j + 1}) = {step.value:.6f} from interval "
             f"[{step.interval.lo:.6f}, {step.interval.hi:.6f}]  "
-            f"MT {step.mt_before:.4f} -> {step.mt_after:.4f}"
+            f"MT {step.interval.mt_context:.4f} -> {step.mt_after:.4f}"
         )
     completed = report.result
     show(completed, "completed 5x5")

@@ -109,6 +109,13 @@ MUTANTS = [
         "jk, ij, ki = e.take(k * n + i), e_t.take(j * n + i), e.take(j * n + k)",
         "tests/test_measures.py::TestGatheredScan::test_equals_the_per_middle_tables_bit_for_bit",
     ),
+    # The gathered middles' row peaks take the ascending product alone, not max(v, 1/v).
+    (
+        "measures.py",
+        "np.fmax(prods, 1.0 / prods)",
+        "prods",
+        "tests/test_measures.py::TestGatheredScan::test_equals_the_per_middle_tables_bit_for_bit",
+    ),
     # A set pair leaves the row peaks as they were.
     (
         "measures.py",

@@ -28,7 +28,7 @@ from .errors import (
 from .fileio import format_rows, load_matrix
 from .matrices import PartialReciprocalMatrix, Tolerances
 from .measures import TriadScan, is_pc_plus, is_pcm, mt, triad_scan
-from .reduction import EDGE_RULES, ReductionStep, reduce
+from .reduction import EDGE_RULES, STOP_TARGET, ReductionStep, reduce
 
 
 def _fmt(x: float) -> str:
@@ -65,10 +65,10 @@ def _json(value, write, pad: str = "\n") -> None:
     one level (two spaces) deeper.  A dict or a list is written item by item, so the document
     is never held whole.  Besides JSON's own types it takes an int (k, m) array, written as its
     ``tolist()``, and a tuple of ``CompletionStep``s or ``ReductionStep``s, written as their
-    fields with the edge one-based and the interval's ``unconstrained`` added.  Each is a
-    :func:`_table`, its template formed once and filled a bounded number of rows at a time, the
-    steps' floats from one memo per table that zeros bypass (``-0.0 == 0.0``).  A row of
-    strings is one piece, one join when escaping leaves its strings as they are.
+    fields with the edge one-based.  Each is a :func:`_table`, its template formed once and
+    filled a bounded number of rows at a time, the steps' floats from one memo per table that
+    zeros bypass (``-0.0 == 0.0``).  A row of strings is one piece, one join when escaping
+    leaves its strings as they are.
     """
     kind, inner = type(value), pad + "  "
     if kind is dict and value:
@@ -98,7 +98,7 @@ def _json(value, write, pad: str = "\n") -> None:
     elif kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "i":
         _table(["%d"] * value.shape[1], value, lambda rows: rows.ravel().tolist(), write, pad)
     elif kind is tuple and set(map(type, value)) in ({CompletionStep}, {ReductionStep}):
-        interval = [*vars(value[0].interval), "unconstrained"]
+        interval = vars(value[0].interval)
         row = {**dict.fromkeys(vars(value[0]), "%s"), "edge": ["%d", "%d"],
                "interval": dict.fromkeys(interval, "%s")}
         paths, at = list(row), list(row).index("interval")
@@ -307,14 +307,14 @@ def cmd_reduce(m, tokens, tol, args) -> tuple[dict, int]:
             "mt_final": trace.mt_final,
         },
         **_matrix_sections(format_rows(trace.result, tokens), args.out),
-    }, 0 if trace.mt_final <= args.target_mt * (1.0 + tol.cmp) else 1
+    }, 0 if trace.stop_reason == STOP_TARGET else 1
 
 
 def _matrix_sections(rows: list[list[str]], out: str | None) -> dict:
     """The report's ``matrix`` rows, cells formatted once; with ``out``, also that file's lines."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines([",".join(row) + "\n" for row in rows])
+            handle.writelines(",".join(row) + "\n" for row in rows)
     return {"matrix": rows}
 
 

@@ -70,7 +70,6 @@ class CompletionStep:
     edge: Edge
     interval: FeasibleInterval
     value: float
-    mt_before: float
     mt_after: float
 
 
@@ -273,7 +272,7 @@ def _fill_step(
     after = max(context, new_triads_mt(value, ij, jk, kj, ji, (len(bits), i, k, js)))
     if not after <= context * (1.0 + tol.cmp):
         raise AssertionError(f"measure increased at {(i, k)}: {context} -> {after}")
-    return CompletionStep((i, k), interval, value, context, after)
+    return CompletionStep((i, k), interval, value, after)
 
 
 def complete_mt_preserving(

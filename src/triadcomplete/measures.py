@@ -100,25 +100,19 @@ class TriadTables:
 
     def __init__(self, entries: np.ndarray) -> None:
         e, n = entries, entries.shape[0]
-        self.entries, self.mid, self.row_peak = e, np.full((n, n), math.nan), np.zeros((n, n))
-        top = low = None  # the gathered middles' largest product per (j, i), smallest per (i, j)
+        self.entries, self.mid, self.row_peak = e, np.full((n, n), -math.inf), np.zeros((n, n))
         with np.errstate(over="ignore", divide="ignore"):
             for (j, k, i), prods in _scan_middles(e):
                 if i is None:  # middle j's table over the ascending k: rows may be none
                     np.fmax.reduce(prods, axis=0, out=self.mid[j], initial=math.nan)
                     _peaks(prods[np.searchsorted(k, j, "right") :, :j], self.row_peak[:j, j])
                     continue
-                if top is None:
-                    top, low = np.full(n * n, -math.inf), np.full(n * n, math.inf)
-                np.maximum.at(top, j * n + i, prods)  # no NaN among them
+                np.maximum.at(self.mid.ravel(), j * n + i, prods)  # no NaN among them
                 up = np.flatnonzero((i < j) & (j < k))
-                at, prods = i.take(up) * n + j.take(up), prods.take(up)
-                np.maximum.at(self.row_peak.ravel(), at, prods)
-                np.minimum.at(low, at, prods)
-            if top is not None:
-                top, low = top.reshape(n, n), low.reshape(n, n)
-                np.copyto(self.mid, top, where=top > -math.inf)
-                np.fmax(self.row_peak, 1.0 / low, out=self.row_peak)
+                prods = prods.take(up)  # max fl(1/v) is fl(1/min v): 1/x is monotone
+                np.maximum.at(self.row_peak.ravel(), i.take(up) * n + j.take(up),
+                              np.fmax(prods, 1.0 / prods))
+        self.mid[self.mid == -math.inf] = math.nan  # a gathered middle's (j, i) with no triad
         self._check_overflow()
         upper = np.triu(~np.isnan(e), 1).astype(float)  # count i < j < k, with (k, i) from e.T
         self.count = int(np.vdot(upper @ upper, ~np.isnan(e.T)))

@@ -358,6 +358,20 @@ class TestReduce:
         out = capsys.readouterr().out
         assert "stop reason: target_reached" in out and "MT = 1 (was 1.4)" in out
 
+    @pytest.mark.parametrize(
+        "flags, reason, steps, code",
+        [([], "target_reached", 2, 0), (["--max-steps", "1"], "max_steps", 1, 1),
+         (["--tol-cmp", "0.1"], "tie", 0, 1)],
+        ids=["target_reached", "max_steps", "tie"],
+    )
+    def test_exit_code_of_each_stop_reason(self, write, capsys, flags, reason, steps, code):
+        # MT is 1.25 through (1, 2) and 1.2 through (4, 5): two steps reach MT = 1, and
+        # at --tol-cmp 0.1 the first lowers MT too little to apply, a tie.
+        path = write("two.csv", "1,5/4,1,1,1\n4/5,1,1,1,1\n1,1,1,1,1\n1,1,1,1,6/5\n1,1,1,5/6,1\n")
+        got, doc = run_json(["reduce", path, *flags], capsys)
+        red = doc["reduction"]
+        assert (got, red["stop_reason"], len(red["steps"])) == (code, reason, steps)
+
 
 class TestUsage:
     def test_unknown_flag_exits_two(self, write):
@@ -522,7 +536,7 @@ class TestUsage:
         code, doc = run_json(["complete", path], capsys)
         steps = {tuple(s["edge"]): s for s in doc["completion"]["steps"]}
         assert steps[1, 5]["interval"]["hi"] is None
-        assert not steps[1, 5]["interval"]["unconstrained"]
+        assert steps[1, 5]["interval"]["lo"] > 0.0  # not the unconstrained (0, inf)
 
     @pytest.mark.parametrize(
         "text, selection, code, located",
@@ -672,8 +686,7 @@ class TestUsage:
 
 def _sanitised(value):
     """The report as ``json.dumps`` is given it: arrays become lists, non-finite floats None,
-    and each step record the dict of its fields, the edge one-based and the interval with
-    ``unconstrained``."""
+    and each step record the dict of its fields, the edge one-based."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -683,8 +696,7 @@ def _sanitised(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (CompletionStep, ReductionStep)):
-        interval = {**vars(value.interval), "unconstrained": value.interval.unconstrained}
-        doc = {**vars(value), "edge": [i + 1 for i in value.edge], "interval": interval}
+        doc = {**vars(value), "edge": [i + 1 for i in value.edge], "interval": vars(value.interval)}
         return _sanitised(doc)
     if isinstance(value, tuple):  # of step records
         return [_sanitised(v) for v in value]
@@ -728,7 +740,7 @@ def _step_tables(draw):
     edge = st.tuples(st.integers(0, 300), st.integers(0, 300))
     interval = st.builds(FeasibleInterval, x, x, x, x)
     record = draw(st.sampled_from([
-        st.builds(CompletionStep, edge, interval, x, x, x),
+        st.builds(CompletionStep, edge, interval, x, x),
         st.builds(ReductionStep, edge, x, x, interval, x, x, st.booleans()),
     ]))
     return tuple(draw(st.lists(record, max_size=40)))
@@ -823,12 +835,12 @@ class TestTraceEmitter:
         assert text == json.dumps(_sanitised(doc), indent=2)
         assert text.count(" -0.0") == text.count(" 0.0") == 6
 
-    _STEP = CompletionStep((0, 1), FeasibleInterval(0.5, 2.0, 1.0, 1.0), 1.0, 1.0, 1.0)
+    _STEP = CompletionStep((0, 1), FeasibleInterval(0.5, 2.0, 1.0, 1.0), 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "value",
         [(1, 2), np.float64(0.5), np.zeros((2, 2)), np.arange(3), np.ones((1, 2), dtype=bool), {1},
-         (_STEP, CompletionStep((0, 2), _STEP.interval, np.float64(1.0), 1.0, 1.0))],
+         (_STEP, CompletionStep((0, 2), _STEP.interval, np.float64(1.0), 1.0))],
         ids=["tuple", "numpy-float", "float-array", "1-d-array", "bool-array", "set",
              "step-numpy-float"],
     )
@@ -853,7 +865,7 @@ class TestTraceEmitter:
 
         doc = {
             "unspecified_pairs": np.arange(1, 2 * count + 1).reshape(count, 2),
-            "completion": tuple(CompletionStep((r, r + 1), interval(r), x(r, 4), x(r, 5), x(r, 6))
+            "completion": tuple(CompletionStep((r, r + 1), interval(r), x(r, 4), x(r, 5))
                                 for r in range(count)),
             "reduction": tuple(ReductionStep((r + 1, r), x(r, 7), x(r, 8), interval(r + 2),
                                              x(r, 9), x(r, 10), r % 3 == 0) for r in range(count)),

@@ -269,7 +269,8 @@ class TestDiagonalSimilarity:
         assert len(scaled.steps) == len(report.steps)
         for step, got in zip(report.steps, scaled.steps):
             i, k = step.edge
-            assert (got.edge, got.mt_before, got.mt_after) == (step.edge, step.mt_before, step.mt_after)
+            assert (got.edge, got.interval.mt_context, got.mt_after) == (
+                step.edge, step.interval.mt_context, step.mt_after)
             assert got.value == step.value * d[i] / d[k]
         expected = report.result.entries * d[:, None] / d
         assert scaled.result.entries.tobytes() == expected.tobytes()
@@ -474,7 +475,7 @@ class TestCompleteMtPreserving:
                 report = complete_mt_preserving(prm, selection=selection)
                 assert mt(report.result) == pytest.approx(base, rel=1e-9)
                 for step in report.steps:
-                    assert step.mt_after <= step.mt_before * (1 + 1e-9)
+                    assert step.mt_after <= step.interval.mt_context * (1 + 1e-9)
 
     def test_step_interval_equals_library_interval(self, rng):
         # Both call one interval helper, but each picks its own J and context:
