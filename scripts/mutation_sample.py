@@ -74,9 +74,25 @@ MUTANTS = [
     # The worst-triad tie test misses a second close triad in the worst row.
     (
         "measures.py",
-        "tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp",
-        "tie = len(rows) > 1 or abs(low / peak - 1.0) <= tol.cmp",
+        "tie = len(rows) > 1 or len(hits) > 1 or abs(min(v, 1.0 / v) / peak - 1.0) <= tol.cmp",
+        "tie = len(rows) > 1 or abs(min(v, 1.0 / v) / peak - 1.0) <= tol.cmp",
         "tests/test_measures.py::TestTriadScan::test_random_partial_matrices",
+    ),
+    # The worst triad is reported in its ascending orientation even when the
+    # reverse 3-cycle has the larger product.
+    (
+        "measures.py",
+        "worst = ((i, j, k), v) if v >= 1.0 / v else ((k, j, i), 1.0 / v)",
+        "worst = ((i, j, k), v)",
+        "tests/test_measures.py::TestTriadScan::test_random_partial_matrices",
+    ),
+    # A reduce step takes the worst 3-cycle's indices in its own order, so its
+    # edge can run from the larger index to the smaller.
+    (
+        "reduction.py",
+        "i, j, k = sorted(scan.worst[0])",
+        "i, j, k = scan.worst[0]",
+        "tests/test_reduction.py::TestReduce::test_every_step_edge_is_ascending",
     ),
     # The chordal ordering retests a rejected pair whenever its separator grows,
     # not only when the growth meets the path the pair was rejected with.

@@ -160,7 +160,7 @@ def _classify(m: PartialReciprocalMatrix, tol: Tolerances, pcm: bool) -> dict:
 def _measures_doc(scan: TriadScan) -> dict:
     worst = None
     if scan.worst is not None:
-        indices, value = scan.worst.worst_orientation()
+        indices, value = scan.worst
         worst = {"indices": _one_based(indices), "value": value}
     return {"mt": scan.mt, "koczkodaj": scan.koczkodaj, "specified_triads": scan.count,
             "max_triad": worst}

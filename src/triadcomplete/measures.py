@@ -27,47 +27,14 @@ from .matrices import DEFAULT_TOL, PartialReciprocalMatrix, Tolerances
 
 
 @dataclass(frozen=True)
-class TriadProduct:
-    """3-cycle product a[i,j] * a[j,k] * a[k,i] for one triangle i < j < k.
-
-    ``value`` is the ascending orientation; the descending one is its
-    reciprocal.
-    """
-
-    i: int
-    j: int
-    k: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (self.i < self.j < self.k):
-            raise ValueError("triad indices must be ascending")
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"triad product must be positive, got {self.value!r}")
-
-    @property
-    def reciprocal(self) -> float:
-        return 1.0 / self.value
-
-    @property
-    def max_value(self) -> float:
-        """The larger of the two oriented products."""
-        return max(self.value, 1.0 / self.value)
-
-    def worst_orientation(self) -> tuple[tuple[int, int, int], float]:
-        """Index order and value of the orientation with the larger product."""
-        if self.value >= 1.0 / self.value:
-            return (self.i, self.j, self.k), self.value
-        return (self.k, self.j, self.i), 1.0 / self.value
-
-
-@dataclass(frozen=True)
 class TriadScan:
-    """What :func:`triad_scan` finds; ``count`` is the number of fully specified triads."""
+    """What :func:`triad_scan` finds: ``worst`` is ``((a, b, c), product)``, the worst triad's
+    3-cycle a -> b -> c -> a with the larger product, or None with no fully specified triad;
+    ``count`` is the number of fully specified triads."""
 
     mt: float
     pcm: bool
-    worst: TriadProduct | None
+    worst: tuple[tuple[int, int, int], float] | None
     tie: bool
     count: int
 
@@ -79,6 +46,9 @@ class TriadScan:
 
 def triad_scan(m: PartialReciprocalMatrix, tol: Tolerances = DEFAULT_TOL) -> TriadScan:
     """mt, the worst triad, its tie flag and the count, read from ``m``'s :class:`TriadTables`.
+
+    The worst triad is ``((a, b, c), product)``, the 3-cycle a -> b -> c -> a with the larger
+    product, or None.
 
     An overflowing product (or reciprocal) raises :class:`MatrixError` naming the triad, one-based.
     """
@@ -166,9 +136,9 @@ class TriadTables:
         i, j = (int(x) for x in rows[0])
         vals = e[i, j] * e[j, j + 1 :] * e[j + 1 :, i]
         hits = np.flatnonzero(np.abs(np.fmax(vals, 1.0 / vals) / peak - 1.0) <= tol.cmp)
-        worst = TriadProduct(i, j, j + 1 + int(hits[0]), float(vals[hits[0]]))
-        low = min(worst.value, worst.reciprocal)
-        tie = len(rows) > 1 or len(hits) > 1 or abs(low / peak - 1.0) <= tol.cmp
+        v, k = float(vals[hits[0]]), j + 1 + int(hits[0])
+        worst = ((i, j, k), v) if v >= 1.0 / v else ((k, j, i), 1.0 / v)
+        tie = len(rows) > 1 or len(hits) > 1 or abs(min(v, 1.0 / v) / peak - 1.0) <= tol.cmp
         return TriadScan(best, best <= 1.0 + tol.cons, worst, tie, self.count)
 
 

@@ -63,20 +63,24 @@ def reduce_step(
     lexicographically smallest edge).  ``edge_rule="paper"`` re-solves only
     the (min, max) entry of the triad.
     """
+    _check_edge_rule(edge_rule)
     tables = TriadTables(m.entries.copy())
     step = _step(tables, tol, edge_rule)
     tables.set(*step.edge, step.new_value)
     return CompleteReciprocalMatrix(tables.entries), step
 
 
+def _check_edge_rule(edge_rule: str) -> None:
+    if edge_rule not in EDGE_RULES:
+        raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
+
+
 def _step(tables: TriadTables, tol: Tolerances, edge_rule: str) -> ReductionStep:
     """:func:`reduce_step` on the tables' matrix, which is left as it is."""
     if len(tables.entries) < 3:
         raise MatrixTooSmallError(f"need n >= 3, got n = {len(tables.entries)}")
-    if edge_rule not in EDGE_RULES:
-        raise ValueError(f"unknown edge rule {edge_rule!r}; expected one of {EDGE_RULES}")
     scan = tables.scan(tol)
-    i, j, k = scan.worst.i, scan.worst.j, scan.worst.k
+    i, j, k = sorted(scan.worst[0])
     fills, e, n = [], tables.entries, len(tables.entries)
     for a, b in [(i, k)] if edge_rule == "paper" else [(i, j), (i, k), (j, k)]:
         bits = [(1 << n) - 1] * n  # the complete graph less {a, b}
@@ -107,6 +111,7 @@ def reduce(
         raise ValueError(f"--target-mt: target_mt must be >= 1, got {target_mt!r}")
     if max_steps < 0:
         raise ValueError(f"--max-steps: max_steps must be >= 0, got {max_steps!r}")
+    _check_edge_rule(edge_rule)
     tables = TriadTables(m.entries.copy())
     mt_initial = mt_now = tables.scan(tol).mt
     steps: list[ReductionStep] = []

@@ -29,7 +29,7 @@ from triadcomplete.matrices import (
     PartialReciprocalMatrix,
     Tolerances,
 )
-from triadcomplete.measures import TriadProduct, is_pcm, mt
+from triadcomplete.measures import is_pcm, mt
 
 MAX_CYCLE_N = 8
 
@@ -92,19 +92,21 @@ class GridSpec:
         return (self.hi / self.lo) ** (1.0 / (self.points - 1))
 
 
-def specified_triads(m: PartialReciprocalMatrix) -> list[TriadProduct]:
-    """All triangles whose three entries are specified, one per index triple."""
+def specified_triads(m: PartialReciprocalMatrix) -> list[tuple[int, int, int, float]]:
+    """All triangles whose three entries are specified, one ``(i, j, k, value)`` per index
+    triple i < j < k, ``value`` the product a[i,j] * a[j,k] * a[k,i]; the reverse cycle's
+    product is its reciprocal."""
     e, mask = m.entries, m.mask
     out = []
     for i, j, k in combinations(range(m.n), 3):
         if mask[i, j] and mask[j, k] and mask[i, k]:
-            out.append(TriadProduct(i, j, k, float(e[i, j] * e[j, k] * e[k, i])))
+            out.append((i, j, k, float(e[i, j] * e[j, k] * e[k, i])))
     return out
 
 
 def brute_mt(m: PartialReciprocalMatrix) -> float:
     """Maximum oriented triad product by a direct triple loop."""
-    return max([1.0] + [t.max_value for t in specified_triads(m)])
+    return max([1.0] + [max(v, 1.0 / v) for *_, v in specified_triads(m)])
 
 
 def brute_cycle_products(m: PartialReciprocalMatrix) -> list[tuple[tuple[int, ...], float]]:

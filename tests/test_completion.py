@@ -330,13 +330,13 @@ class TestJoinBlocks:
         r = join_blocks(a, b, 2, 1, 3.0)
         block_products = {1.0}
         for block in (a, b):
-            for t in specified_triads(block):
-                block_products.update((t.value, t.reciprocal))
+            for *_, v in specified_triads(block):
+                block_products.update((v, 1.0 / v))
         for t in specified_triads(r):
-            in_a = sum(v < a.n for v in (t.i, t.j, t.k))
+            in_a = sum(x < a.n for x in t[:3])
             if in_a in (1, 2):  # mixed triad
                 assert any(
-                    abs(t.value / p - 1.0) <= 1e-9 for p in block_products
+                    abs(t[3] / p - 1.0) <= 1e-9 for p in block_products
                 ), f"mixed triad {t} not found among block products"
 
     def test_bad_arguments(self, rng):

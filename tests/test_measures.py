@@ -27,7 +27,7 @@ from triadcomplete import (
 )
 from triadcomplete.errors import EntrySpecifiedError, MatrixError
 from triadcomplete.completion import FeasibleInterval
-from triadcomplete.measures import TriadProduct, TriadTables, mt_pass, new_triads_mt, triad_scan
+from triadcomplete.measures import TriadTables, mt_pass, new_triads_mt, triad_scan
 
 weight_vectors = st.lists(
     st.floats(0.2, 5.0, allow_nan=False), min_size=3, max_size=6
@@ -46,19 +46,13 @@ class TestSpecifiedTriads:
 
     def test_sub_four_triangles(self):
         triads = specified_triads(cases.sub_four())
-        assert [(t.i, t.j, t.k) for t in triads] == [(0, 1, 2), (1, 2, 3)]
-        assert triads[0].value == pytest.approx(4 / 3, rel=1e-12)
-        assert triads[1].value == pytest.approx(1 / 2, rel=1e-12)
+        assert [t[:3] for t in triads] == [(0, 1, 2), (1, 2, 3)]
+        assert triads[0][3] == pytest.approx(4 / 3, rel=1e-12)
+        assert triads[1][3] == pytest.approx(1 / 2, rel=1e-12)
 
     def test_complete_four_by_four(self, rng):
         m = cases.consistent_matrix(cases.random_weights(rng, 4))
         assert len(specified_triads(m)) == 4
-
-    def test_orientations(self):
-        t = specified_triads(cases.sub_four())[1]
-        assert t.reciprocal == pytest.approx(2.0)
-        assert t.max_value == pytest.approx(2.0)
-        assert t.worst_orientation() == ((3, 2, 1), pytest.approx(2.0))
 
 
 class TestMt:
@@ -108,7 +102,7 @@ class TestIsPcm:
         for _ in range(40):
             m = cases.random_prm(rng, int(rng.integers(3, 7)))
             triads = specified_triads(m)
-            all_one = all(abs(t.value - 1.0) <= 1e-9 for t in triads)
+            all_one = all(abs(v - 1.0) <= 1e-9 for *_, v in triads)
             assert is_pcm(m) == all_one
 
 
@@ -266,13 +260,12 @@ class TestMaxTriadAndKoczkodaj:
     def test_consistent_ties(self, rng):
         m = cases.consistent_matrix(cases.random_weights(rng, 4))
         scan = triad_scan(m)
-        assert scan.worst.max_value == pytest.approx(1.0) and scan.tie
+        assert scan.worst[1] == pytest.approx(1.0) and scan.tie
 
     def test_unique_maximum(self):
         m = validate([[1, 2, 1], [0.5, 1, 2], [1, 0.5, 1]])
         scan = triad_scan(m)
-        assert (scan.worst.i, scan.worst.j, scan.worst.k) == (0, 1, 2)
-        assert scan.worst.max_value == pytest.approx(4.0) and not scan.tie
+        assert scan.worst == ((0, 1, 2), pytest.approx(4.0)) and not scan.tie
 
     def test_koczkodaj_values(self, rng):
         assert triad_scan(cases.consistent_matrix([1, 2, 3])).koczkodaj == pytest.approx(0.0)
@@ -284,25 +277,18 @@ class TestMaxTriadAndKoczkodaj:
         m = cases.consistent_matrix(w)
         assert triad_scan(m).koczkodaj == pytest.approx(0.0, abs=1e-9)
 
-    def test_triad_product_refuses_unordered_indices_and_bad_values(self):
-        with pytest.raises(ValueError, match="triad indices must be ascending"):
-            TriadProduct(0, 2, 1, 1.0)
-        for value in (0.0, -2.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="triad product must be positive"):
-                TriadProduct(0, 1, 2, value)
-
 
 def enumerated_worst(m, tol=DEFAULT_TOL):
-    """Worst triad, tie flag and count from the reference enumeration."""
+    """Worst 3-cycle ``((a, b, c), product)``, tie flag and count from the reference
+    enumeration: of the first triad i < j < k near the peak, the orientation with the
+    larger product, i -> j -> k -> i if its product is at least its reciprocal."""
     triads = specified_triads(m)
     if not triads:
         return None, False, 0
-    peak = max(t.max_value for t in triads)
-    close = [v for t in triads for v in (t.value, t.reciprocal) if abs(v / peak - 1.0) <= tol.cmp]
-    worst = min(
-        (t for t in triads if abs(t.max_value / peak - 1.0) <= tol.cmp),
-        key=lambda t: (t.i, t.j, t.k),
-    )
+    peak = max(max(v, 1.0 / v) for *_, v in triads)
+    close = [w for *_, v in triads for w in (v, 1.0 / v) if abs(w / peak - 1.0) <= tol.cmp]
+    i, j, k, v = min(t for t in triads if abs(max(t[3], 1.0 / t[3]) / peak - 1.0) <= tol.cmp)
+    worst = ((i, j, k), v) if v >= 1.0 / v else ((k, j, i), 1.0 / v)
     return worst, len(close) >= 2, len(triads)
 
 
@@ -325,8 +311,8 @@ class TestTriadScan:
         if worst is None:
             assert scan.worst is None
         else:
-            assert (scan.worst.i, scan.worst.j, scan.worst.k) == (worst.i, worst.j, worst.k)
-            assert scan.worst.value.hex() == worst.value.hex()
+            assert scan.worst[0] == worst[0]
+            assert scan.worst[1].hex() == worst[1].hex()
         assert scan.mt == pytest.approx(oracle.brute_mt(m), rel=1e-12)
 
     def test_random_partial_matrices(self, rng):
@@ -564,7 +550,7 @@ class TestMtPass:
         m = PartialReciprocalMatrix(entries)
         scan = triad_scan(m)
         assert scan.mt == mt_pass(m) == 8.0 and scan.count == 1
-        assert (scan.worst.i, scan.worst.j, scan.worst.k) == (0, 2, 3)
+        assert scan.worst == ((0, 2, 3), 8.0)
 
     @pytest.mark.parametrize(
         "pair",
@@ -673,5 +659,4 @@ class TestRelabellingAndTransposition:
             # The worst triad's reported value can differ in its last bits under
             # transposition, so only the cycle itself is compared.
             if scan.worst is not None and not (scan.tie or other.tie):
-                worst, _ = scan.worst.worst_orientation()
-                assert image(worst) in rotations(other.worst.worst_orientation()[0])
+                assert image(scan.worst[0]) in rotations(other.worst[0])

@@ -33,28 +33,23 @@ class TestWorstTriad:
     def test_single_triangle_no_tie(self):
         m = validate([[1, 2, 1], [0.5, 1, 2], [1, 0.5, 1]]).to_complete()
         scan = triad_scan(m)
-        triad, tie = scan.worst, scan.tie
-        assert (triad.i, triad.j, triad.k) == (0, 1, 2)
-        assert triad.max_value == pytest.approx(4.0)
-        assert not tie
+        assert scan.worst == ((0, 1, 2), pytest.approx(4.0))
+        assert not scan.tie
 
     def test_completed_five_by_five(self):
         # Enumerating all ten triads puts the unique maximum, 4, on the
         # triangle {0, 1, 2}; the runner-up is 3 on {0, 1, 3}.
         m = cases.five_completed()
         scan = triad_scan(m)
-        triad, tie = scan.worst, scan.tie
-        assert (triad.i, triad.j, triad.k) == (0, 1, 2)
-        assert triad.max_value == pytest.approx(4.0, rel=1e-12)
-        assert not tie
-        others = sorted((t.max_value for t in specified_triads(m)), reverse=True)
+        assert scan.worst == ((0, 1, 2), pytest.approx(4.0, rel=1e-12))
+        assert not scan.tie
+        others = sorted((max(v, 1.0 / v) for *_, v in specified_triads(m)), reverse=True)
         assert others[1] == pytest.approx(3.0, rel=1e-12)
 
     def test_consistent_matrix_ties(self, rng):
         m = cases.consistent_matrix(cases.random_weights(rng, 4)).to_complete()
         scan = triad_scan(m)
-        triad, tie = scan.worst, scan.tie
-        assert triad.max_value == pytest.approx(1.0) and tie
+        assert scan.worst[1] == pytest.approx(1.0) and scan.tie
 
 
 class TestReduceStep:
@@ -103,6 +98,11 @@ class TestReduceStep:
         m = cases.five_completed()
         with pytest.raises(ValueError):
             reduce_step(m, edge_rule="random")
+        # reduce refuses it up front, also where no step would run.
+        m = cases.consistent_matrix([1.0, 2.0, 4.0]).to_complete()
+        assert reduce(m).stop_reason == STOP_TARGET
+        with pytest.raises(ValueError, match="unknown edge rule 'bogus'"):
+            reduce(m, edge_rule="bogus")
 
     def test_only_one_pair_changes(self, rng):
         m, _, _ = cases.perturbed_consistent(rng, 5)
@@ -249,6 +249,14 @@ class TestReduce:
         trace = reduce(m, tol=tol)
         assert trace.steps == () and trace.stop_reason == STOP_TIE
         assert np.array_equal(trace.result.entries, m.entries) and trace.mt_final == 1.25
+
+    def test_every_step_edge_is_ascending(self):
+        # The worst 3-cycle can run against its indices; the repaired pair is
+        # still reported as (a, b) with a < b.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            trace = reduce(cases.random_prm(rng, 8, p=1.0).to_complete(), max_steps=4)
+            assert trace.steps and all(a < b for a, b in (s.edge for s in trace.steps))
 
     def test_result_remains_valid_reciprocal(self, rng):
         m, _, _ = cases.perturbed_consistent(rng, 6)

@@ -102,6 +102,29 @@ def test_reference_names_live_with_the_tests():
     assert not (SRC / "oracle.py").exists() and found == []
 
 
+def test_brute_force_triads_share_no_package_code():
+    # The oracle's triad enumeration forms its own products and orientations:
+    # specified_triads and brute_mt call nothing imported from the package.
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if any(parts[0] == "triadcomplete" for parts in _imported_paths(node))
+        for alias in node.names
+    }
+    fns = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+           and node.name in ("specified_triads", "brute_mt")]
+    assert len(fns) == 2
+    found = [
+        f"{fn.name}:{node.lineno} {name}"
+        for fn in fns
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (name := ast.unparse(node.func).split(".")[0]) in imported
+    ]
+    assert imported and found == []
+
+
 def test_graphs_does_not_import_matrices():
     # A matrix owns its graph, so the dependency runs matrices -> graphs only.
     path = SRC / "graphs.py"
